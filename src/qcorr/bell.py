@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import DensityMatrix, PureState
+from .core import DensityMatrix, PureState, WhiteNoiseState
 from .states import max_entangled_qudit
 
 #: Phase offsets of the four local observables, keyed by (party, setting).
@@ -51,17 +51,35 @@ class MeasurementSetting:
         object.__setattr__(self, "offset", OFFSETS[(self.party, self.setting)])
 
 
+def setting_basis(ms: MeasurementSetting) -> np.ndarray:
+    """The observable's eigenvectors as columns: entry (m, l) is
+    exp[i 2pi m (l+offset)/d]/sqrt(d)."""
+    d = ms.dimension
+    levels = np.arange(d)
+    phases = 2j * np.pi * levels[:, None] * (levels + float(ms.offset))[None, :] / d
+    return np.exp(phases) / math.sqrt(d)
+
+
 def setting_vector(ms: MeasurementSetting, l: int) -> np.ndarray:
-    """Unit eigenvector l of the observable: phase row exp[i 2pi m (l+offset)/d]/sqrt(d)."""
+    """Unit eigenvector l of the observable: column l of `setting_basis`."""
     d = ms.dimension
     if not 0 <= int(l) < d:
         raise ValueError(f"outcome {l} outside 0..{d - 1}")
-    levels = np.arange(d)
-    return np.exp(2j * np.pi * levels * (l + float(ms.offset)) / d) / math.sqrt(d)
+    return setting_basis(ms)[:, int(l)]
 
 
-def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v2: int) -> float:
-    """Probability of outcomes (v1, v2) under the two settings."""
+def _pure_table(state: PureState, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    d = u1.shape[0]
+    return np.abs(u1.conj().T @ state.amplitudes.reshape(d, d) @ u2.conj()) ** 2
+
+
+def outcome_table(state, s1: MeasurementSetting, s2: MeasurementSetting) -> np.ndarray:
+    """Joint outcome probabilities P[v1, v2] of one setting pair, by one contraction.
+
+    Pure states give |U1^H Psi U2^*|^2; density matrices are contracted with
+    U1 x U2 on the right (two d^5 steps) and their diagonal read against the
+    conjugate bases; white-noise mixtures give (1-p) P_pure + p/d^2.
+    """
     if s1.party != 1 or s2.party != 2:
         raise ValueError("first setting must belong to party 1, second to party 2")
     d = s1.dimension
@@ -69,18 +87,30 @@ def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v
         raise ValueError(
             f"state structure {state.structure.dims} does not match settings of dimension {d}"
         )
-    vec1 = setting_vector(s1, v1)
-    vec2 = setting_vector(s2, v2)
+    u1, u2 = setting_basis(s1), setting_basis(s2)
     if isinstance(state, PureState):
-        amp = vec1.conj() @ state.amplitudes.reshape(d, d) @ vec2.conj()
-        return float(abs(amp) ** 2)
+        return _pure_table(state, u1, u2)
+    if isinstance(state, WhiteNoiseState):
+        return (1.0 - state.p) * _pure_table(state.pure, u1, u2) + state.p / d**2
     if isinstance(state, DensityMatrix):
-        joint = np.kron(vec1, vec2)
-        return float((joint.conj() @ state.matrix @ joint).real)
-    raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+        rho = state.matrix.reshape(d, d, d, d)
+        right = np.tensordot(np.tensordot(rho, u1, axes=(2, 0)), u2, axes=(2, 0))
+        return np.einsum("av,bw,abvw->vw", u1.conj(), u2.conj(), right).real
+    raise TypeError(
+        f"expected PureState, DensityMatrix or WhiteNoiseState, got {type(state).__name__}"
+    )
 
 
-def _outcome_pairs(d: int, i: int, j: int, m: int) -> tuple[int, int]:
+def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v2: int) -> float:
+    """Probability of outcomes (v1, v2) under the two settings."""
+    table = outcome_table(state, s1, s2)
+    d = table.shape[0]
+    if not (0 <= int(v1) < d and 0 <= int(v2) < d):
+        raise ValueError(f"outcomes {(v1, v2)} outside 0..{d - 1}")
+    return float(table[int(v1), int(v2)])
+
+
+def _outcome_pairs(d: int, i: int, j: int, m):
     """Party-1 outcomes (positive term, negative term) paired with v2 = m."""
     if (i, j) == (1, 2):
         return (-m) % d, (1 - m) % d
@@ -91,33 +121,28 @@ def _outcome_pairs(d: int, i: int, j: int, m: int) -> tuple[int, int]:
     raise ValueError(f"unknown setting pair {(i, j)}")
 
 
+def _correlators(state, i: int, j: int) -> np.ndarray:
+    """The d correlators of setting pair (i, j), read from one outcome table."""
+    d = state.structure.dims[0]
+    table = outcome_table(state, MeasurementSetting(1, i, d), MeasurementSetting(2, j, d))
+    m = np.arange(d)
+    plus, minus = _outcome_pairs(d, i, j, m)
+    return table[plus, m] - table[minus, m]
+
+
 def correlator_m(state, i: int, j: int, m: int) -> float:
     """Single correlator: difference of two joint probabilities at outcome v2 = m."""
     d = state.structure.dims[0]
     if not 0 <= int(m) < d:
         raise ValueError(f"index {m} outside 0..{d - 1}")
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError(f"settings must be 1 or 2, got {(i, j)}")
-    s1 = MeasurementSetting(1, i, d)
-    s2 = MeasurementSetting(2, j, d)
-    plus, minus = _outcome_pairs(d, i, j, m)
-    return joint_prob(state, s1, s2, plus, m) - joint_prob(state, s1, s2, minus, m)
+    return float(_correlators(state, i, j)[int(m)])
 
 
 def correlation(state, i: int, j: int) -> tuple[float, int]:
     """Sum of the d correlators of one setting pair and the number of
-    joint-probability lookups spent on it (always 2d)."""
-    d = state.structure.dims[0]
-    s1 = MeasurementSetting(1, i, d)
-    s2 = MeasurementSetting(2, j, d)
-    value = 0.0
-    events = 0
-    for m in range(d):
-        plus, minus = _outcome_pairs(d, i, j, m)
-        value += joint_prob(state, s1, s2, plus, m)
-        value -= joint_prob(state, s1, s2, minus, m)
-        events += 2
-    return value, events
+    detection events read for it from the pair's outcome table (always 2d)."""
+    values = _correlators(state, i, j)
+    return float(values.sum()), 2 * values.size
 
 
 def quantum_value(state, d: int | None = None) -> float:
@@ -185,33 +210,22 @@ def lhv_max(d: int) -> tuple[int, list[LhvAssignment]]:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if d > ENUMERATION_GUARD:
         raise ValueError(f"dimension {d} exceeds the enumeration guard {ENUMERATION_GUARD}")
-    grid = np.arange(d)
-    v21, v12, v22 = np.meshgrid(grid, grid, grid, indexing="ij")
-    best = -5
-    ties: list[LhvAssignment] = []
-    for v11 in range(d):
-        t11 = v11 + v21
-        t12 = v11 + v22
-        t22 = v12 + v22
-        t21 = v12 + v21
-        values = (
-            (t11 % d == 0).astype(np.int8)
-            - ((-t11) % d == 1)
-            + (t12 % d == 0)
-            - (t12 % d == 1)
-            + (t22 % d == 0)
-            - ((-t22) % d == 1)
-            + ((-t21) % d == 1)
-            - (t21 % d == 0)
-        )
-        chunk_best = int(values.max())
-        if chunk_best < best:
-            continue
-        if chunk_best > best:
-            best = chunk_best
-            ties = []
-        for i21, i12, i22 in np.argwhere(values == chunk_best):
-            ties.append(LhvAssignment(v11, int(i21), int(i12), int(i22)))
+    # Each term depends only on a sum of two outcomes mod d, so tabulate it per
+    # residue and broadcast the four tables over all d^4 assignments.
+    r = np.arange(d)
+    zero = (r == 0).astype(np.int8)
+    one = (r == 1).astype(np.int8)
+    minus_one = ((-r) % d == 1).astype(np.int8)
+    residue = (r[:, None] + r[None, :]) % d
+    c11 = (zero - minus_one)[residue]  # indexed (v11, v21)
+    c12 = (zero - one)[residue]  # (v11, v22)
+    c22 = (zero - minus_one)[residue]  # (v12, v22)
+    c21 = (minus_one - zero)[residue]  # (v12, v21)
+    values = (c11[:, :, None, None] + c12[:, None, None, :]) + (
+        c22[None, None, :, :] + c21.T[None, :, :, None]
+    )
+    best = int(values.max())
+    ties = [LhvAssignment(*idx) for idx in np.argwhere(values == best).tolist()]
     return best, ties
 
 
@@ -243,6 +257,10 @@ def chsh_reduction_check() -> bool:
     return True
 
 
+class BellInvariantError(ArithmeticError):
+    """A computed Bell quantity missed its closed form or the local bound 2."""
+
+
 @dataclass(frozen=True, eq=False)
 class BellReport:
     """Summary of the functional at one dimension."""
@@ -257,12 +275,14 @@ class BellReport:
 
     def __post_init__(self) -> None:
         if abs(self.quantum_value - self.analytic_value) > 1e-9:
-            raise ValueError(
+            raise BellInvariantError(
                 f"quantum value {self.quantum_value!r} misses the closed form "
                 f"{self.analytic_value!r}"
             )
         if self.lhv_max is not None and self.lhv_max != 2:
-            raise ValueError(f"deterministic local bound came out as {self.lhv_max}, expected 2")
+            raise BellInvariantError(
+                f"deterministic local bound came out as {self.lhv_max}, expected 2"
+            )
 
 
 def bell_report(d: int, include_lhv: bool = True) -> BellReport:

@@ -250,7 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=int, default=1234, help="seed for randomized procedures")
-    common.add_argument("--tol", type=float, default=None, help="spectral tolerance override")
+    common.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="absolute tolerance of the dominance eigenvalue check "
+        "(default: 1e-8 times the witness's spectral norm)",
+    )
     common.add_argument(
         "--struct-tol", type=float, default=None, help="structural tolerance override"
     )

@@ -123,6 +123,46 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
+class WhiteNoiseState:
+    """(1-p)|pure><pure| + p 1/D, kept factored as the pair (pure, p).
+
+    The checks `DensityMatrix` runs hold on the factored form: the trace is
+    (1-p)|pure|^2 + p, and the spectrum is p/D (D-1 times) and
+    (1-p)|pure|^2 + p/D, so no D x D matrix is built or diagonalized.
+    """
+
+    pure: PureState
+    p: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.pure, PureState):
+            raise TypeError(f"expected PureState, got {type(self.pure).__name__}")
+        p = float(self.p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"noise fraction {p} outside [0, 1]")
+        object.__setattr__(self, "p", p)
+        norm_sq = float(np.vdot(self.pure.amplitudes, self.pure.amplitudes).real)
+        trace = (1.0 - p) * norm_sq + p
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace!r} differs from 1")
+        lowest = p / self.structure.dim
+        if lowest < -PSD_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {lowest!r}")
+
+    @property
+    def structure(self) -> PartyStructure:
+        return self.pure.structure
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense D x D matrix, built anew on each access."""
+        amps = self.pure.amplitudes
+        mat = (self.p / amps.size) * np.eye(amps.size, dtype=np.complex128)
+        mat += (1.0 - self.p) * np.outer(amps, amps.conj())
+        return _frozen(mat)
+
+
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Dense complex matrix asserted Hermitian, with party structure."""
 
@@ -194,8 +234,11 @@ def kron(a, b):
     )
 
 
-def expectation(op: HermitianOperator, state: PureState | DensityMatrix) -> float:
-    """<s|op|s> for pure states, Tr(op.rho) for density matrices."""
+def expectation(
+    op: HermitianOperator, state: PureState | DensityMatrix | WhiteNoiseState
+) -> float:
+    """<s|op|s> for pure states, Tr(op.rho) for density matrices, and
+    (1-p)<s|op|s> + p Tr(op)/D for white-noise mixtures."""
     if op.structure.dims != state.structure.dims:
         raise ValueError(
             f"party structures differ: {op.structure.dims} vs {state.structure.dims}"
@@ -204,8 +247,14 @@ def expectation(op: HermitianOperator, state: PureState | DensityMatrix) -> floa
         val = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
     elif isinstance(state, DensityMatrix):
         val = complex(np.trace(op.matrix @ state.matrix))
+    elif isinstance(state, WhiteNoiseState):
+        amps = state.pure.amplitudes
+        val = (1.0 - state.p) * complex(np.vdot(amps, op.matrix @ amps))
+        val += state.p * complex(np.trace(op.matrix)) / amps.size
     else:
-        raise TypeError(f"expected PureState or DensityMatrix, got {type(state).__name__}")
+        raise TypeError(
+            f"expected PureState, DensityMatrix or WhiteNoiseState, got {type(state).__name__}"
+        )
     if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"imaginary residue {val.imag!r} exceeds tolerance; operator not Hermitian?")
     return float(val.real)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, PartyStructure, PureState
+from .core import PartyStructure, PureState, WhiteNoiseState
 
 QUBIT4 = PartyStructure((2, 2, 2, 2))
 QUDIT4X3 = PartyStructure((4, 4, 4))
@@ -66,12 +66,7 @@ def max_entangled_qudit(d: int) -> PureState:
     return PureState(amps, PartyStructure((d, d)))
 
 
-def mix_white_noise(state: PureState, p: float) -> DensityMatrix:
-    """Convex mixture of `state` with the maximally mixed state, noise fraction p."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise fraction {p} outside [0, 1]")
-    dim = state.structure.dim
-    mat = (p / dim) * np.eye(dim, dtype=np.complex128)
-    mat += (1.0 - p) * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(mat, state.structure)
+def mix_white_noise(state: PureState, p: float) -> WhiteNoiseState:
+    """Convex mixture of `state` with the maximally mixed state, noise fraction p,
+    in factored form; `.matrix` gives the dense matrix on demand."""
+    return WhiteNoiseState(state, p)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from qcorr import (
     setting_vector,
 )
 from qcorr.bell import SETTING_PAIRS, correlation
+from qcorr.core import DensityMatrix, PartyStructure, PureState
 
 
 def closed_form_correlator(d: int) -> float:
@@ -138,6 +141,33 @@ def test_quantum_value_mixed_linearity():
         assert abs(quantum_value(mix_white_noise(state, p)) - (1 - p) * pure_value) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_noisy_value_agrees_across_representations(d):
+    rng = np.random.default_rng(100 + d)
+    amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    psi = PureState(amps / np.linalg.norm(amps), PartyStructure((d, d)))
+    pure_value = quantum_value(psi)
+    for p in (0.0, 0.1, 0.5, 0.93, 1.0):
+        noisy = mix_white_noise(psi, p)
+        factored = quantum_value(noisy)
+        dense = quantum_value(DensityMatrix(noisy.matrix, noisy.structure))
+        assert abs(factored - dense) < 1e-12
+        assert abs(factored - (1 - p) * pure_value) < 1e-12
+
+
+def test_noisy_value_needs_no_dense_matrix():
+    d, p = 64, 0.3
+    tracemalloc.start()
+    try:
+        value = quantum_value(mix_white_noise(max_entangled_qudit(d), p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(value - (1 - p) * analytic_value(d)) < 1e-9
+    # The dense d^2 x d^2 complex matrix would take 16 * d**4 bytes = 268 MB.
+    assert peak < 1_000_000
+
+
 def test_analytic_value_limits():
     assert abs(analytic_value(2) - 2 * math.sqrt(2)) < 1e-12
     assert abs(analytic_value(10**6) - 2.88202) < 1e-5
@@ -177,6 +207,14 @@ def test_lhv_max_is_two(d):
         assert lhv_value(a, d) == 2
     ordered = [a.as_tuple() for a in ties]
     assert ordered == sorted(ordered)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lhv_max_ties_are_every_maximizer(d):
+    best, ties = lhv_max(d)
+    every = [a for a in product(range(d), repeat=4) if lhv_value(LhvAssignment(*a), d) == 2]
+    assert best == 2
+    assert [a.as_tuple() for a in ties] == every
 
 
 def test_lhv_max_guard():

@@ -126,3 +126,14 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_bell_invariant_miss_is_numerical_failure(capsys, monkeypatch):
+    import qcorr.bell as bell
+
+    exact = bell.analytic_value
+    monkeypatch.setattr(bell, "analytic_value", lambda d: exact(d) + 1e-6)
+    code = main(["bell", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure" in err

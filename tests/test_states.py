@@ -5,6 +5,10 @@ import pytest
 
 from qcorr import (
     GhzParams,
+    build_C_ghz4x3,
+    build_C_phi,
+    build_C_psi,
+    expectation,
     ghz4,
     ghz_4x3,
     max_entangled_qudit,
@@ -12,7 +16,7 @@ from qcorr import (
     mix_white_noise,
     singlet4,
 )
-from qcorr.core import HermitianOperator
+from qcorr.core import DensityMatrix, HermitianOperator, WhiteNoiseState
 
 
 def test_ghz4_symmetric_case():
@@ -96,3 +100,36 @@ def test_mix_white_noise_is_a_state():
         assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
         lowest = min_eigenvalue(HermitianOperator(rho.matrix, rho.structure))
         assert lowest > -1e-12
+
+
+def test_mix_white_noise_spectrum_is_closed_form():
+    state = singlet4()
+    for p in (0.0, 0.25, 1.0):
+        rho = mix_white_noise(state, p)
+        closed = np.sort(np.r_[np.full(15, p / 16), (1 - p) + p / 16])
+        assert np.allclose(np.linalg.eigvalsh(rho.matrix), closed, atol=1e-12)
+
+
+def test_mix_white_noise_rejects_bad_fractions():
+    state = max_entangled_qudit(3)
+    for p in (-1e-9, 1.0 + 1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            mix_white_noise(state, p)
+        with pytest.raises(ValueError):
+            WhiteNoiseState(state, p)
+
+
+@pytest.mark.parametrize(
+    "build, target",
+    [
+        (build_C_phi, ghz4(math.pi / 4, math.pi / 6)),
+        (build_C_psi, singlet4()),
+        (build_C_ghz4x3, ghz_4x3()),
+    ],
+)
+def test_noisy_expectation_dense_matches_factored(build, target):
+    op = build()
+    for p in (0.0, 0.2, 0.7, 1.0):
+        noisy = mix_white_noise(target, p)
+        dense = expectation(op, DensityMatrix(noisy.matrix, noisy.structure))
+        assert abs(expectation(op, noisy) - dense) < 1e-12
