@@ -298,9 +298,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.struct_tol is not None:
-        core.set_tolerances(structural=args.struct_tol)
+    previous_struct_tol = core.STRUCTURAL_TOL
     try:
+        core.set_tolerances(structural=args.struct_tol)
         report = RUNNERS[args.command](args)
     except (core.EigensolverError, WitnessNeverFiresError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -308,6 +308,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        core.set_tolerances(structural=previous_struct_tol)
     print(report.render(args.format))
     return 0 if report.passed else 1
 

@@ -13,12 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
-# Structural tolerances guard object construction (hermiticity, norm, trace);
-# the spectral tolerance is the default accuracy target of eigenvalue checks.
+# Structural tolerances guard object construction (hermiticity, norm, trace).
 STRUCTURAL_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-SPECTRAL_TOL = 1e-9
 IMAG_TOL = 1e-10
 
 
@@ -26,13 +24,11 @@ class EigensolverError(RuntimeError):
     """Dense Hermitian eigensolver failed to converge."""
 
 
-def set_tolerances(structural: float | None = None, spectral: float | None = None) -> None:
-    """Override the module-wide structural / spectral tolerances."""
-    global STRUCTURAL_TOL, SPECTRAL_TOL
+def set_tolerances(structural: float | None = None) -> None:
+    """Override the module-wide structural tolerance."""
+    global STRUCTURAL_TOL
     if structural is not None:
         STRUCTURAL_TOL = float(structural)
-    if spectral is not None:
-        SPECTRAL_TOL = float(spectral)
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
-from .core import (
-    HermitianOperator,
-    PartyStructure,
-    PureState,
-    STRUCTURAL_TOL,
-    combine_bipartite,
-    expectation,
-)
+from . import core
+from .core import HermitianOperator, PartyStructure, PureState, _split_axes, expectation
 from .states import QUBIT4, QUDIT4X3
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -69,7 +63,7 @@ class LocalBasis:
         else:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         gram_dev = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(d))))
-        if gram_dev > STRUCTURAL_TOL:
+        if gram_dev > core.STRUCTURAL_TOL:
             raise ValueError(f"basis vectors deviate from orthonormal by {gram_dev!r}")
         vectors.setflags(write=False)
         object.__setattr__(self, "_vectors", vectors)
@@ -344,6 +338,41 @@ def build_C_psi() -> HermitianOperator:
 # Four-level tripartite GHZ
 
 
+def _ghz4x3_member(basis_kind: str, n: int, k: int, image: int) -> HermitianOperator:
+    """Member k of a party-n family whose permutation sends level k to `image`."""
+    basis = _QUDIT4_BASES[basis_kind]
+    p, q = [party for party in (1, 2, 3) if party != n]
+    if basis_kind == "z":
+        mat = _projector_product(basis, QUDIT4X3, {n: k, p: k, q: k}) - _projector_product(
+            basis, QUDIT4X3, {n: image, p: k, q: k}
+        )
+    else:
+        mat = np.zeros((64, 64), dtype=np.complex128)
+        for l, r in itertools.product(range(4), repeat=2):
+            if (k + l + r) % 4 != 0:
+                continue
+            mat += _projector_product(basis, QUDIT4X3, {n: k, p: l, q: r})
+            mat -= _projector_product(basis, QUDIT4X3, {n: image, p: l, q: r})
+    return HermitianOperator(mat, QUDIT4X3)
+
+
+def _ghz4x3_family(basis_kind: str, n: int, j: int, member) -> CorrelatorFamily:
+    if basis_kind not in _QUDIT4_BASES:
+        raise ValueError(f"basis kind must be z or f, got {basis_kind!r}")
+    if n not in (1, 2, 3):
+        raise ValueError(f"party index {n} outside 1..3")
+    if not 1 <= j <= 9:
+        raise ValueError(f"permutation index {j} outside 1..9")
+    shifts = DERANGEMENTS_4[j - 1]
+    return CorrelatorFamily(
+        tuple(member(basis_kind, n, k, shifts[k]) for k in range(4)),
+        arity=4,
+        label=f"ghz4x3.{basis_kind}.n{n}.j{j}",
+        basis=basis_kind,
+        cut=(n,),
+    )
+
+
 def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
     """Four-member correlator family for party n against the rest.
 
@@ -352,42 +381,19 @@ def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
     (k - s_k) on party n times level-k projectors on the others; in the
     Fourier setting the other two parties carry the level-sum-zero pair sum.
     """
-    if basis_kind not in _QUDIT4_BASES:
-        raise ValueError(f"basis kind must be z or f, got {basis_kind!r}")
-    if n not in (1, 2, 3):
-        raise ValueError(f"party index {n} outside 1..3")
-    if not 1 <= j <= 9:
-        raise ValueError(f"permutation index {j} outside 1..9")
-    basis = _QUDIT4_BASES[basis_kind]
-    shifts = DERANGEMENTS_4[j - 1]
-    p, q = [party for party in (1, 2, 3) if party != n]
-    members = []
-    for k in range(4):
-        if basis_kind == "z":
-            mat = _projector_product(basis, QUDIT4X3, {n: k, p: k, q: k}) - _projector_product(
-                basis, QUDIT4X3, {n: shifts[k], p: k, q: k}
-            )
-        else:
-            mat = np.zeros((64, 64), dtype=np.complex128)
-            for l, r in itertools.product(range(4), repeat=2):
-                if (k + l + r) % 4 != 0:
-                    continue
-                mat += _projector_product(basis, QUDIT4X3, {n: k, p: l, q: r})
-                mat -= _projector_product(basis, QUDIT4X3, {n: shifts[k], p: l, q: r})
-        members.append(HermitianOperator(mat, QUDIT4X3))
-    return CorrelatorFamily(
-        tuple(members),
-        arity=4,
-        label=f"ghz4x3.{basis_kind}.n{n}.j{j}",
-        basis=basis_kind,
-        cut=(n,),
-    )
+    return _ghz4x3_family(basis_kind, n, j, _ghz4x3_member)
 
 
 def all_ghz4x3_families() -> list[CorrelatorFamily]:
-    """The 54 families: both settings, all parties, all nine permutations."""
+    """The 54 families: both settings, all parties, all nine permutations.
+
+    Member k depends on the permutation only through s_k, so the 216 members
+    take 72 distinct values; each is built once and shared by the families
+    that hold it.
+    """
+    member = cache(_ghz4x3_member)
     return [
-        ghz4x3_correlators(kind, n, j)
+        _ghz4x3_family(kind, n, j, member)
         for kind in ("z", "f")
         for n in (1, 2, 3)
         for j in range(1, 10)
@@ -408,47 +414,101 @@ def build_C_ghz4x3() -> HermitianOperator:
 # ---------------------------------------------------------------------------
 # Sign tests and random product-state suites
 
+#: Absolute margin of every sign test: an expectation value counts as positive
+#: above +SIGN_MARGIN, as negative below -SIGN_MARGIN, and as zero in between.
+#: Where a value is exactly zero, rounding leaves residues of order 1e-17
+#: (basis product states of a correlator's own setting), which a bare `> 0`
+#: would read as signs.
+SIGN_MARGIN = 1e-12
+
+#: Rows a sign suite draws and evaluates together; bounds its memory.
+CHUNK_ROWS = 1024
+
+
+def margin_sign(values) -> np.ndarray:
+    """+1, -1 or 0 per value: its sign, or 0 within SIGN_MARGIN of zero."""
+    values = np.asarray(values, dtype=float)
+    return (values > SIGN_MARGIN).astype(np.int8) - (values < -SIGN_MARGIN).astype(np.int8)
+
 
 def prop1_test(pair: CorrelatorPair, state) -> bool:
-    """True iff the product of the two expectation values is strictly positive."""
-    return expectation(pair.c0, state) * expectation(pair.c1, state) > 0.0
+    """True iff the two expectation values share a sign beyond SIGN_MARGIN."""
+    signs = margin_sign([expectation(pair.c0, state), expectation(pair.c1, state)])
+    return bool(signs[0] * signs[1] > 0)
 
 
 def prop2_test(family: CorrelatorFamily, state) -> bool:
-    """True iff every member expectation is strictly positive."""
-    return all(expectation(member, state) > 0.0 for member in family.members)
+    """True iff every member expectation exceeds SIGN_MARGIN."""
+    return bool(np.all(margin_sign([expectation(m, state) for m in family.members]) > 0))
+
+
+def random_product_states(
+    structure: PartyStructure, cut, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """`trials` Haar-ish random product states across `cut`, as a (trials, D) array.
+
+    Each row is drawn from one row of normals holding the real and imaginary
+    parts of side a, then those of side b; both sides are normalized and their
+    outer product is reordered to the global party order.  Every row passes
+    the norm check `PureState` runs.
+    """
+    axes_a, axes_b = _split_axes(structure, cut)
+    shape_a = [structure.dims[k] for k in axes_a]
+    shape_b = [structure.dims[k] for k in axes_b]
+    dim_a, dim_b = int(np.prod(shape_a)), int(np.prod(shape_b))
+    normals = rng.standard_normal((trials, 2 * dim_a + 2 * dim_b))
+    re_a, im_a, re_b, im_b = np.split(normals, [dim_a, 2 * dim_a, 2 * dim_a + dim_b], axis=1)
+    vec_a = re_a + 1j * im_a
+    vec_b = re_b + 1j * im_b
+    vec_a /= np.linalg.norm(vec_a, axis=1, keepdims=True)
+    vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
+    tensor = (vec_a[:, :, None] * vec_b[:, None, :]).reshape([trials] + shape_a + shape_b)
+    order = np.argsort(axes_a + axes_b)
+    amps = tensor.transpose([0, *(order + 1)]).reshape(trials, structure.dim)
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    dev = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
+    if not np.all(dev <= core.STRUCTURAL_TOL):
+        raise ValueError(f"state norm differs from 1 by {np.max(dev)!r}, beyond tolerance")
+    return amps
 
 
 def random_product_state(structure: PartyStructure, cut, rng: np.random.Generator) -> PureState:
-    """Haar-ish random product state across the given bipartition."""
-    axes_a = sorted({int(p) for p in cut})
-    dims = structure.dims
-    dim_a = 1
-    for p in axes_a:
-        dim_a *= dims[p - 1]
-    dim_b = structure.dim // dim_a
+    """One random product state across `cut`: a one-row `random_product_states` draw."""
+    return PureState(random_product_states(structure, cut, 1, rng)[0], structure)
 
-    def _unit(dim: int) -> np.ndarray:
-        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return vec / np.linalg.norm(vec)
 
-    return combine_bipartite(_unit(dim_a), axes_a, _unit(dim_b), structure)
+def _suite_signs(operators, cut, trials: int, seed: int):
+    """Margin signs of every operator on `trials` random product states across `cut`.
+
+    Yields one (members, rows) array per chunk of at most CHUNK_ROWS states.
+    Successive chunks continue one generator, so the states do not depend on
+    the chunking.  Each value passes the checks `expectation` runs.
+    """
+    structure = operators[0].structure
+    if any(op.structure.dims != structure.dims for op in operators):
+        raise ValueError("operators of one suite must share a party structure")
+    stack = np.stack([op.matrix for op in operators])
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, CHUNK_ROWS):
+        amps = random_product_states(structure, cut, min(CHUNK_ROWS, trials - start), rng)
+        values = np.einsum("td,mdt->mt", amps.conj(), stack @ amps.T)
+        residue = float(np.max(np.abs(values.imag), initial=0.0))
+        if residue > core.IMAG_TOL:
+            raise ValueError(f"imaginary residue {residue!r} exceeds tolerance; operator not Hermitian?")
+        yield margin_sign(values.real)
 
 
 def count_prop1_violations(pair: CorrelatorPair, trials: int, seed: int) -> int:
     """Sign-test failures of `pair` over random states product across its cut."""
-    rng = np.random.default_rng(seed)
-    structure = pair.c0.structure
     return sum(
-        prop1_test(pair, random_product_state(structure, pair.cut, rng)) for _ in range(trials)
+        int(np.count_nonzero(signs[0] * signs[1] > 0))
+        for signs in _suite_signs((pair.c0, pair.c1), pair.cut, trials, seed)
     )
 
 
 def count_prop2_violations(family: CorrelatorFamily, trials: int, seed: int) -> int:
     """Joint-positivity failures of `family` over random states product across its cut."""
-    rng = np.random.default_rng(seed)
-    structure = family.members[0].structure
     return sum(
-        prop2_test(family, random_product_state(structure, family.cut, rng))
-        for _ in range(trials)
+        int(np.count_nonzero(np.all(signs > 0, axis=0)))
+        for signs in _suite_signs(family.members, family.cut, trials, seed)
     )

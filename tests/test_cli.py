@@ -137,3 +137,26 @@ def test_bell_invariant_miss_is_numerical_failure(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_struct_tol_applies_during_the_run_only(capsys, monkeypatch):
+    import qcorr.cli as cli
+    from qcorr import core
+
+    before = core.STRUCTURAL_TOL
+    assert main(["bell", "2", "--struct-tol", "1e-3"]) == 0
+    assert core.STRUCTURAL_TOL == before
+    assert main(["bell", "99", "--lhv", "--struct-tol", "1e-3"]) == 2
+    assert core.STRUCTURAL_TOL == before
+
+    seen = []
+
+    def _record(args):
+        seen.append(core.STRUCTURAL_TOL)
+        return cli.Report("bell")
+
+    monkeypatch.setitem(cli.RUNNERS, "bell", _record)
+    main(["bell", "--struct-tol", "1e-3"])
+    assert seen == [1e-3]
+    assert core.STRUCTURAL_TOL == before
+    capsys.readouterr()

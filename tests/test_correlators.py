@@ -1,11 +1,17 @@
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcorr import (
     DERANGEMENTS_4,
+    SIGN_MARGIN,
+    CorrelatorFamily,
+    CorrelatorPair,
+    HermitianOperator,
     LocalBasis,
     PartyStructure,
     PureState,
@@ -13,6 +19,7 @@ from qcorr import (
     build_C_ghz4x3,
     build_C_phi,
     build_C_psi,
+    combine_bipartite,
     expectation,
     ghz4,
     ghz4_pair_z,
@@ -26,12 +33,16 @@ from qcorr import (
     prop1_test,
     prop2_test,
     random_product_state,
+    random_product_states,
+    schmidt_max_sq,
     singlet4,
     singlet_correlators,
 )
+from qcorr import core, correlators
 from qcorr.correlators import (
     count_prop1_violations,
     count_prop2_violations,
+    margin_sign,
     singlet_flip_pair,
     singlet_group_pair,
 )
@@ -293,6 +304,18 @@ def test_ghz4x3_bad_indices():
         ghz4x3_correlators("w", 1, 1)
 
 
+def test_families_share_their_72_distinct_members():
+    # member k depends on the permutation only through s_k
+    families = all_ghz4x3_families()
+    assert len({id(m) for f in families for m in f.members}) == 72
+    for family in families:
+        n, j = family.cut[0], int(family.label.rsplit(".j", 1)[1])
+        alone = ghz4x3_correlators(family.basis, n, j)
+        assert alone.label == family.label
+        for shared, own in zip(family.members, alone.members):
+            assert np.array_equal(shared.matrix, own.matrix)
+
+
 def test_build_C_ghz4x3_values():
     op = build_C_ghz4x3()
     assert abs(expectation(op, ghz_4x3()) - 67.5) < 1e-10
@@ -336,3 +359,180 @@ def test_product_of_members_never_all_positive_manually():
         state = random_product_state(QUDIT4X3, family.cut, rng)
         values = [expectation(m, state) for m in family.members]
         assert min(values) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sign margin
+
+
+def _basis_product_states(structure, basis):
+    """Every product of `basis` vectors over the parties of `structure`."""
+    for levels in itertools.product(range(basis.dimension), repeat=structure.n_parties):
+        amps = functools.reduce(np.kron, [basis.vector(level) for level in levels])
+        yield PureState(amps, structure)
+
+
+def test_basis_product_states_of_own_setting_are_no_violations():
+    # On these states several expectations are exactly zero and rounding
+    # leaves residues near 1e-17, which a bare `> 0` counted as signs.
+    qubit_bases = {"z": LocalBasis("z", 2), "x": LocalBasis("x", 2), "y": LocalBasis("y", 2)}
+    pairs = ghz4_z_pairs() + ghz4_x_pairs()
+    for kind in ("z", "x", "y"):
+        pairs.extend(singlet_correlators(kind))
+    assert len(pairs) == 35
+    for pair in pairs:
+        for state in _basis_product_states(QUBIT4, qubit_bases[pair.basis]):
+            assert not prop1_test(pair, state), pair.label
+
+    qudit_bases = {"z": LocalBasis("z", 4), "f": LocalBasis("fourier", 4)}
+    families = all_ghz4x3_families()
+    assert len(families) == 54
+    for family in families:
+        states = list(_basis_product_states(QUDIT4X3, qudit_bases[family.basis]))
+        assert len(states) == 64
+        for state in states:
+            assert not prop2_test(family, state), family.label
+
+
+@pytest.mark.parametrize("scale, counted", [(2.0, True), (0.5, False)])
+def test_sign_margin_boundary(scale, counted):
+    # Operators c*1 have expectation c on every state: a value just above the
+    # margin must still count as a sign, one inside it must not.
+    op = HermitianOperator(scale * SIGN_MARGIN * np.eye(QUBIT4.dim), QUBIT4)
+    pair = CorrelatorPair(op, op, label="scaled-identity", basis="z", cut=(1,))
+    family = CorrelatorFamily((op,) * 4, arity=4, label="scaled-identity", basis="z", cut=(2, 3))
+    state = _basis_state(QUBIT4, 5)
+    assert prop1_test(pair, state) is counted
+    assert prop2_test(family, state) is counted
+    assert count_prop1_violations(pair, trials=30, seed=4) == (30 if counted else 0)
+    assert count_prop2_violations(family, trials=30, seed=4) == (30 if counted else 0)
+
+
+def test_margin_sign():
+    values = [3.0, SIGN_MARGIN * 1.01, SIGN_MARGIN, 0.0, -SIGN_MARGIN, -SIGN_MARGIN * 1.01, -2.0]
+    assert margin_sign(values).tolist() == [1, 1, 0, 0, 0, -1, -1]
+
+
+# ---------------------------------------------------------------------------
+# batched sign suites against the scalar loop
+
+
+def _reference_state(structure, cut, rng):
+    """A random product state drawn the scalar way: side a, then side b."""
+    axes_a = sorted(cut)
+    dim_a = math.prod(structure.dims[p - 1] for p in axes_a)
+
+    def unit(dim):
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return vec / np.linalg.norm(vec)
+
+    return combine_bipartite(unit(dim_a), axes_a, unit(structure.dim // dim_a), structure)
+
+
+def _reference_count(operators, cut, trials, seed, violated):
+    """Scalar reference loop: one state and one `expectation` per member and trial."""
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(trials):
+        state = _reference_state(operators[0].structure, cut, rng)
+        signs = [
+            1 if v > SIGN_MARGIN else -1 if v < -SIGN_MARGIN else 0
+            for v in (expectation(op, state) for op in operators)
+        ]
+        count += violated(signs)
+    return count
+
+
+def _pair_violated(signs):
+    return signs[0] * signs[1] > 0
+
+
+def _family_violated(signs):
+    return all(s > 0 for s in signs)
+
+
+def _suites():
+    """Every pair and family of proptest, plus a variant of each that fails often:
+    the pair with its second member negated, the family with its first."""
+    pairs = ghz4_z_pairs() + ghz4_x_pairs()
+    for kind in ("z", "x", "y"):
+        pairs.extend(singlet_correlators(kind))
+    families = all_ghz4x3_families()
+    flipped_pairs = [CorrelatorPair(p.c0, -p.c1, p.label, p.basis, p.cut) for p in pairs]
+    flipped_families = [
+        CorrelatorFamily((-f.members[0],) + f.members[1:], f.arity, f.label, f.basis, f.cut)
+        for f in families
+    ]
+    return pairs + flipped_pairs, families + flipped_families
+
+
+def test_batched_counts_match_scalar_loop():
+    pairs, families = _suites()
+    trials = 8
+    nonzero = 0
+    for seed in range(10):
+        for i, pair in enumerate(pairs):
+            expected = _reference_count((pair.c0, pair.c1), pair.cut, trials, 31 * seed + i, _pair_violated)
+            assert count_prop1_violations(pair, trials, 31 * seed + i) == expected, pair.label
+            nonzero += expected > 0
+        for i, family in enumerate(families):
+            expected = _reference_count(family.members, family.cut, trials, 97 * seed + i, _family_violated)
+            assert count_prop2_violations(family, trials, 97 * seed + i) == expected, family.label
+            nonzero += expected > 0
+    # the flipped variants make the comparison more than 0 == 0
+    assert nonzero > 100
+
+
+def test_chunked_counts_do_not_depend_on_chunk_size(monkeypatch):
+    pairs, families = _suites()
+    pair, family = pairs[-1], families[-1]
+    whole = (count_prop1_violations(pair, 50, 3), count_prop2_violations(family, 50, 3))
+    monkeypatch.setattr(correlators, "CHUNK_ROWS", 7)
+    assert (count_prop1_violations(pair, 50, 3), count_prop2_violations(family, 50, 3)) == whole
+    assert whole[0] > 0
+
+
+@pytest.mark.parametrize("structure, cut", [(QUDIT4X3, (2,)), (QUBIT4, (1, 3)), (QUBIT4, (2, 4, 3))])
+def test_batch_sampler_rows_are_successive_draws(structure, cut):
+    batch = random_product_states(structure, cut, 9, np.random.default_rng(21))
+    assert batch.shape == (9, structure.dim)
+    one_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    for row in batch:
+        single = random_product_state(structure, cut, one_rng)
+        reference = _reference_state(structure, cut, ref_rng)
+        assert np.max(np.abs(single.amplitudes - row)) <= 1e-14
+        assert np.max(np.abs(reference.amplitudes - row)) <= 1e-14
+        assert schmidt_max_sq(single, cut) == pytest.approx(1.0, abs=1e-12)
+    # every path leaves the generator at the same point
+    assert one_rng.random() == ref_rng.random()
+
+
+def test_batch_runs_the_scalar_checks(monkeypatch):
+    family, pair = ghz4x3_correlators("f", 1, 2), ghz4_party_z(1)
+    monkeypatch.setattr(core, "IMAG_TOL", -1.0)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        count_prop2_violations(family, trials=3, seed=1)
+    monkeypatch.setattr(core, "STRUCTURAL_TOL", -1.0)
+    with pytest.raises(ValueError, match="norm"):
+        random_product_states(QUDIT4X3, (1,), 3, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="norm"):
+        count_prop1_violations(pair, trials=3, seed=1)
+
+
+def test_local_basis_reads_structural_tolerance_at_call_time(monkeypatch):
+    LocalBasis("fourier", 4)
+    monkeypatch.setattr(core, "STRUCTURAL_TOL", -1.0)
+    with pytest.raises(ValueError, match="orthonormal"):
+        LocalBasis("fourier", 4)
+
+
+def test_family_suite_memory_is_bounded():
+    family = ghz4x3_correlators("f", 2, 3)
+    count_prop2_violations(family, trials=10, seed=1)
+    tracemalloc.start()
+    try:
+        assert count_prop2_violations(family, trials=5000, seed=2) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
