@@ -49,6 +49,19 @@ from .witnesses import (
 BISEP_SLACK = 0.02
 
 
+def _witness_block(report, prefix, witness, state, gamma, expected_delta, delta_tol, tol) -> None:
+    """Projector-witness dominance and noise tolerance of `witness` at `state`,
+    as three results and two checks whose keys start with `prefix`."""
+    wp = projector_witness(state)
+    cert = verify_dominance(witness, wp, gamma, tol=tol)
+    delta = noise_tolerance(witness, state)
+    report.add_result(f"{prefix}alpha_p", wp.alpha_p)
+    report.add_result(f"{prefix}dominance_min_eig", cert.min_eig)
+    report.add_result(f"{prefix}noise_delta", delta)
+    report.add_check(Check(f"{prefix}dominance(gamma={gamma})", True, cert.passed, None, cert.passed))
+    report.add_check(approx_check(f"{prefix}noise_delta", expected_delta, delta, delta_tol))
+
+
 def run_table1(args) -> Report:
     report = Report(
         "table1",
@@ -61,18 +74,9 @@ def run_table1(args) -> Report:
     report.add_result("biseparable_cut", "+".join(str(p) for p in seesaw.cut))
     report.add_result("lms_count", 2)
     for idx, case in enumerate(GHZ4_CASES, start=1):
-        state = ghz4(case.theta, case.phi)
         witness = make_witness(case.alpha, c_phi, label=case.label)
-        wp = projector_witness(state)
-        cert = verify_dominance(witness, wp, case.gamma, tol=args.tol)
-        delta = noise_tolerance(witness, state)
-        report.add_result(f"case{idx}.alpha_p", wp.alpha_p)
-        report.add_result(f"case{idx}.dominance_min_eig", cert.min_eig)
-        report.add_result(f"case{idx}.noise_delta", delta)
-        report.add_check(
-            Check(f"case{idx}.dominance(gamma={case.gamma})", True, cert.passed, None, cert.passed)
-        )
-        report.add_check(approx_check(f"case{idx}.noise_delta", case.noise_delta, delta, 1e-3))
+        state = ghz4(case.theta, case.phi)
+        _witness_block(report, f"case{idx}.", witness, state, case.gamma, case.noise_delta, 1e-3, args.tol)
         report.add_check(
             bound_check(f"case{idx}.biseparable_max", case.alpha + BISEP_SLACK, seesaw.value)
         )
@@ -121,17 +125,8 @@ def run_singlet(args) -> Report:
     )
 
     witness = make_witness(SINGLET_ALPHA, build_C_psi(), label="singlet4")
-    wp = projector_witness(state)
-    cert = verify_dominance(witness, wp, SINGLET_GAMMA, tol=args.tol)
-    delta = noise_tolerance(witness, state)
-    report.add_result("alpha_p", wp.alpha_p)
-    report.add_result("dominance_min_eig", cert.min_eig)
-    report.add_result("noise_delta", delta)
+    _witness_block(report, "", witness, state, SINGLET_GAMMA, SINGLET_NOISE_DELTA, 1e-6, args.tol)
     report.add_result("lms_count", len(kinds))
-    report.add_check(
-        Check(f"dominance(gamma={SINGLET_GAMMA})", True, cert.passed, None, cert.passed)
-    )
-    report.add_check(approx_check("noise_delta", SINGLET_NOISE_DELTA, delta, 1e-6))
     report.add_check(exact_check("lms_count", 3, len(kinds)))
     return report
 
@@ -152,17 +147,8 @@ def run_ghz4x3(args) -> Report:
     )
 
     witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3(), label="ghz4x3")
-    wp = projector_witness(state)
-    cert = verify_dominance(witness, wp, GHZ4X3_GAMMA, tol=args.tol)
-    delta = noise_tolerance(witness, state)
-    report.add_result("alpha_p", wp.alpha_p)
-    report.add_result("dominance_min_eig", cert.min_eig)
-    report.add_result("noise_delta", delta)
+    _witness_block(report, "", witness, state, GHZ4X3_GAMMA, GHZ4X3_NOISE_DELTA, 1e-3, args.tol)
     report.add_result("lms_count", len(kinds))
-    report.add_check(
-        Check(f"dominance(gamma={GHZ4X3_GAMMA})", True, cert.passed, None, cert.passed)
-    )
-    report.add_check(approx_check("noise_delta", GHZ4X3_NOISE_DELTA, delta, 1e-3))
     report.add_check(exact_check("lms_count", 2, len(kinds)))
     return report
 

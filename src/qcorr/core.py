@@ -87,7 +87,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, structure needs {self.structure.dim}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > STRUCTURAL_TOL:
+        if not abs(norm - 1.0) <= STRUCTURAL_TOL:
             raise ValueError(f"state norm {norm!r} differs from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -110,7 +110,7 @@ class DensityMatrix:
         _check_square(mat, self.structure)
         _check_hermitian(mat)
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {trace!r} differs from 1")
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < -PSD_TOL:
@@ -208,7 +208,7 @@ def _check_square(mat: np.ndarray, structure: PartyStructure) -> None:
 
 def _check_hermitian(mat: np.ndarray) -> None:
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > STRUCTURAL_TOL:
+    if not dev <= STRUCTURAL_TOL:
         raise ValueError(f"matrix deviates from Hermitian by {dev!r}")
 
 

@@ -10,6 +10,12 @@ Three families are provided:
   indexed by the nine fixed-point-free permutations of {0,1,2,3}, in the
   z setting and in a discrete-Fourier setting.
 
+Every correlator is an integer table t over the outcome strings of one local
+setting, i.e. the operator U diag(t) U^dagger with U the setting's basis on
+every party.  Each member counts a set of strings minus the same set with the
+cut party's outcome moved; the combined operators sum the member tables of a
+setting exactly and check the sum against its closed form.
+
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
 (sign test), while a four-member family of a product state can never be
@@ -28,8 +34,6 @@ import numpy as np
 from . import core
 from .core import HermitianOperator, PartyStructure, PureState, _split_axes, expectation
 from .states import QUBIT4, QUDIT4X3
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 #: The nine fixed-point-free permutations of {0,1,2,3}, lexicographically
 #: ordered; index j-1 holds the images (s_0, s_1, s_2, s_3).  The plain cyclic
@@ -136,17 +140,40 @@ class CorrelatorFamily:
             raise ValueError("family members must share a party structure")
 
 
-def _projector_product(basis: LocalBasis, structure: PartyStructure, levels: dict[int, int]) -> np.ndarray:
-    mats = []
-    for party in structure.parties():
-        local = structure.local_dim(party)
-        if party in levels:
-            if local != basis.dimension:
-                raise ValueError("basis dimension does not match the party's local dimension")
-            mats.append(basis.projector(levels[party]))
-        else:
-            mats.append(np.eye(local, dtype=np.complex128))
-    return reduce(np.kron, mats)
+#: Outcome strings as index grids: `_BITS[p - 1]` holds party p's outcome at
+#: every four-qubit string, `_LEVELS[p - 1]` at every three-party four-level one.
+_BITS = np.indices(QUBIT4.dims)
+_LEVELS = np.indices(QUDIT4X3.dims)
+
+
+def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
+    """U diag(table) U^dagger, where U is `basis` on every party.
+
+    This is the signed sum of basis-projector products that the integer
+    outcome table counts: entry table[s] weighs the product state of outcome
+    string s.
+    """
+    unitary = reduce(np.kron, [basis._vectors] * table.ndim)
+    return HermitianOperator((unitary * table.reshape(-1)) @ unitary.conj().T, PartyStructure(table.shape))
+
+
+def _string(shape: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
+    """Mask of the single outcome string `levels`."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[levels] = True
+    return mask
+
+
+def _moved(mask: np.ndarray, shift: int, axes) -> np.ndarray:
+    """The strings of `mask` minus the same strings with the outcome of every
+    party on `axes` moved up by `shift` (cyclically), as an integer table."""
+    mask = mask.astype(np.int64)
+    return mask - np.roll(mask, shift, axes)
+
+
+def _check_closed_form(name: str, table: np.ndarray, closed: np.ndarray) -> None:
+    if not np.array_equal(table, closed):
+        raise ArithmeticError(f"{name} table misses its closed form by {np.max(np.abs(table - closed))}")
 
 
 def _check_qubit_party(n: int) -> None:
@@ -154,27 +181,31 @@ def _check_qubit_party(n: int) -> None:
         raise ValueError(f"party index {n} outside 1..4")
 
 
+def _qubit_pair(kind: str, tables, label: str, cut: tuple[int, ...]) -> CorrelatorPair:
+    c0, c1 = (_operator(_QUBIT_BASES[kind], table) for table in tables)
+    return CorrelatorPair(c0, c1, label=label, basis=kind, cut=cut)
+
+
 # ---------------------------------------------------------------------------
 # Tunable four-qubit GHZ family
+
+
+def _ghz4_z_tables(cut: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """0000 and 1111, each minus itself with the parties of `cut` flipped."""
+    axes = tuple(p - 1 for p in cut)
+    return tuple(_moved(_string(QUBIT4.dims, (j,) * 4), 1, axes) for j in (0, 1))
+
+
+def _ghz4_x_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even-weight strings with party n at 0 (resp. 1), minus them with party n flipped."""
+    even = _BITS.sum(axis=0) % 2 == 0
+    return tuple(_moved(even & (_BITS[n - 1] == j), 1, n - 1) for j in (0, 1))
 
 
 def ghz4_party_z(n: int) -> CorrelatorPair:
     """z-setting pair testing correlation between party n and the other three."""
     _check_qubit_party(n)
-    others = [m for m in (1, 2, 3, 4) if m != n]
-    c0 = _projector_product(_Z2, QUBIT4, {n: 0, **{m: 0 for m in others}}) - _projector_product(
-        _Z2, QUBIT4, {n: 1, **{m: 0 for m in others}}
-    )
-    c1 = _projector_product(_Z2, QUBIT4, {n: 1, **{m: 1 for m in others}}) - _projector_product(
-        _Z2, QUBIT4, {n: 0, **{m: 1 for m in others}}
-    )
-    return CorrelatorPair(
-        HermitianOperator(c0, QUBIT4),
-        HermitianOperator(c1, QUBIT4),
-        label=f"ghz4.z.n{n}",
-        basis="z",
-        cut=(n,),
-    )
+    return _qubit_pair("z", _ghz4_z_tables((n,)), f"ghz4.z.n{n}", (n,))
 
 
 def ghz4_pair_z(n: int, m: int) -> CorrelatorPair:
@@ -183,41 +214,14 @@ def ghz4_pair_z(n: int, m: int) -> CorrelatorPair:
     _check_qubit_party(m)
     if n == m:
         raise ValueError("pair correlator needs two distinct parties")
-    others = [p for p in (1, 2, 3, 4) if p not in (n, m)]
-    c0 = _projector_product(_Z2, QUBIT4, {n: 0, m: 0, **{p: 0 for p in others}}) - _projector_product(
-        _Z2, QUBIT4, {n: 1, m: 1, **{p: 0 for p in others}}
-    )
-    c1 = _projector_product(_Z2, QUBIT4, {n: 1, m: 1, **{p: 1 for p in others}}) - _projector_product(
-        _Z2, QUBIT4, {n: 0, m: 0, **{p: 1 for p in others}}
-    )
-    return CorrelatorPair(
-        HermitianOperator(c0, QUBIT4),
-        HermitianOperator(c1, QUBIT4),
-        label=f"ghz4.z.n{n}m{m}",
-        basis="z",
-        cut=tuple(sorted((n, m))),
-    )
+    cut = tuple(sorted((n, m)))
+    return _qubit_pair("z", _ghz4_z_tables(cut), f"ghz4.z.n{n}m{m}", cut)
 
 
 def ghz4_party_x(n: int) -> CorrelatorPair:
     """x-setting pair for party n: even x-parity sum on one side, odd on the other."""
     _check_qubit_party(n)
-    others = [m for m in (1, 2, 3, 4) if m != n]
-    even = np.zeros((16, 16), dtype=np.complex128)
-    odd = np.zeros((16, 16), dtype=np.complex128)
-    for bits in itertools.product((0, 1), repeat=3):
-        rest = dict(zip(others, bits))
-        target = even if sum(bits) % 2 == 0 else odd
-        target += _projector_product(_X2, QUBIT4, {n: 0, **rest}) - _projector_product(
-            _X2, QUBIT4, {n: 1, **rest}
-        )
-    return CorrelatorPair(
-        HermitianOperator(even, QUBIT4),
-        HermitianOperator(-odd, QUBIT4),
-        label=f"ghz4.x.n{n}",
-        basis="x",
-        cut=(n,),
-    )
+    return _qubit_pair("x", _ghz4_x_tables(n), f"ghz4.x.n{n}", (n,))
 
 
 def ghz4_z_pairs() -> list[CorrelatorPair]:
@@ -231,81 +235,61 @@ def ghz4_x_pairs() -> list[CorrelatorPair]:
 
 @lru_cache(maxsize=1)
 def build_C_phi() -> HermitianOperator:
-    """Sum of all GHZ correlator members; checked against its closed form.
+    """Sum of all GHZ correlator members, one dense product per setting.
 
-    The z members collapse to 8(P_0000 + P_1111) - 1 and the x members to
-    4 sigma_x^{(x)4}; both identities are verified entrywise on every build.
+    The member tables sum to 8([0000] + [1111]) - 1 in z, i.e.
+    8(P_0000 + P_1111) - 1, and to 4(-1)^{|s|} in x, i.e. 4 sigma_x^{(x)4};
+    both identities are checked exactly on every build.
     """
-    z_sum = np.zeros((16, 16), dtype=np.complex128)
-    for pair in ghz4_z_pairs():
-        z_sum += pair.c0.matrix + pair.c1.matrix
-    x_sum = np.zeros((16, 16), dtype=np.complex128)
-    for pair in ghz4_x_pairs():
-        x_sum += pair.c0.matrix + pair.c1.matrix
-
-    p0000 = _projector_product(_Z2, QUBIT4, {p: 0 for p in (1, 2, 3, 4)})
-    p1111 = _projector_product(_Z2, QUBIT4, {p: 1 for p in (1, 2, 3, 4)})
-    z_closed = 8.0 * (p0000 + p1111) - np.eye(16)
-    x_closed = 4.0 * reduce(np.kron, [PAULI_X] * 4)
-    z_dev = float(np.max(np.abs(z_sum - z_closed)))
-    x_dev = float(np.max(np.abs(x_sum - x_closed)))
-    if max(z_dev, x_dev) > 1e-12:
-        raise ArithmeticError(
-            f"combined GHZ correlator misses its closed form (z dev {z_dev}, x dev {x_dev})"
-        )
-    return HermitianOperator(z_sum + x_sum, QUBIT4)
+    cuts = [(n,) for n in (1, 2, 3, 4)] + [(1, m) for m in (2, 3, 4)]
+    z = sum(sum(_ghz4_z_tables(cut)) for cut in cuts)
+    x = sum(sum(_ghz4_x_tables(n)) for n in (1, 2, 3, 4))
+    _check_closed_form("C_phi z", z, 8 * np.all(_BITS == _BITS[0], axis=0) - 1)
+    _check_closed_form("C_phi x", x, 4 * (-1) ** _BITS.sum(axis=0))
+    return _operator(_Z2, z) + _operator(_X2, x)
 
 
 # ---------------------------------------------------------------------------
 # Four-qubit singlet
 
+#: (group, flip party) of the four group pairs of each setting.
+_SINGLET_GROUPS = ((0, 1), (0, 2), (1, 3), (1, 4))
 
-def _toggled(levels: dict[int, int], party: int) -> dict[int, int]:
-    out = dict(levels)
-    out[party] = 1 - out[party]
-    return out
+
+def _singlet_flip_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0011 and 1100, each minus itself with party m flipped."""
+    return tuple(_moved(_string(QUBIT4.dims, (j, j, 1 - j, 1 - j)), 1, m - 1) for j in (0, 1))
+
+
+def _singlet_group_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strings 01 (resp. 10) on group n times 01 or 10 on the other pair,
+    minus them with party k flipped."""
+    a, b, c, e = (1, 2, 3, 4) if n == 0 else (3, 4, 1, 2)
+    rest = _BITS[c - 1] != _BITS[e - 1]
+    return tuple(
+        _moved(rest & (_BITS[a - 1] == j) & (_BITS[b - 1] == 1 - j), 1, k - 1) for j in (0, 1)
+    )
 
 
 def singlet_flip_pair(basis_kind: str, m: int) -> CorrelatorPair:
     """Pair comparing the 0011/1100 patterns with the same patterns flipped at party m.
 
-    For the x and y settings the flip is the unitary exchanging the two local
-    basis vectors, so the construction is the z one transplanted verbatim.
+    For the x and y settings the flip exchanges the two local basis vectors,
+    so every setting shares the z tables.
     """
-    basis = _QUBIT_BASES[basis_kind]
     _check_qubit_party(m)
-    members = []
-    for pattern in ({1: 0, 2: 0, 3: 1, 4: 1}, {1: 1, 2: 1, 3: 0, 4: 0}):
-        mat = _projector_product(basis, QUBIT4, pattern) - _projector_product(
-            basis, QUBIT4, _toggled(pattern, m)
-        )
-        members.append(HermitianOperator(mat, QUBIT4))
-    return CorrelatorPair(
-        members[0], members[1], label=f"singlet4.{basis_kind}.m{m}", basis=basis_kind, cut=(m,)
-    )
+    return _qubit_pair(basis_kind, _singlet_flip_tables(m), f"singlet4.{basis_kind}.m{m}", (m,))
 
 
 def singlet_group_pair(basis_kind: str, n: int, k: int) -> CorrelatorPair:
     """Pair comparing a 01/10 pattern on one party pair, flipped at party k,
     multiplied by the symmetric 01+10 pattern on the complementary pair."""
-    basis = _QUBIT_BASES[basis_kind]
     if n not in (0, 1):
         raise ValueError(f"group index must be 0 or 1, got {n}")
-    a, b, c, e = (1, 2, 3, 4) if n == 0 else (3, 4, 1, 2)
-    if k not in (a, b):
-        raise ValueError(f"flip party {k} must be one of the group parties {(a, b)}")
-    members = []
-    for la in (0, 1):
-        mat = np.zeros((16, 16), dtype=np.complex128)
-        for u, v in ((0, 1), (1, 0)):
-            levels = {a: la, b: 1 - la, c: u, e: v}
-            mat += _projector_product(basis, QUBIT4, levels) - _projector_product(
-                basis, QUBIT4, _toggled(levels, k)
-            )
-        members.append(HermitianOperator(mat, QUBIT4))
-    return CorrelatorPair(
-        members[0], members[1], label=f"singlet4.{basis_kind}.n{n}k{k}", basis=basis_kind, cut=(k,)
-    )
+    group = (2 * n + 1, 2 * n + 2)
+    if k not in group:
+        raise ValueError(f"flip party {k} must be one of the group parties {group}")
+    return _qubit_pair(basis_kind, _singlet_group_tables(n, k), f"singlet4.{basis_kind}.n{n}k{k}", (k,))
 
 
 def singlet_correlators(basis_kind: str) -> list[CorrelatorPair]:
@@ -313,47 +297,42 @@ def singlet_correlators(basis_kind: str) -> list[CorrelatorPair]:
     if basis_kind not in _QUBIT_BASES:
         raise ValueError(f"basis kind must be one of z/x/y, got {basis_kind!r}")
     pairs = [singlet_flip_pair(basis_kind, m) for m in (1, 2, 3, 4)]
-    for n in (0, 1):
-        for k in (2 * n + 1, 2 * n + 2):
-            pairs.append(singlet_group_pair(basis_kind, n, k))
-    return pairs
+    return pairs + [singlet_group_pair(basis_kind, n, k) for n, k in _SINGLET_GROUPS]
 
 
 @lru_cache(maxsize=1)
 def build_C_psi() -> HermitianOperator:
-    """Weighted sum over the three settings: flip pairs x5, group pairs x1."""
-    total = np.zeros((16, 16), dtype=np.complex128)
-    for kind in ("z", "x", "y"):
-        for m in (1, 2, 3, 4):
-            pair = singlet_flip_pair(kind, m)
-            total += 5.0 * (pair.c0.matrix + pair.c1.matrix)
-        for n in (0, 1):
-            for k in (2 * n + 1, 2 * n + 2):
-                pair = singlet_group_pair(kind, n, k)
-                total += pair.c0.matrix + pair.c1.matrix
-    return HermitianOperator(total, QUBIT4)
+    """Weighted sum over the three settings: flip pairs x5, group pairs x1.
+
+    The settings share one table, checked exactly on every build: 20 on
+    0011/1100, 4 on the other weight-2 strings, -7 on odd weight, 0 on
+    0000/1111.
+    """
+    table = 5 * sum(sum(_singlet_flip_tables(m)) for m in (1, 2, 3, 4))
+    table += sum(sum(_singlet_group_tables(n, k)) for n, k in _SINGLET_GROUPS)
+    weight = _BITS.sum(axis=0)
+    two = np.where(_BITS[0] == _BITS[1], 20, 4)
+    _check_closed_form("C_psi", table, np.where(weight % 2 == 1, -7, np.where(weight == 2, two, 0)))
+    return _operator(_Z2, table) + _operator(_X2, table) + _operator(_Y2, table)
 
 
 # ---------------------------------------------------------------------------
 # Four-level tripartite GHZ
 
 
+def _ghz4x3_table(basis_kind: str, n: int, k: int, image: int) -> np.ndarray:
+    """Member k of a party-n family: party n's level k moved to `image`, on the
+    string kkk (z) or on the strings whose levels sum to 0 mod 4 (Fourier)."""
+    if basis_kind == "z":
+        mask = _string(QUDIT4X3.dims, (k,) * 3)
+    else:
+        mask = (_LEVELS[n - 1] == k) & (_LEVELS.sum(axis=0) % 4 == 0)
+    return _moved(mask, image - k, n - 1)
+
+
 def _ghz4x3_member(basis_kind: str, n: int, k: int, image: int) -> HermitianOperator:
     """Member k of a party-n family whose permutation sends level k to `image`."""
-    basis = _QUDIT4_BASES[basis_kind]
-    p, q = [party for party in (1, 2, 3) if party != n]
-    if basis_kind == "z":
-        mat = _projector_product(basis, QUDIT4X3, {n: k, p: k, q: k}) - _projector_product(
-            basis, QUDIT4X3, {n: image, p: k, q: k}
-        )
-    else:
-        mat = np.zeros((64, 64), dtype=np.complex128)
-        for l, r in itertools.product(range(4), repeat=2):
-            if (k + l + r) % 4 != 0:
-                continue
-            mat += _projector_product(basis, QUDIT4X3, {n: k, p: l, q: r})
-            mat -= _projector_product(basis, QUDIT4X3, {n: image, p: l, q: r})
-    return HermitianOperator(mat, QUDIT4X3)
+    return _operator(_QUDIT4_BASES[basis_kind], _ghz4x3_table(basis_kind, n, k, image))
 
 
 def _ghz4x3_family(basis_kind: str, n: int, j: int, member) -> CorrelatorFamily:
@@ -402,13 +381,25 @@ def all_ghz4x3_families() -> list[CorrelatorFamily]:
 
 @lru_cache(maxsize=1)
 def build_C_ghz4x3() -> HermitianOperator:
-    """Weighted sum over all families: z members x1.5, Fourier members x1."""
-    total = np.zeros((64, 64), dtype=np.complex128)
-    for family in all_ghz4x3_families():
-        weight = 1.5 if family.basis == "z" else 1.0
-        for member in family.members:
-            total += weight * member.matrix
-    return HermitianOperator(total, QUDIT4X3)
+    """Weighted sum over all families: z members x1.5, Fourier members x1.
+
+    The member tables of each setting are summed and checked exactly on every
+    build: in z, 27 where all three levels agree, -3 where exactly two agree
+    and 0 otherwise; in Fourier, 36 [s1+s2+s3 = 0 mod 4] - 9.
+    """
+    z, f = (
+        sum(
+            _ghz4x3_table(kind, n, k, shifts[k])
+            for n in (1, 2, 3)
+            for shifts in DERANGEMENTS_4
+            for k in range(4)
+        )
+        for kind in ("z", "f")
+    )
+    agreeing = sum(_LEVELS[a] == _LEVELS[b] for a, b in ((0, 1), (0, 2), (1, 2)))
+    _check_closed_form("C_ghz4x3 z", z, np.where(agreeing == 3, 27, -3 * (agreeing == 1)))
+    _check_closed_form("C_ghz4x3 Fourier", f, 36 * (_LEVELS.sum(axis=0) % 4 == 0) - 9)
+    return 1.5 * _operator(_Z4, z) + _operator(_F4, f)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    DensityMatrix,
     HermitianOperator,
     PartyStructure,
     PureState,
@@ -44,6 +45,23 @@ def test_pure_state_norm_enforced():
         PureState(np.ones(4), PartyStructure((2, 2)))
     with pytest.raises(ValueError):
         PureState(np.ones(3) / np.sqrt(3), PartyStructure((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PureState([np.nan, 0, 0, 0], PartyStructure((2, 2))),
+        lambda: HermitianOperator(np.full((4, 4), np.nan), PartyStructure((2, 2))),
+        lambda: DensityMatrix(np.full((4, 4), np.nan), PartyStructure((2, 2))),
+    ],
+    ids=["PureState", "HermitianOperator", "DensityMatrix"],
+)
+def test_nan_input_is_rejected(build):
+    # `dev > tol` is False for NaN, so NaN must fail `dev <= tol`; an eigensolver
+    # LinAlgError (also a ValueError) would make the CLI exit 3, not 2
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert not isinstance(excinfo.value, np.linalg.LinAlgError)
 
 
 def test_hermitian_operator_rejects_non_hermitian():

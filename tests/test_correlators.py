@@ -187,6 +187,78 @@ def test_x_sum_closed_form():
     assert np.max(np.abs(total - closed)) <= 1e-12
 
 
+def _projector_sum(kind, structure, value):
+    """Sum over outcome strings s of value(s) times the product of the s-projectors."""
+    basis = LocalBasis(kind, structure.dims[0])
+    total = np.zeros((structure.dim, structure.dim), dtype=complex)
+    for levels in itertools.product(range(basis.dimension), repeat=structure.n_parties):
+        total += value(levels) * functools.reduce(np.kron, [basis.projector(level) for level in levels])
+    return total
+
+
+def _psi_value(s):
+    weight = sum(s)
+    if weight % 2:
+        return -7
+    return (20 if s[0] == s[1] else 4) if weight == 2 else 0
+
+
+def _singlet_weighted_members():
+    for kind in ("z", "x", "y"):
+        pairs = singlet_correlators(kind)
+        for weight, group in ((5.0, pairs[:4]), (1.0, pairs[4:])):
+            for pair in group:
+                yield weight, pair.c0
+                yield weight, pair.c1
+
+
+#: builder -> (weighted public members, closed form from projector sums)
+COMBINED = {
+    "C_phi": (
+        build_C_phi,
+        lambda: ((1.0, op) for p in ghz4_z_pairs() + ghz4_x_pairs() for op in (p.c0, p.c1)),
+        lambda: _projector_sum("z", QUBIT4, lambda s: 8 * (len(set(s)) == 1) - 1)
+        + _projector_sum("x", QUBIT4, lambda s: 4 * (-1) ** sum(s)),
+    ),
+    "C_psi": (
+        build_C_psi,
+        _singlet_weighted_members,
+        lambda: sum(_projector_sum(kind, QUBIT4, _psi_value) for kind in ("z", "x", "y")),
+    ),
+    "C_ghz4x3": (
+        build_C_ghz4x3,
+        lambda: (
+            (1.5 if f.basis == "z" else 1.0, op) for f in all_ghz4x3_families() for op in f.members
+        ),
+        lambda: 1.5 * _projector_sum("z", QUDIT4X3, lambda s: {1: 27, 2: -3, 3: 0}[len(set(s))])
+        + _projector_sum("fourier", QUDIT4X3, lambda s: 36 * (sum(s) % 4 == 0) - 9),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMBINED))
+def test_combined_operator_equals_member_sum_and_closed_form(name):
+    build, weighted_members, closed_form = COMBINED[name]
+    op = build()
+    member_sum = sum(weight * member.matrix for weight, member in weighted_members())
+    assert np.max(np.abs(op.matrix - member_sum)) <= 1e-12
+    assert np.max(np.abs(op.matrix - closed_form())) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(COMBINED))
+def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name):
+    moved = correlators._moved
+
+    def off_by_one(*args):
+        table = moved(*args)
+        table.flat[0] += 1
+        return table
+
+    monkeypatch.setattr(correlators, "_moved", off_by_one)
+    with pytest.raises(ArithmeticError, match="closed form"):
+        COMBINED[name][0].__wrapped__()
+
+
 def test_build_C_phi_values():
     op = build_C_phi()
     assert abs(op.trace()) < 1e-12
