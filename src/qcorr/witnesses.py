@@ -21,6 +21,9 @@ from .core import (
 )
 
 DOMINANCE_TOL_SCALE = 1e-8
+#: Seesaw restarts whose values lie within this of the best value tie; the
+#: lowest (cut index, restart) among them is reported.
+SEESAW_TIE_TOL = 1e-9
 
 
 class WitnessNeverFiresError(ValueError):
@@ -82,12 +85,23 @@ class DominanceCertificate:
 
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
-    """Best biseparable value found, with the cut, restart and state attaining it."""
+    """Best biseparable value found, with the cut, restart and state attaining
+    it, and how the restarts converged.
+
+    `cut_values` holds the best value per cut in `bipartitions` order,
+    `iteration_histogram[k]` the number of restarts that ran k alternations,
+    `capped` the number stopped by the iteration cap rather than convergence,
+    and `at_best` the number within `SEESAW_TIE_TOL` of the best value.
+    """
 
     value: float
     cut: tuple[int, ...]
     restart: int
     state: PureState
+    cut_values: np.ndarray
+    iteration_histogram: np.ndarray
+    capped: int
+    at_best: int
 
 
 def make_witness(alpha: float, c_op: HermitianOperator, label: str = "") -> Witness:
@@ -140,9 +154,66 @@ def noise_tolerance(w: Witness, target: PureState) -> float:
     return float((c_target - w.alpha) / denom)
 
 
-def _top_eigvec(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh(mat)
-    return float(vals[-1]), vecs[:, -1]
+def _seesaw_cut(
+    tensor: np.ndarray, cut: tuple[int, ...], cut_index: int, restarts: int, iters: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Alternating top-eigenvector updates for every restart of one cut at once.
+
+    `tensor` is the operator with one axis per party and side (bra then ket).
+    Restart r draws one row `default_rng([seed, cut_index, r]).standard_normal`
+    of real a, imag a, real b, imag b.  Each half-step is one matmul of the
+    stacked outer products conj(v)⊗v against the operator, permuted once here,
+    and one batched eigh over the rows still active.  A row stops when its
+    value moves by less than 1e-10 or after `iters` alternations.  Returns per
+    restart the final value, the alternation count, whether it converged, and
+    the two side vectors.
+    """
+    n = tensor.ndim // 2
+    dims = tensor.shape[:n]
+    axes_a = [p - 1 for p in cut]
+    axes_b = [k for k in range(n) if k not in axes_a]
+    dim_a = math.prod(dims[k] for k in axes_a)
+    dim_b = math.prod(dims[k] for k in axes_b)
+    perm = axes_a + axes_b
+    # contracted[i, j, k, l] = <i j| op |k l> with i, k on side a.
+    contracted = tensor.transpose(perm + [n + ax for ax in perm]).reshape(
+        dim_a, dim_b, dim_a, dim_b
+    )
+    op_for_a = contracted.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, dim_a * dim_a)
+    op_for_b = contracted.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b)
+
+    starts = np.stack(
+        [
+            np.random.default_rng([seed, cut_index, r]).standard_normal(2 * dim_a + 2 * dim_b)
+            for r in range(restarts)
+        ]
+    )
+    vec_a = starts[:, :dim_a] + 1j * starts[:, dim_a : 2 * dim_a]
+    vec_a /= np.linalg.norm(vec_a, axis=1, keepdims=True)
+    vec_b = starts[:, 2 * dim_a : 2 * dim_a + dim_b] + 1j * starts[:, 2 * dim_a + dim_b :]
+    vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
+    values = np.full(restarts, -math.inf)
+    counts = np.zeros(restarts, dtype=np.int64)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    for step in range(1, iters + 1):
+        side_b = vec_b[active]
+        outer_b = (side_b.conj()[:, :, None] * side_b[:, None, :]).reshape(-1, dim_b * dim_b)
+        _, vecs = np.linalg.eigh((outer_b @ op_for_a).reshape(-1, dim_a, dim_a))
+        side_a = vecs[:, :, -1]
+        outer_a = (side_a.conj()[:, :, None] * side_a[:, None, :]).reshape(-1, dim_a * dim_a)
+        vals, vecs = np.linalg.eigh((outer_a @ op_for_b).reshape(-1, dim_b, dim_b))
+        new_values = vals[:, -1]
+        vec_a[active] = side_a
+        vec_b[active] = vecs[:, :, -1]
+        done = np.abs(new_values - values[active]) < 1e-10
+        values[active] = new_values
+        counts[active] = step
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return values, counts, converged, vec_a, vec_b
 
 
 def biseparable_max(
@@ -151,45 +222,41 @@ def biseparable_max(
     """Lower bound on max <a x b|op|a x b> over all bipartitions, by alternating
     top-eigenvector updates of the operator contracted against the other side.
 
-    Deterministic for a fixed seed; ties between (value, cut index, restart)
-    are broken lexicographically.  The returned value never exceeds the global
-    maximum eigenvalue of `op`.
+    Each cut runs all its restarts as one stack (see `_seesaw_cut`).  Among the
+    restarts within `SEESAW_TIE_TOL` of the best value, the lowest (cut index,
+    restart) wins and its own value and state are reported, so round-off in
+    `op` does not reorder near-equal maxima.  Deterministic for a fixed seed;
+    the returned value never exceeds the global maximum eigenvalue of `op`.
     """
+    if restarts < 1:
+        raise ValueError(f"seesaw needs at least one restart, got {restarts}")
+    if iters < 1:
+        raise ValueError(f"seesaw needs at least one iteration, got {iters}")
     structure = op.structure
-    dims = structure.dims
-    n = structure.n_parties
-    tensor = op.matrix.reshape(dims + dims)
-    best: SeesawResult | None = None
-    for cut_index, cut in enumerate(bipartitions(n)):
-        axes_a = [p - 1 for p in cut]
-        axes_b = [k for k in range(n) if k not in axes_a]
-        dim_a = int(np.prod([dims[k] for k in axes_a]))
-        dim_b = structure.dim // dim_a
-        perm = axes_a + axes_b
-        contracted = tensor.transpose(perm + [n + ax for ax in perm]).reshape(
-            dim_a, dim_b, dim_a, dim_b
+    tensor = op.matrix.reshape(structure.dims + structure.dims)
+    cuts = bipartitions(structure.n_parties)
+    values, counts, converged, vecs_a, vecs_b = zip(
+        *(
+            _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
+            for cut_index, cut in enumerate(cuts)
         )
-        for restart in range(restarts):
-            rng = np.random.default_rng([seed, cut_index, restart])
-            vec_a = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
-            vec_a /= np.linalg.norm(vec_a)
-            vec_b = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
-            vec_b /= np.linalg.norm(vec_b)
-            value = -math.inf
-            for _ in range(iters):
-                mat_a = np.einsum("ijkl,j,l->ik", contracted, vec_b.conj(), vec_b)
-                _, vec_a = _top_eigvec(mat_a)
-                mat_b = np.einsum("ijkl,i,k->jl", contracted, vec_a.conj(), vec_a)
-                new_value, vec_b = _top_eigvec(mat_b)
-                if abs(new_value - value) < 1e-10:
-                    value = new_value
-                    break
-                value = new_value
-            if best is None or value > best.value:
-                state = combine_bipartite(vec_a, cut, vec_b, structure)
-                best = SeesawResult(float(value), cut, restart, state)
-    assert best is not None
-    return best
+    )
+    values = np.stack(values)
+    within = values >= values.max() - SEESAW_TIE_TOL
+    cut_index, restart = (int(k) for k in np.argwhere(within)[0])
+    cut = cuts[cut_index]
+    return SeesawResult(
+        value=float(values[cut_index, restart]),
+        cut=cut,
+        restart=restart,
+        state=combine_bipartite(
+            vecs_a[cut_index][restart], cut, vecs_b[cut_index][restart], structure
+        ),
+        cut_values=values.max(axis=1),
+        iteration_histogram=np.bincount(np.concatenate(counts)),
+        capped=int(np.count_nonzero(~np.concatenate(converged))),
+        at_best=int(np.count_nonzero(within)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,12 @@ def test_usage_errors():
     assert main(["bell", "--sweep", "5"]) == 2
 
 
+def test_seesaw_restarts_usage_error(capsys):
+    for restarts in ("0", "-3"):
+        assert main(["table1", "--restarts", restarts]) == 2
+        assert "restart" in capsys.readouterr().err
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     import qcorr.cli as cli
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    HermitianOperator,
     PartyStructure,
     PureState,
     bipartitions,
@@ -29,9 +30,11 @@ from qcorr.witnesses import (
     GHZ4_WITNESS_GRID,
     GHZ4X3_ALPHA,
     GHZ4X3_GAMMA,
+    SEESAW_TIE_TOL,
     SINGLET_ALPHA,
     SINGLET_GAMMA,
     WitnessNeverFiresError,
+    _seesaw_cut,
     biseparable_max,
 )
 
@@ -204,3 +207,119 @@ def test_seesaw_state_attains_value():
     op = build_C_ghz4x3()
     result = biseparable_max(op, restarts=20, seed=9)
     assert abs(expectation(op, result.state) - result.value) < 1e-8
+
+
+def _scalar_seesaw(op, cut_index, cut, restarts, iters, seed):
+    """Reference: one restart at a time, einsum contraction and single eigh."""
+    dims = op.structure.dims
+    n = len(dims)
+    tensor = op.matrix.reshape(dims + dims)
+    axes_a = [p - 1 for p in cut]
+    axes_b = [k for k in range(n) if k not in axes_a]
+    dim_a = int(np.prod([dims[k] for k in axes_a]))
+    dim_b = op.structure.dim // dim_a
+    perm = axes_a + axes_b
+    contracted = tensor.transpose(perm + [n + ax for ax in perm]).reshape(
+        dim_a, dim_b, dim_a, dim_b
+    )
+    values, counts, converged = [], [], []
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, cut_index, restart])
+        vec_a = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
+        vec_a /= np.linalg.norm(vec_a)
+        vec_b = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+        vec_b /= np.linalg.norm(vec_b)
+        value = -math.inf
+        count = 0
+        done = False
+        for _ in range(iters):
+            count += 1
+            mat_a = np.einsum("ijkl,j,l->ik", contracted, vec_b.conj(), vec_b)
+            vec_a = np.linalg.eigh(mat_a)[1][:, -1]
+            mat_b = np.einsum("ijkl,i,k->jl", contracted, vec_a.conj(), vec_a)
+            vals, vecs = np.linalg.eigh(mat_b)
+            new_value, vec_b = vals[-1], vecs[:, -1]
+            done = abs(new_value - value) < 1e-10
+            value = new_value
+            if done:
+                break
+        values.append(value)
+        counts.append(count)
+        converged.append(done)
+    return np.array(values), np.array(counts), np.array(converged)
+
+
+def _random_hermitian(structure, rng):
+    raw = rng.standard_normal((structure.dim,) * 2) + 1j * rng.standard_normal(
+        (structure.dim,) * 2
+    )
+    return HermitianOperator((raw + raw.conj().T) / 2, structure)
+
+
+def _rank_one_projector():
+    amps = np.zeros(16)
+    amps[0] = 1.0
+    return PureState(amps, PartyStructure((2, 2, 2, 2))).projector()
+
+
+@pytest.mark.parametrize(
+    "make_op, restarts",
+    [
+        (build_C_phi, 200),
+        (build_C_psi, 20),
+        (build_C_ghz4x3, 20),
+        (_rank_one_projector, 20),
+        (lambda: _random_hermitian(PartyStructure((2, 3, 2)), np.random.default_rng(8)), 20),
+    ],
+)
+def test_batched_seesaw_matches_scalar_loop(make_op, restarts):
+    op = make_op()
+    seed, iters = 1234, 500
+    tensor = op.matrix.reshape(op.structure.dims * 2)
+    for cut_index, cut in enumerate(bipartitions(op.structure.n_parties)):
+        ref = _scalar_seesaw(op, cut_index, cut, restarts, iters, seed)
+        values, counts, converged, _, _ = _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
+        assert np.max(np.abs(values - ref[0])) <= 1e-9
+        assert np.array_equal(counts, ref[1])
+        assert np.array_equal(converged, ref[2])
+
+
+def test_seesaw_tie_break_stable_under_perturbation():
+    rng = np.random.default_rng(77)
+    for build, restarts in ((build_C_phi, 200), (build_C_psi, 20), (build_C_ghz4x3, 20)):
+        op = build()
+        noise = _random_hermitian(op.structure, rng)
+        noise = noise * (1e-13 / spectral_norm(noise))
+        base = biseparable_max(op, restarts=restarts)
+        moved = biseparable_max(op + noise, restarts=restarts)
+        assert (moved.cut, moved.restart) == (base.cut, base.restart)
+
+
+def test_seesaw_phi_ties_pick_first_cut_and_restart():
+    for seed in (1, 1234, 2024):
+        result = biseparable_max(build_C_phi(), restarts=20, seed=seed)
+        assert (result.cut, result.restart) == ((1,), 0)
+
+
+def test_seesaw_rejects_empty_search():
+    op = build_C_phi()
+    for kwargs in ({"restarts": 0}, {"restarts": -3}, {"iters": 0}):
+        with pytest.raises(ValueError):
+            biseparable_max(op, **kwargs)
+
+
+def test_seesaw_diagnostics():
+    result = biseparable_max(build_C_phi(), restarts=200, seed=1234)
+    hist = result.iteration_histogram
+    assert hist.sum() == 1400
+    assert (np.arange(len(hist)) * hist).sum() == 2800
+    assert result.at_best == 1400
+    assert result.capped == 0
+    assert len(result.cut_values) == len(bipartitions(4))
+    assert abs(result.value - result.cut_values.max()) <= SEESAW_TIE_TOL
+
+
+def test_seesaw_iteration_cap():
+    result = biseparable_max(build_C_psi(), restarts=5, iters=1, seed=1234)
+    assert result.capped == 5 * len(bipartitions(4))
+    assert list(result.iteration_histogram) == [0, result.capped]
