@@ -95,29 +95,22 @@ def run_table2(args) -> Report:
     return report
 
 
-def _expectation_spread(operators, state) -> tuple[float, float]:
-    values = [core.expectation(op, state) for op in operators]
-    return min(values), max(values)
-
-
 def run_singlet(args) -> Report:
     report = Report("singlet", parameters={"tol": args.tol}, seed=args.seed)
     state = singlet4()
-    flip_ops, group_ops, kinds = [], [], set()
+    flips, groups, kinds = [], [], set()
     for kind in ("z", "x", "y"):
         pairs = singlet_correlators(kind)
         kinds.update(p.basis for p in pairs)
-        for pair in pairs[:4]:
-            flip_ops.extend((pair.c0, pair.c1))
-        for pair in pairs[4:]:
-            group_ops.extend((pair.c0, pair.c1))
-    lo, hi = _expectation_spread(flip_ops, state)
+        flips.extend(v for pair in pairs[:4] for v in pair.expectations(state).tolist())
+        groups.extend(v for pair in pairs[4:] for v in pair.expectations(state).tolist())
+    lo, hi = min(flips), max(flips)
     report.add_result("flip_expectation_min", lo)
     report.add_result("flip_expectation_max", hi)
     report.add_check(
         approx_check("flip_expectations_dev_from_1/3", 0.0, max(abs(lo - 1 / 3), abs(hi - 1 / 3)), 1e-10)
     )
-    lo, hi = _expectation_spread(group_ops, state)
+    lo, hi = min(groups), max(groups)
     report.add_result("group_expectation_min", lo)
     report.add_result("group_expectation_max", hi)
     report.add_check(
@@ -134,14 +127,14 @@ def run_singlet(args) -> Report:
 def run_ghz4x3(args) -> Report:
     report = Report("ghz4x3", parameters={"tol": args.tol}, seed=args.seed)
     state = ghz_4x3()
-    members, kinds = [], set()
+    values, kinds = [], set()
     for family in all_ghz4x3_families():
         kinds.add(family.basis)
-        members.extend(family.members)
-    lo, hi = _expectation_spread(members, state)
+        values.extend(family.expectations(state).tolist())
+    lo, hi = min(values), max(values)
     report.add_result("family_expectation_min", lo)
     report.add_result("family_expectation_max", hi)
-    report.add_result("family_member_count", len(members))
+    report.add_result("family_member_count", len(values))
     report.add_check(
         approx_check("family_expectations_dev_from_1/4", 0.0, max(abs(lo - 0.25), abs(hi - 0.25)), 1e-10)
     )
@@ -246,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--struct-tol", type=float, default=None, help="structural tolerance override"
     )
-    common.add_argument("--restarts", type=int, default=200, help="seesaw restarts")
 
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Recompute correlator-witness and Bell-functional results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table1", parents=[common], help="GHZ witness constants and noise tolerances")
+    table1 = sub.add_parser("table1", parents=[common], help="GHZ witness constants and noise tolerances")
+    table1.add_argument("--restarts", type=int, default=200, help="seesaw restarts")
     sub.add_parser("table2", parents=[common], help="GHZ witness cross-expectation grid")
     sub.add_parser("singlet", parents=[common], help="four-qubit singlet witness pipeline")
     sub.add_parser("ghz4x3", parents=[common], help="four-level tripartite GHZ witness pipeline")

@@ -14,7 +14,10 @@ Every correlator is an integer table t over the outcome strings of one local
 setting, i.e. the operator U diag(t) U^dagger with U the setting's basis on
 every party.  Each member counts a set of strings minus the same set with the
 cut party's outcome moved; the combined operators sum the member tables of a
-setting exactly and check the sum against its closed form.
+setting exactly and check the sum against its closed form.  A correlator's
+expectation is sum_s t[s] P(s), with P the state's outcome distribution in the
+setting, so the sign tests and suites never build a dense member; pairs and
+families build them only when `c0`/`c1`/`members` are read.
 
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
@@ -25,14 +28,16 @@ positive throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import core
-from .core import HermitianOperator, PartyStructure, PureState, _split_axes, expectation
+from .core import DensityMatrix, HermitianOperator, PartyStructure, PureState, WhiteNoiseState
+from .core import _frozen, _split_axes
 from .states import QUBIT4, QUDIT4X3
 
 #: The nine fixed-point-free permutations of {0,1,2,3}, lexicographically
@@ -107,43 +112,96 @@ def local_projector(basis: LocalBasis, level: int) -> HermitianOperator:
     return HermitianOperator(basis.projector(level), PartyStructure((basis.dimension,)))
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelatorPair:
-    """Two correlator operators whose expectation product is a sign test for `cut`."""
+class _OutcomeTables:
+    """Integer outcome tables over the strings of one local setting (`setting`
+    on every party): what correlator pairs and families hold."""
 
-    c0: HermitianOperator
-    c1: HermitianOperator
+    def __post_init__(self) -> None:
+        tables = tuple(np.asarray(table) for table in self.tables)
+        if not tables:
+            raise ValueError("needs at least one member table")
+        if any(not np.issubdtype(t.dtype, np.integer) for t in tables):
+            raise ValueError("outcome tables must be integer")
+        shape = tables[0].shape
+        if any(t.shape != shape for t in tables):
+            raise ValueError("member tables must share one shape")
+        if not shape or any(n != self.setting.dimension for n in shape):
+            raise ValueError(f"table shape {shape} does not match setting dimension {self.setting.dimension}")
+        object.__setattr__(self, "tables", tuple(_frozen(t.astype(np.int64)) for t in tables))
+
+    def expectations(self, state) -> np.ndarray:
+        """Every member's expectation at `state`: sum_s t[s] P(s), with P the
+        state's outcome distribution in the setting."""
+        probs = outcome_distribution(self.setting, state)
+        if probs.shape != self.tables[0].shape:
+            raise ValueError(f"party structures differ: {self.tables[0].shape} vs {probs.shape}")
+        return np.array([np.vdot(table, probs) for table in self.tables])
+
+
+@dataclass(frozen=True, eq=False)
+class CorrelatorPair(_OutcomeTables):
+    """Two correlators whose expectation product is a sign test for `cut`.
+
+    The dense operators `c0`/`c1` (U diag(t) U^dagger) are built on first read.
+    """
+
+    setting: LocalBasis
+    tables: tuple[np.ndarray, np.ndarray]
     label: str
     basis: str
     cut: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.c0.structure.dims != self.c1.structure.dims:
-            raise ValueError("pair members must share a party structure")
+        super().__post_init__()
+        if len(self.tables) != 2:
+            raise ValueError(f"a pair needs two tables, got {len(self.tables)}")
+
+    @cached_property
+    def c0(self) -> HermitianOperator:
+        return _operator(self.setting, self.tables[0])
+
+    @cached_property
+    def c1(self) -> HermitianOperator:
+        return _operator(self.setting, self.tables[1])
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelatorFamily:
-    """Operators that must be jointly positive to certify correlation across `cut`."""
+class CorrelatorFamily(_OutcomeTables):
+    """Correlators that must be jointly positive to certify correlation across `cut`.
 
-    members: tuple[HermitianOperator, ...]
+    The dense `members` are built on first read, through `shared`: families
+    handed one dict share the dense member of equal tables in one setting.
+    """
+
+    setting: LocalBasis
+    tables: tuple[np.ndarray, ...]
     arity: int
     label: str
     basis: str
     cut: tuple[int, ...]
+    shared: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("family needs at least one member")
-        dims = self.members[0].structure.dims
-        if any(m.structure.dims != dims for m in self.members):
-            raise ValueError("family members must share a party structure")
+    @cached_property
+    def members(self) -> tuple[HermitianOperator, ...]:
+        built = []
+        for table in self.tables:
+            key = (self.setting, table.tobytes())
+            if key not in self.shared:
+                self.shared[key] = _operator(self.setting, table)
+            built.append(self.shared[key])
+        return tuple(built)
 
 
 #: Outcome strings as index grids: `_BITS[p - 1]` holds party p's outcome at
 #: every four-qubit string, `_LEVELS[p - 1]` at every three-party four-level one.
 _BITS = np.indices(QUBIT4.dims)
 _LEVELS = np.indices(QUDIT4X3.dims)
+
+
+@lru_cache(maxsize=32)
+def _unitary(basis: LocalBasis, parties: int) -> np.ndarray:
+    """`basis` on each of `parties` parties, as one read-only matrix."""
+    return _frozen(reduce(np.kron, [basis._vectors] * parties))
 
 
 def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
@@ -153,8 +211,35 @@ def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
     outcome table counts: entry table[s] weighs the product state of outcome
     string s.
     """
-    unitary = reduce(np.kron, [basis._vectors] * table.ndim)
+    unitary = _unitary(basis, table.ndim)
     return HermitianOperator((unitary * table.reshape(-1)) @ unitary.conj().T, PartyStructure(table.shape))
+
+
+def _probabilities(amplitudes: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+    """|U^dagger v|^2 for the vector v, or for each row of a batch."""
+    return np.abs(amplitudes.conj() @ unitary) ** 2
+
+
+def outcome_distribution(basis: LocalBasis, state) -> np.ndarray:
+    """Probabilities of the outcome strings of `basis` on every party, shaped
+    like the party structure: |U^dagger psi|^2 for pure states, the diagonal
+    of U^dagger rho U for density matrices, (1-p) P_pure + p/D for white-noise
+    mixtures."""
+    dims = state.structure.dims
+    if any(d != basis.dimension for d in dims):
+        raise ValueError(f"state structure {dims} does not match setting dimension {basis.dimension}")
+    unitary = _unitary(basis, len(dims))
+    if isinstance(state, PureState):
+        probs = _probabilities(state.amplitudes, unitary)
+    elif isinstance(state, WhiteNoiseState):
+        probs = (1.0 - state.p) * _probabilities(state.pure.amplitudes, unitary) + state.p / unitary.shape[0]
+    elif isinstance(state, DensityMatrix):
+        probs = np.sum((unitary.conj().T @ state.matrix) * unitary.T, axis=1).real
+    else:
+        raise TypeError(
+            f"expected PureState, DensityMatrix or WhiteNoiseState, got {type(state).__name__}"
+        )
+    return probs.reshape(dims)
 
 
 def _string(shape: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
@@ -182,8 +267,7 @@ def _check_qubit_party(n: int) -> None:
 
 
 def _qubit_pair(kind: str, tables, label: str, cut: tuple[int, ...]) -> CorrelatorPair:
-    c0, c1 = (_operator(_QUBIT_BASES[kind], table) for table in tables)
-    return CorrelatorPair(c0, c1, label=label, basis=kind, cut=cut)
+    return CorrelatorPair(_QUBIT_BASES[kind], tables, label=label, basis=kind, cut=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +414,7 @@ def _ghz4x3_table(basis_kind: str, n: int, k: int, image: int) -> np.ndarray:
     return _moved(mask, image - k, n - 1)
 
 
-def _ghz4x3_member(basis_kind: str, n: int, k: int, image: int) -> HermitianOperator:
-    """Member k of a party-n family whose permutation sends level k to `image`."""
-    return _operator(_QUDIT4_BASES[basis_kind], _ghz4x3_table(basis_kind, n, k, image))
-
-
-def _ghz4x3_family(basis_kind: str, n: int, j: int, member) -> CorrelatorFamily:
+def _ghz4x3_family(basis_kind: str, n: int, j: int, shared: dict) -> CorrelatorFamily:
     if basis_kind not in _QUDIT4_BASES:
         raise ValueError(f"basis kind must be z or f, got {basis_kind!r}")
     if n not in (1, 2, 3):
@@ -344,11 +423,13 @@ def _ghz4x3_family(basis_kind: str, n: int, j: int, member) -> CorrelatorFamily:
         raise ValueError(f"permutation index {j} outside 1..9")
     shifts = DERANGEMENTS_4[j - 1]
     return CorrelatorFamily(
-        tuple(member(basis_kind, n, k, shifts[k]) for k in range(4)),
+        _QUDIT4_BASES[basis_kind],
+        tuple(_ghz4x3_table(basis_kind, n, k, shifts[k]) for k in range(4)),
         arity=4,
         label=f"ghz4x3.{basis_kind}.n{n}.j{j}",
         basis=basis_kind,
         cut=(n,),
+        shared=shared,
     )
 
 
@@ -360,19 +441,20 @@ def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
     (k - s_k) on party n times level-k projectors on the others; in the
     Fourier setting the other two parties carry the level-sum-zero pair sum.
     """
-    return _ghz4x3_family(basis_kind, n, j, _ghz4x3_member)
+    return _ghz4x3_family(basis_kind, n, j, {})
 
 
 def all_ghz4x3_families() -> list[CorrelatorFamily]:
     """The 54 families: both settings, all parties, all nine permutations.
 
-    Member k depends on the permutation only through s_k, so the 216 members
-    take 72 distinct values; each is built once and shared by the families
-    that hold it.
+    Member k depends on the permutation only through s_k, so the 216 member
+    tables take 72 distinct values; the families share one `shared` dict, so
+    each dense member is built once, when first read, and shared by the
+    families that hold it.
     """
-    member = cache(_ghz4x3_member)
+    shared: dict = {}
     return [
-        _ghz4x3_family(kind, n, j, member)
+        _ghz4x3_family(kind, n, j, shared)
         for kind in ("z", "f")
         for n in (1, 2, 3)
         for j in range(1, 10)
@@ -424,13 +506,29 @@ def margin_sign(values) -> np.ndarray:
 
 def prop1_test(pair: CorrelatorPair, state) -> bool:
     """True iff the two expectation values share a sign beyond SIGN_MARGIN."""
-    signs = margin_sign([expectation(pair.c0, state), expectation(pair.c1, state)])
+    signs = margin_sign(pair.expectations(state))
     return bool(signs[0] * signs[1] > 0)
 
 
 def prop2_test(family: CorrelatorFamily, state) -> bool:
     """True iff every member expectation exceeds SIGN_MARGIN."""
-    return bool(np.all(margin_sign([expectation(m, state) for m in family.members]) > 0))
+    return bool(np.all(margin_sign(family.expectations(state)) > 0))
+
+
+def _side_vectors(dim_a: int, dim_b: int, trials: int, rng: np.random.Generator):
+    """`trials` random unit vectors on each side of a cut, as (trials, dim_a)
+    and (trials, dim_b) arrays.
+
+    Each row comes from one row of normals holding the real and imaginary
+    parts of side a, then those of side b.
+    """
+    normals = rng.standard_normal((trials, 2 * dim_a + 2 * dim_b))
+    re_a, im_a, re_b, im_b = np.split(normals, [dim_a, 2 * dim_a, 2 * dim_a + dim_b], axis=1)
+    vec_a = re_a + 1j * im_a
+    vec_b = re_b + 1j * im_b
+    vec_a /= np.linalg.norm(vec_a, axis=1, keepdims=True)
+    vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
+    return vec_a, vec_b
 
 
 def random_product_states(
@@ -438,21 +536,13 @@ def random_product_states(
 ) -> np.ndarray:
     """`trials` Haar-ish random product states across `cut`, as a (trials, D) array.
 
-    Each row is drawn from one row of normals holding the real and imaginary
-    parts of side a, then those of side b; both sides are normalized and their
-    outer product is reordered to the global party order.  Every row passes
-    the norm check `PureState` runs.
+    The outer product of the two `_side_vectors` of each row is reordered to
+    the global party order.  Every row passes the norm check `PureState` runs.
     """
     axes_a, axes_b = _split_axes(structure, cut)
     shape_a = [structure.dims[k] for k in axes_a]
     shape_b = [structure.dims[k] for k in axes_b]
-    dim_a, dim_b = int(np.prod(shape_a)), int(np.prod(shape_b))
-    normals = rng.standard_normal((trials, 2 * dim_a + 2 * dim_b))
-    re_a, im_a, re_b, im_b = np.split(normals, [dim_a, 2 * dim_a, 2 * dim_a + dim_b], axis=1)
-    vec_a = re_a + 1j * im_a
-    vec_b = re_b + 1j * im_b
-    vec_a /= np.linalg.norm(vec_a, axis=1, keepdims=True)
-    vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
+    vec_a, vec_b = _side_vectors(math.prod(shape_a), math.prod(shape_b), trials, rng)
     tensor = (vec_a[:, :, None] * vec_b[:, None, :]).reshape([trials] + shape_a + shape_b)
     order = np.argsort(axes_a + axes_b)
     amps = tensor.transpose([0, *(order + 1)]).reshape(trials, structure.dim)
@@ -468,38 +558,42 @@ def random_product_state(structure: PartyStructure, cut, rng: np.random.Generato
     return PureState(random_product_states(structure, cut, 1, rng)[0], structure)
 
 
-def _suite_signs(operators, cut, trials: int, seed: int):
-    """Margin signs of every operator on `trials` random product states across `cut`.
+def _suite_signs(record, trials: int, seed: int):
+    """Margin signs of every member of `record` on `trials` random product
+    states a (x) b across its cut, the states `random_product_states` draws.
 
-    Yields one (members, rows) array per chunk of at most CHUNK_ROWS states.
-    Successive chunks continue one generator, so the states do not depend on
-    the chunking.  Each value passes the checks `expectation` runs.
+    Table t gives sum t[s_a, s_b] P_a(s_a) P_b(s_b), with P_a and P_b the
+    outcome distributions of the two sides in the setting, each checked to
+    sum to 1; no state vector or dense member is formed.  Yields one
+    (members, rows) array per chunk of at most CHUNK_ROWS states; successive
+    chunks continue one generator, so the states do not depend on the
+    chunking.
     """
-    structure = operators[0].structure
-    if any(op.structure.dims != structure.dims for op in operators):
-        raise ValueError("operators of one suite must share a party structure")
-    stack = np.stack([op.matrix for op in operators])
+    structure = PartyStructure(record.tables[0].shape)
+    axes_a, axes_b = _split_axes(structure, record.cut)
+    dim_a = math.prod(structure.dims[k] for k in axes_a)
+    stack = np.stack(record.tables).transpose([0, *(np.array(axes_a + axes_b) + 1)])
+    stack = stack.reshape(len(record.tables), dim_a, -1).astype(float)
+    unitaries = [_unitary(record.setting, len(axes)) for axes in (axes_a, axes_b)]
     rng = np.random.default_rng(seed)
     for start in range(0, trials, CHUNK_ROWS):
-        amps = random_product_states(structure, cut, min(CHUNK_ROWS, trials - start), rng)
-        values = np.einsum("td,mdt->mt", amps.conj(), stack @ amps.T)
-        residue = float(np.max(np.abs(values.imag), initial=0.0))
-        if residue > core.IMAG_TOL:
-            raise ValueError(f"imaginary residue {residue!r} exceeds tolerance; operator not Hermitian?")
-        yield margin_sign(values.real)
+        sides = _side_vectors(dim_a, structure.dim // dim_a, min(CHUNK_ROWS, trials - start), rng)
+        probs_a, probs_b = (_probabilities(v, u) for v, u in zip(sides, unitaries))
+        dev = np.abs(np.concatenate([probs_a.sum(axis=1), probs_b.sum(axis=1)]) - 1.0)
+        if not np.all(dev <= core.STRUCTURAL_TOL):
+            raise ValueError(f"outcome probabilities sum to 1 +- {np.max(dev)!r}, beyond tolerance")
+        yield margin_sign(np.sum((probs_a @ stack) * probs_b, axis=2))
 
 
 def count_prop1_violations(pair: CorrelatorPair, trials: int, seed: int) -> int:
     """Sign-test failures of `pair` over random states product across its cut."""
     return sum(
-        int(np.count_nonzero(signs[0] * signs[1] > 0))
-        for signs in _suite_signs((pair.c0, pair.c1), pair.cut, trials, seed)
+        int(np.count_nonzero(signs[0] * signs[1] > 0)) for signs in _suite_signs(pair, trials, seed)
     )
 
 
 def count_prop2_violations(family: CorrelatorFamily, trials: int, seed: int) -> int:
     """Joint-positivity failures of `family` over random states product across its cut."""
     return sum(
-        int(np.count_nonzero(np.all(signs > 0, axis=0)))
-        for signs in _suite_signs(family.members, family.cut, trials, seed)
+        int(np.count_nonzero(np.all(signs > 0, axis=0))) for signs in _suite_signs(family, trials, seed)
     )

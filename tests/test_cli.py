@@ -110,6 +110,14 @@ def test_seesaw_restarts_usage_error(capsys):
         assert "restart" in capsys.readouterr().err
 
 
+def test_restarts_is_a_table1_option(capsys):
+    assert main(["singlet", "--restarts", "0"]) == 2
+    assert main(["bell", "3", "--restarts", "-5"]) == 2
+    assert "--restarts" in capsys.readouterr().err
+    code, out = _run(capsys, ["table1", "--restarts", "5", "--format", "json"])
+    assert json.loads(out)["parameters"]["restarts"] == 5
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     import qcorr.cli as cli
 

@@ -8,6 +8,7 @@ import pytest
 
 from qcorr import (
     DERANGEMENTS_4,
+    DensityMatrix,
     SIGN_MARGIN,
     CorrelatorFamily,
     CorrelatorPair,
@@ -30,6 +31,7 @@ from qcorr import (
     ghz4x3_correlators,
     ghz_4x3,
     local_projector,
+    mix_white_noise,
     prop1_test,
     prop2_test,
     random_product_state,
@@ -467,12 +469,15 @@ def test_basis_product_states_of_own_setting_are_no_violations():
 
 
 @pytest.mark.parametrize("scale, counted", [(2.0, True), (0.5, False)])
-def test_sign_margin_boundary(scale, counted):
-    # Operators c*1 have expectation c on every state: a value just above the
-    # margin must still count as a sign, one inside it must not.
-    op = HermitianOperator(scale * SIGN_MARGIN * np.eye(QUBIT4.dim), QUBIT4)
-    pair = CorrelatorPair(op, op, label="scaled-identity", basis="z", cut=(1,))
-    family = CorrelatorFamily((op,) * 4, arity=4, label="scaled-identity", basis="z", cut=(2, 3))
+def test_sign_margin_boundary(monkeypatch, scale, counted):
+    # A constant table 1 has expectation 1 on every state; with the margin at
+    # 1/scale, a value just above the margin must still count as a sign, one
+    # inside it must not.
+    monkeypatch.setattr(correlators, "SIGN_MARGIN", 1.0 / scale)
+    table = np.ones(QUBIT4.dims, dtype=int)
+    z = LocalBasis("z", 2)
+    pair = CorrelatorPair(z, (table, table), label="constant", basis="z", cut=(1,))
+    family = CorrelatorFamily(z, (table,) * 4, arity=4, label="constant", basis="z", cut=(2, 3))
     state = _basis_state(QUBIT4, 5)
     assert prop1_test(pair, state) is counted
     assert prop2_test(family, state) is counted
@@ -530,9 +535,11 @@ def _suites():
     for kind in ("z", "x", "y"):
         pairs.extend(singlet_correlators(kind))
     families = all_ghz4x3_families()
-    flipped_pairs = [CorrelatorPair(p.c0, -p.c1, p.label, p.basis, p.cut) for p in pairs]
+    flipped_pairs = [
+        CorrelatorPair(p.setting, (p.tables[0], -p.tables[1]), p.label, p.basis, p.cut) for p in pairs
+    ]
     flipped_families = [
-        CorrelatorFamily((-f.members[0],) + f.members[1:], f.arity, f.label, f.basis, f.cut)
+        CorrelatorFamily(f.setting, (-f.tables[0],) + f.tables[1:], f.arity, f.label, f.basis, f.cut)
         for f in families
     ]
     return pairs + flipped_pairs, families + flipped_families
@@ -580,15 +587,20 @@ def test_batch_sampler_rows_are_successive_draws(structure, cut):
 
 
 def test_batch_runs_the_scalar_checks(monkeypatch):
+    # Table values are real by construction; the imaginary-residue check
+    # stays on dense `expectation`.
     family, pair = ghz4x3_correlators("f", 1, 2), ghz4_party_z(1)
+    state = random_product_state(QUDIT4X3, family.cut, np.random.default_rng(1))
     monkeypatch.setattr(core, "IMAG_TOL", -1.0)
     with pytest.raises(ValueError, match="imaginary residue"):
-        count_prop2_violations(family, trials=3, seed=1)
+        expectation(family.members[0], state)
     monkeypatch.setattr(core, "STRUCTURAL_TOL", -1.0)
     with pytest.raises(ValueError, match="norm"):
         random_product_states(QUDIT4X3, (1,), 3, np.random.default_rng(1))
-    with pytest.raises(ValueError, match="norm"):
+    with pytest.raises(ValueError, match="probabilities sum"):
         count_prop1_violations(pair, trials=3, seed=1)
+    with pytest.raises(ValueError, match="probabilities sum"):
+        count_prop2_violations(family, trials=3, seed=1)
 
 
 def test_local_basis_reads_structural_tolerance_at_call_time(monkeypatch):
@@ -608,3 +620,105 @@ def test_family_suite_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# outcome tables
+
+
+def _random_states(structure, rng):
+    """A random pure state, a random full-rank density matrix and a white-noise mixture."""
+    amps = rng.standard_normal(structure.dim) + 1j * rng.standard_normal(structure.dim)
+    pure = PureState(amps / np.linalg.norm(amps), structure)
+    root = rng.standard_normal((structure.dim, structure.dim)) + 1j * rng.standard_normal(
+        (structure.dim, structure.dim)
+    )
+    rho = root @ root.conj().T
+    return [pure, DensityMatrix(rho / np.trace(rho).real, structure), mix_white_noise(pure, 0.3)]
+
+
+def test_table_expectations_equal_dense_expectations():
+    rng = np.random.default_rng(8)
+    pairs = ghz4_z_pairs() + ghz4_x_pairs()
+    for kind in ("z", "x", "y"):
+        pairs.extend(singlet_correlators(kind))
+    families = all_ghz4x3_families()
+    qubit_states = [ghz4(math.pi / 4, 0.0), singlet4(), *_random_states(QUBIT4, rng)]
+    qudit_states = [ghz_4x3(), *_random_states(QUDIT4X3, rng)]
+    checked = 0
+    for records, states in ((pairs, qubit_states), (families, qudit_states)):
+        for record in records:
+            dense = record.members if isinstance(record, CorrelatorFamily) else (record.c0, record.c1)
+            for state in states:
+                values = record.expectations(state)
+                reference = [expectation(op, state) for op in dense]
+                assert np.max(np.abs(values - reference)) <= 1e-12, record.label
+                signs = margin_sign(reference)
+                if isinstance(record, CorrelatorFamily):
+                    assert prop2_test(record, state) == bool(np.all(signs > 0))
+                else:
+                    assert prop1_test(record, state) == bool(signs[0] * signs[1] > 0)
+            checked += len(dense)
+    assert checked == 70 + 216
+
+
+def test_outcome_distribution_rejects_a_mismatched_state():
+    with pytest.raises(ValueError, match="setting dimension"):
+        correlators.outcome_distribution(LocalBasis("z", 2), ghz_4x3())
+    with pytest.raises(ValueError, match="party structures"):
+        ghz4_party_z(1).expectations(PureState([1.0, 0, 0, 0], PartyStructure((2, 2))))
+
+
+_Z2 = LocalBasis("z", 2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: CorrelatorFamily(_Z2, (), 4, "empty", "z", (1,)), "at least one"),
+        (
+            lambda: CorrelatorFamily(_Z2, (np.ones((2, 2), int), np.ones((2, 2, 2), int)), 2, "f", "z", (1,)),
+            "share one shape",
+        ),
+        (lambda: CorrelatorPair(_Z2, (np.ones((2, 3), int),) * 2, "p", "z", (1,)), "setting dimension"),
+        (lambda: CorrelatorPair(_Z2, (np.full((2, 2), 0.5),) * 2, "p", "z", (1,)), "integer"),
+        (lambda: CorrelatorPair(_Z2, (np.ones((2, 2), int),) * 3, "p", "z", (1,)), "two tables"),
+    ],
+)
+def test_record_validation(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_records_keep_read_only_integer_tables():
+    source = np.ones((2, 2), dtype=np.int32)
+    pair = CorrelatorPair(_Z2, (source, source), "p", "z", (1,))
+    source[0, 0] = 5
+    assert all(t.dtype == np.int64 and not t.flags.writeable for t in pair.tables)
+    assert pair.tables[0][0, 0] == 1
+
+
+def test_sign_suites_build_no_dense_correlator(monkeypatch, capsys):
+    from qcorr.cli import main
+
+    built = []
+    operator = correlators._operator
+    init = HermitianOperator.__init__
+
+    def spy_operator(*args):
+        built.append("_operator")
+        return operator(*args)
+
+    def spy_init(self, *args, **kwargs):
+        built.append("HermitianOperator")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(correlators, "_operator", spy_operator)
+    monkeypatch.setattr(HermitianOperator, "__init__", spy_init)
+    # proptest builds its pairs and families afresh and runs every suite and
+    # target-state check on them
+    assert main(["proptest", "--trials", "20", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert built == []
+    ghz4_party_z(1).c0
+    assert built == ["_operator", "HermitianOperator"]
