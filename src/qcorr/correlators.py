@@ -127,6 +127,13 @@ class _OutcomeTables:
             raise ValueError("member tables must share one shape")
         if not shape or any(n != self.setting.dimension for n in shape):
             raise ValueError(f"table shape {shape} does not match setting dimension {self.setting.dimension}")
+        named = [b for b in (_QUBIT_BASES.get(self.basis), _QUDIT4_BASES.get(self.basis)) if b is not None]
+        spec = (self.setting.kind, self.setting.dimension, self.setting.offset)
+        if spec not in [(b.kind, b.dimension, b.offset) for b in named]:
+            raise ValueError(f"basis {self.basis!r} does not name the setting {spec[0]}, dimension {spec[1]}")
+        cut, n = self.cut, len(shape)
+        if not cut or len(set(cut)) < len(cut) or len(cut) >= n or not all(1 <= p <= n for p in cut):
+            raise ValueError(f"cut {cut} must be distinct parties of 1..{n}, not all of them")
         object.__setattr__(self, "tables", tuple(_frozen(t.astype(np.int64)) for t in tables))
 
     def expectations(self, state) -> np.ndarray:
@@ -180,6 +187,11 @@ class CorrelatorFamily(_OutcomeTables):
     basis: str
     cut: tuple[int, ...]
     shared: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.arity != len(self.tables):
+            raise ValueError(f"arity {self.arity} does not match {len(self.tables)} tables")
 
     @cached_property
     def members(self) -> tuple[HermitianOperator, ...]:
@@ -404,14 +416,18 @@ def build_C_psi() -> HermitianOperator:
 # Four-level tripartite GHZ
 
 
+@lru_cache(maxsize=128)
 def _ghz4x3_table(basis_kind: str, n: int, k: int, image: int) -> np.ndarray:
     """Member k of a party-n family: party n's level k moved to `image`, on the
-    string kkk (z) or on the strings whose levels sum to 0 mod 4 (Fourier)."""
+    string kkk (z) or on the strings whose levels sum to 0 mod 4 (Fourier).
+
+    Memoised read-only: the 216 members of the 54 families take 72 values.
+    """
     if basis_kind == "z":
         mask = _string(QUDIT4X3.dims, (k,) * 3)
     else:
         mask = (_LEVELS[n - 1] == k) & (_LEVELS.sum(axis=0) % 4 == 0)
-    return _moved(mask, image - k, n - 1)
+    return _frozen(_moved(mask, image - k, n - 1))
 
 
 def _ghz4x3_family(basis_kind: str, n: int, j: int, shared: dict) -> CorrelatorFamily:

@@ -257,8 +257,14 @@ def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name
         return table
 
     monkeypatch.setattr(correlators, "_moved", off_by_one)
-    with pytest.raises(ArithmeticError, match="closed form"):
-        COMBINED[name][0].__wrapped__()
+    # The four-level member tables are memoised: build from fresh, corrupted
+    # ones, and keep those out of the cache for later tests.
+    correlators._ghz4x3_table.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="closed form"):
+            COMBINED[name][0].__wrapped__()
+    finally:
+        correlators._ghz4x3_table.cache_clear()
 
 
 def test_build_C_phi_values():
@@ -670,6 +676,7 @@ def test_outcome_distribution_rejects_a_mismatched_state():
 
 
 _Z2 = LocalBasis("z", 2)
+_ONES4 = (np.ones(QUBIT4.dims, int),) * 4
 
 
 @pytest.mark.parametrize(
@@ -683,11 +690,37 @@ _Z2 = LocalBasis("z", 2)
         (lambda: CorrelatorPair(_Z2, (np.ones((2, 3), int),) * 2, "p", "z", (1,)), "setting dimension"),
         (lambda: CorrelatorPair(_Z2, (np.full((2, 2), 0.5),) * 2, "p", "z", (1,)), "integer"),
         (lambda: CorrelatorPair(_Z2, (np.ones((2, 2), int),) * 3, "p", "z", (1,)), "two tables"),
+        (
+            lambda: CorrelatorFamily(
+                LocalBasis("z", 2), (np.ones((2, 2), int),) * 4, arity=7, label="x", basis="q", cut=(5,)
+            ),
+            "basis 'q' does not name",
+        ),
+        (lambda: CorrelatorFamily(_Z2, _ONES4, 3, "f", "z", (1,)), "arity 3"),
+        (lambda: CorrelatorFamily(_Z2, _ONES4, 4, "f", "x", (1,)), "basis 'x' does not name"),
+        (
+            lambda: CorrelatorFamily(LocalBasis("z", 4), (np.ones((4,) * 3, int),) * 4, 4, "f", "f", (1,)),
+            "basis 'f' does not name",
+        ),
+        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", "z", ()), r"cut \(\)"),
+        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", "z", (1, 1)), r"cut \(1, 1\)"),
+        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", "z", (0,)), r"cut \(0,\)"),
+        (lambda: CorrelatorFamily(_Z2, _ONES4, 4, "f", "z", (2, 5)), r"cut \(2, 5\)"),
+        (lambda: CorrelatorFamily(_Z2, _ONES4, 4, "f", "z", (1, 2, 3, 4)), r"cut \(1, 2, 3, 4\)"),
     ],
 )
 def test_record_validation(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_ghz4x3_tables_are_memoised_read_only():
+    correlators._ghz4x3_table.cache_clear()
+    all_ghz4x3_families()
+    build_C_ghz4x3.__wrapped__()
+    info = correlators._ghz4x3_table.cache_info()
+    assert (info.misses, info.currsize) == (72, 72)
+    assert not correlators._ghz4x3_table("f", 2, 1, 3).flags.writeable
 
 
 def test_records_keep_read_only_integer_tables():

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,8 @@ from qcorr.witnesses import (
     SINGLET_ALPHA,
     SINGLET_GAMMA,
     WitnessNeverFiresError,
+    _restart_starts,
+    _seed_states,
     _seesaw_cut,
     biseparable_max,
 )
@@ -323,3 +328,57 @@ def test_seesaw_iteration_cap():
     result = biseparable_max(build_C_psi(), restarts=5, iters=1, seed=1234)
     assert result.capped == 5 * len(bipartitions(4))
     assert list(result.iteration_histogram) == [0, result.capped]
+
+
+SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cut_index", [0, 6])
+@pytest.mark.parametrize("restarts", [1, 257])
+def test_seed_states_equal_seed_sequence(seed, cut_index, restarts):
+    reference = np.stack(
+        [np.random.SeedSequence([seed, cut_index, r]).generate_state(4, np.uint64) for r in range(restarts)]
+    )
+    states = _seed_states(seed, cut_index, restarts)
+    assert states.dtype == np.uint64
+    assert np.array_equal(states, reference)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cut_index", [0, 6])
+@pytest.mark.parametrize("restarts", [1, 257])
+def test_restart_starts_equal_default_rng_streams(seed, cut_index, restarts):
+    size = 2 * 8 + 2 * 2
+    reference = np.stack(
+        [np.random.default_rng([seed, cut_index, r]).standard_normal(size) for r in range(restarts)]
+    )
+    assert np.array_equal(_restart_starts(seed, cut_index, restarts, size), reference)
+
+
+def test_seesaw_rejects_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        biseparable_max(build_C_phi(), restarts=2, seed=-1)
+
+
+def test_table1_negative_seed_exits_2(capsys):
+    from qcorr.cli import main
+
+    assert main(["table1", "--seed", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_import_leaves_numpy_random_unloaded():
+    import qcorr
+
+    src = str(Path(qcorr.__file__).resolve().parents[1])
+    probe = (
+        "import sys, numpy; print('numpy.random' in sys.modules); "
+        "import qcorr; print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    assert out[1] == "False"
