@@ -3,6 +3,13 @@ deterministic local-model maximization, and noise thresholds.
 
 Each of the four correlation functions reads only 2d joint detection events,
 and the deterministic local bound of the full functional is 2 for every d.
+
+Every term of the functional depends only on a residue sum of two outcomes,
+and t21 = t11 - t12 + t22 (mod d), so the local search tabulates the value of
+each residue triple (t11, t12, t22) once: d^3 entries, each reached by exactly
+d assignments. `bell_report` keeps only the maximum and the maximizer count;
+`lhv_max` rebuilds the maximizing assignments when asked. The search is still
+refused past `ENUMERATION_GUARD`.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ OFFSETS: dict[tuple[int, int], Fraction] = {
 
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-#: Exhaustive search over d^4 deterministic assignments is kept exact by
-#: refusing dimensions past this point (2.56e6 assignments at d=40).
+#: The exhaustive local search (over d^3 residue triples, standing for all d^4
+#: deterministic assignments) refuses dimensions past this point.
 ENUMERATION_GUARD = 40
 
 
@@ -202,31 +209,46 @@ def lhv_value(a: LhvAssignment, d: int) -> int:
     return value
 
 
-def lhv_max(d: int) -> tuple[int, list[LhvAssignment]]:
-    """Exhaustive maximum over all d^4 deterministic assignments, with every
-    maximizer in lexicographic (v11, v21, v12, v22) order."""
+def lhv_residue_table(d: int) -> np.ndarray:
+    """Functional value of every residue triple: int8 values[t11, t12, t22],
+    with t21 = t11 - t12 + t22 (mod d) derived from the other three.
+
+    Each triple is reached by exactly d assignments, one per v11:
+    v21 = t11 - v11, v22 = t12 - v11, v12 = t22 - v22 (mod d).
+    """
     d = int(d)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if d > ENUMERATION_GUARD:
         raise ValueError(f"dimension {d} exceeds the enumeration guard {ENUMERATION_GUARD}")
-    # Each term depends only on a sum of two outcomes mod d, so tabulate it per
-    # residue and broadcast the four tables over all d^4 assignments.
     r = np.arange(d)
     zero = (r == 0).astype(np.int8)
     one = (r == 1).astype(np.int8)
     minus_one = ((-r) % d == 1).astype(np.int8)
-    residue = (r[:, None] + r[None, :]) % d
-    c11 = (zero - minus_one)[residue]  # indexed (v11, v21)
-    c12 = (zero - one)[residue]  # (v11, v22)
-    c22 = (zero - minus_one)[residue]  # (v12, v22)
-    c21 = (minus_one - zero)[residue]  # (v12, v21)
-    values = (c11[:, :, None, None] + c12[:, None, None, :]) + (
-        c22[None, None, :, :] + c21.T[None, :, :, None]
-    )
+    c11 = zero - minus_one  # also the t22 term
+    c12 = zero - one
+    c21 = minus_one - zero
+    # shifted[u, t22] = c21[(u + t22) % d], gathered at u = t11 - t12.
+    shifted = c21[(r[:, None] + r[None, :]) % d]
+    values = shifted[(r[:, None] - r[None, :]) % d]
+    values += (c11[:, None] + c12[None, :])[:, :, None]
+    values += c11
+    return values
+
+
+def lhv_max(d: int) -> tuple[int, list[LhvAssignment]]:
+    """Exhaustive maximum over all d^4 deterministic assignments, with every
+    maximizer in lexicographic (v11, v21, v12, v22) order."""
+    d = int(d)
+    values = lhv_residue_table(d)
     best = int(values.max())
-    ties = [LhvAssignment(*idx) for idx in np.argwhere(values == best).tolist()]
-    return best, ties
+    triples = np.nonzero(values == best)
+    v11 = np.repeat(np.arange(d), triples[0].size)
+    t11, t12, t22 = (np.tile(t, d) for t in triples)
+    v21, v22 = (t11 - v11) % d, (t12 - v11) % d
+    v12 = (t22 - v22) % d
+    rows = np.stack((v11, v21, v12, v22), axis=1)[np.lexsort((v22, v12, v21, v11))]
+    return best, [LhvAssignment(*row) for row in rows.tolist()]
 
 
 def noise_threshold(d: int) -> float:
@@ -271,7 +293,7 @@ class BellReport:
     noise_threshold: float
     detection_events_per_correlation: int
     lhv_max: int | None = None
-    maximizing_assignments: tuple[LhvAssignment, ...] | None = None
+    lhv_maximizer_count: int | None = None
 
     def __post_init__(self) -> None:
         if abs(self.quantum_value - self.analytic_value) > 1e-9:
@@ -283,6 +305,19 @@ class BellReport:
             raise BellInvariantError(
                 f"deterministic local bound came out as {self.lhv_max}, expected 2"
             )
+        expected = self.d * (6 * self.d - 8)
+        if self.lhv_max is not None and self.lhv_maximizer_count != expected:
+            raise BellInvariantError(
+                f"local bound reached by {self.lhv_maximizer_count} assignments, "
+                f"expected d(6d - 8) = {expected}"
+            )
+
+    @property
+    def maximizing_assignments(self) -> tuple[LhvAssignment, ...] | None:
+        """Every maximizer of the local search, rebuilt by `lhv_max` on each read."""
+        if self.lhv_max is None:
+            return None
+        return tuple(lhv_max(self.d)[1])
 
 
 def bell_report(d: int, include_lhv: bool = True) -> BellReport:
@@ -295,8 +330,12 @@ def bell_report(d: int, include_lhv: bool = True) -> BellReport:
         total += value
         event_counts.add(events)
     if event_counts != {2 * d}:
-        raise ArithmeticError(f"unexpected detection-event counts {sorted(event_counts)}")
-    best, ties = lhv_max(d) if include_lhv else (None, None)
+        raise BellInvariantError(f"unexpected detection-event counts {sorted(event_counts)}")
+    best = count = None
+    if include_lhv:
+        values = lhv_residue_table(d)
+        best = int(values.max())
+        count = int(d) * int(np.count_nonzero(values == best))
     return BellReport(
         d=int(d),
         quantum_value=float(total),
@@ -304,5 +343,5 @@ def bell_report(d: int, include_lhv: bool = True) -> BellReport:
         noise_threshold=noise_threshold(d),
         detection_events_per_correlation=2 * d,
         lhv_max=best,
-        maximizing_assignments=tuple(ties) if ties is not None else None,
+        lhv_maximizer_count=count,
     )

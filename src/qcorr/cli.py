@@ -181,7 +181,7 @@ def run_bell(args) -> Report:
     )
     if args.lhv:
         report.add_result("lhv_max", rep.lhv_max)
-        report.add_result("lhv_maximizer_count", len(rep.maximizing_assignments))
+        report.add_result("lhv_maximizer_count", rep.lhv_maximizer_count)
         report.add_check(exact_check("lhv_max", 2, rep.lhv_max))
     if args.d == 2:
         report.add_check(
@@ -230,14 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=int, default=1234, help="seed for randomized procedures")
     common.add_argument(
+        "--struct-tol", type=float, default=None, help="structural tolerance override"
+    )
+    witness = argparse.ArgumentParser(add_help=False, parents=[common])
+    witness.add_argument(
         "--tol",
         type=float,
         default=None,
         help="absolute tolerance of the dominance eigenvalue check "
         "(default: 1e-8 times the witness's spectral norm)",
-    )
-    common.add_argument(
-        "--struct-tol", type=float, default=None, help="structural tolerance override"
     )
 
     parser = argparse.ArgumentParser(
@@ -245,15 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recompute correlator-witness and Bell-functional results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    table1 = sub.add_parser("table1", parents=[common], help="GHZ witness constants and noise tolerances")
+    table1 = sub.add_parser("table1", parents=[witness], help="GHZ witness constants and noise tolerances")
     table1.add_argument("--restarts", type=int, default=200, help="seesaw restarts")
     sub.add_parser("table2", parents=[common], help="GHZ witness cross-expectation grid")
-    sub.add_parser("singlet", parents=[common], help="four-qubit singlet witness pipeline")
-    sub.add_parser("ghz4x3", parents=[common], help="four-level tripartite GHZ witness pipeline")
+    sub.add_parser("singlet", parents=[witness], help="four-qubit singlet witness pipeline")
+    sub.add_parser("ghz4x3", parents=[witness], help="four-level tripartite GHZ witness pipeline")
     bell = sub.add_parser("bell", parents=[common], help="d-level bipartite Bell functional")
     bell.add_argument("d", type=int, nargs="?", default=2)
-    bell.add_argument("--lhv", action="store_true", help="run the exhaustive local-model search")
-    bell.add_argument(
+    mode = bell.add_mutually_exclusive_group()
+    mode.add_argument("--lhv", action="store_true", help="run the exhaustive local-model search")
+    mode.add_argument(
         "--sweep", nargs=2, type=int, metavar=("DMIN", "DMAX"), help="tabulate a dimension range"
     )
     prop = sub.add_parser("proptest", parents=[common], help="random product-state sign suites")

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     LhvAssignment,
@@ -22,7 +24,14 @@ from qcorr import (
     quantum_value,
     setting_vector,
 )
-from qcorr.bell import SETTING_PAIRS, correlation
+from qcorr.bell import (
+    ENUMERATION_GUARD,
+    SETTING_PAIRS,
+    BellInvariantError,
+    BellReport,
+    correlation,
+    lhv_residue_table,
+)
 from qcorr.core import DensityMatrix, PartyStructure, PureState
 
 
@@ -262,3 +271,92 @@ def test_bell_report_fields():
     assert rep.maximizing_assignments
     skipped = bell_report(4, include_lhv=False)
     assert skipped.lhv_max is None
+
+
+def broadcast_lhv_max(d: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Oracle: the functional broadcast over all d^4 assignments, maximizers
+    in lexicographic (v11, v21, v12, v22) order."""
+    r = np.arange(d)
+    zero = (r == 0).astype(np.int8)
+    one = (r == 1).astype(np.int8)
+    minus_one = ((-r) % d == 1).astype(np.int8)
+    residue = (r[:, None] + r[None, :]) % d
+    c11 = (zero - minus_one)[residue]  # indexed (v11, v21)
+    c12 = (zero - one)[residue]  # (v11, v22)
+    c22 = (zero - minus_one)[residue]  # (v12, v22)
+    c21 = (minus_one - zero)[residue]  # (v12, v21)
+    values = (c11[:, :, None, None] + c12[:, None, None, :]) + (
+        c22[None, None, :, :] + c21.T[None, :, :, None]
+    )
+    best = int(values.max())
+    return best, [tuple(idx) for idx in np.argwhere(values == best).tolist()]
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_residue_search_matches_broadcast_oracle(d):
+    best, every = broadcast_lhv_max(d)
+    found, ties = lhv_max(d)
+    assert found == best
+    assert [a.as_tuple() for a in ties] == every
+    rep = bell_report(d)
+    assert rep.lhv_max == best
+    assert rep.lhv_maximizer_count == len(every) == d * (6 * d - 8)
+    assert [a.as_tuple() for a in rep.maximizing_assignments] == every
+
+
+@st.composite
+def _assignments(draw):
+    d = draw(st.integers(2, ENUMERATION_GUARD))
+    values = draw(st.tuples(*[st.integers(0, d - 1)] * 4))
+    return d, LhvAssignment(*values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_assignments())
+def test_lhv_value_is_its_residue_table_entry(case):
+    d, a = case
+    t11 = (a.v11 + a.v21) % d
+    t12 = (a.v11 + a.v22) % d
+    t22 = (a.v12 + a.v22) % d
+    assert lhv_value(a, d) == lhv_residue_table(d)[t11, t12, t22]
+
+
+def test_bell_report_memory_stays_small():
+    tracemalloc.start()
+    try:
+        rep = bell_report(32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.lhv_maximizer_count == 32 * (6 * 32 - 8)
+    assert peak < 1_000_000
+
+
+def test_bell_report_without_search():
+    rep = bell_report(5, include_lhv=False)
+    assert rep.lhv_max is None
+    assert rep.lhv_maximizer_count is None
+    assert rep.maximizing_assignments is None
+
+
+def test_maximizer_count_invariant():
+    fields = dict(
+        d=3,
+        quantum_value=analytic_value(3),
+        analytic_value=analytic_value(3),
+        noise_threshold=noise_threshold(3),
+        detection_events_per_correlation=6,
+        lhv_max=2,
+    )
+    assert BellReport(**fields, lhv_maximizer_count=30).lhv_maximizer_count == 30
+    for wrong in (29, 31, None):
+        with pytest.raises(BellInvariantError, match=r"d\(6d - 8\) = 30"):
+            BellReport(**fields, lhv_maximizer_count=wrong)
+
+
+def test_detection_event_miss_is_an_invariant_error(monkeypatch):
+    import qcorr.bell as bell
+
+    monkeypatch.setattr(bell, "correlation", lambda state, i, j: (0.0, 1))
+    with pytest.raises(BellInvariantError, match="detection-event"):
+        bell_report(3)

@@ -174,3 +174,17 @@ def test_struct_tol_applies_during_the_run_only(capsys, monkeypatch):
     assert seen == [1e-3]
     assert core.STRUCTURAL_TOL == before
     capsys.readouterr()
+
+
+def test_lhv_and_sweep_are_exclusive(capsys):
+    assert main(["bell", "--sweep", "2", "3", "--lhv"]) == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_tol_is_a_witness_option(capsys):
+    for argv in (["table2"], ["bell", "3"], ["proptest", "--trials", "1"]):
+        assert main(argv + ["--tol", "5"]) == 2
+        assert "--tol" in capsys.readouterr().err
+    code, out = _run(capsys, ["singlet", "--tol", "1e-6", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["tol"] == 1e-6
