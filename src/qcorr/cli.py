@@ -147,9 +147,12 @@ def run_ghz4x3(args) -> Report:
 
 
 def run_bell(args) -> Report:
+    if args.sweep and args.d is not None:
+        raise ValueError("give either a dimension d or --sweep DMIN DMAX, not both")
+    d = 2 if args.d is None else args.d
     report = Report(
         "bell",
-        parameters={"d": args.d, "lhv": args.lhv, "sweep": bool(args.sweep)},
+        parameters={"d": d, "lhv": args.lhv, "sweep": bool(args.sweep)},
         seed=args.seed,
     )
     if args.sweep:
@@ -168,7 +171,7 @@ def run_bell(args) -> Report:
         report.add_check(bound_check("sweep_below_limit", limit, max(values)))
         return report
 
-    rep = bell_report(args.d, include_lhv=args.lhv)
+    rep = bell_report(d, include_lhv=args.lhv)
     report.add_result("quantum_value", rep.quantum_value)
     report.add_result("analytic_value", rep.analytic_value)
     report.add_result("noise_threshold", rep.noise_threshold)
@@ -177,13 +180,13 @@ def run_bell(args) -> Report:
         approx_check("quantum_vs_analytic", rep.analytic_value, rep.quantum_value, 1e-9)
     )
     report.add_check(
-        exact_check("detection_events_per_correlation", 2 * args.d, rep.detection_events_per_correlation)
+        exact_check("detection_events_per_correlation", 2 * d, rep.detection_events_per_correlation)
     )
     if args.lhv:
         report.add_result("lhv_max", rep.lhv_max)
         report.add_result("lhv_maximizer_count", rep.lhv_maximizer_count)
         report.add_check(exact_check("lhv_max", 2, rep.lhv_max))
-    if args.d == 2:
+    if d == 2:
         report.add_check(
             approx_check("quantum_value_d2", 2.0 * math.sqrt(2.0), rep.quantum_value, 1e-9)
         )
@@ -225,17 +228,28 @@ def run_proptest(args) -> Report:
     return report
 
 
+def _tolerance(text: str) -> float:
+    """A finite, non-negative float; anything else is a usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=int, default=1234, help="seed for randomized procedures")
     common.add_argument(
-        "--struct-tol", type=float, default=None, help="structural tolerance override"
+        "--struct-tol", type=_tolerance, default=None, help="structural tolerance override"
     )
     witness = argparse.ArgumentParser(add_help=False, parents=[common])
     witness.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help="absolute tolerance of the dominance eigenvalue check "
         "(default: 1e-8 times the witness's spectral norm)",
@@ -252,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("singlet", parents=[witness], help="four-qubit singlet witness pipeline")
     sub.add_parser("ghz4x3", parents=[witness], help="four-level tripartite GHZ witness pipeline")
     bell = sub.add_parser("bell", parents=[common], help="d-level bipartite Bell functional")
-    bell.add_argument("d", type=int, nargs="?", default=2)
+    bell.add_argument("d", type=int, nargs="?", default=None, help="dimension (default 2)")
     mode = bell.add_mutually_exclusive_group()
     mode.add_argument("--lhv", action="store_true", help="run the exhaustive local-model search")
     mode.add_argument(

@@ -585,6 +585,8 @@ def _suite_signs(record, trials: int, seed: int):
     chunks continue one generator, so the states do not depend on the
     chunking.
     """
+    if trials < 1:
+        raise ValueError(f"sign suite needs at least one trial, got {trials}")
     structure = PartyStructure(record.tables[0].shape)
     axes_a, axes_b = _split_axes(structure, record.cut)
     dim_a = math.prod(structure.dims[k] for k in axes_a)

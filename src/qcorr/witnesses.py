@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,105 +154,17 @@ def noise_tolerance(w: Witness, target: PureState) -> float:
     return float((c_target - w.alpha) / denom)
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _uint32_words(n: int) -> list[int]:
-    """`n` as little-endian 32-bit words, as `SeedSequence` splits an entropy integer."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hash_constants(init: int, multiplier: int):
-    """The (xor, multiply) constants of successive calls of numpy's seed hash."""
-    while True:
-        following = init * multiplier & _MASK32
-        yield init, following
-        init = following
-
-
-def _scramble(value: np.ndarray, constants) -> np.ndarray:
-    """One call of numpy's seed hash on every entry of a uint32 array."""
-    xor, multiply = next(constants)
-    value = (value ^ np.uint32(xor)) * np.uint32(multiply)
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ result >> 16
-
-
-def _seed_states(seed: int, cut_index: int, restarts: int) -> np.ndarray:
-    """`SeedSequence([seed, cut_index, r]).generate_state(4, np.uint64)` for every
-    r < restarts (< 2**32) as a (restarts, 4) array: numpy's pool mixing and
-    state generation ported to uint32 columns, one row per restart, so each
-    hash step acts on every restart at once."""
-    prefix = _uint32_words(seed) + _uint32_words(cut_index)
-    entropy = [np.full(restarts, w, np.uint32) for w in prefix]
-    entropy.append(np.arange(restarts, dtype=np.uint32))
-    entropy += [np.zeros(restarts, np.uint32)] * (4 - len(entropy))
-    hash_a = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_scramble(word, hash_a) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _scramble(pool[src], hash_a))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _scramble(word, hash_a))
-    hash_b = _hash_constants(_INIT_B, _MULT_B)
-    words = [_scramble(pool[i % 4], hash_b).astype(np.uint64) for i in range(8)]
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])], axis=1)
-
-
-@functools.cache
-def _seeded_generator():
-    """`state -> Generator(PCG64(...))` seeded with a precomputed 4 x uint64
-    `generate_state` row.  numpy.random is imported on the first call so that
-    `import qcorr` does not load it."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedState(ISeedSequence):
-        """Hands PCG64 the state it would ask a SeedSequence for."""
-
-        def __init__(self, state: np.ndarray) -> None:
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return lambda state: Generator(PCG64(FixedState(state)))
-
-
-def _restart_starts(seed: int, cut_index: int, restarts: int, size: int) -> np.ndarray:
-    """Row r is `default_rng([seed, cut_index, r]).standard_normal(size)`, bit for bit."""
-    generator = _seeded_generator()
-    return np.stack(
-        [generator(state).standard_normal(size) for state in _seed_states(seed, cut_index, restarts)]
-    )
-
-
 def _seesaw_cut(
     tensor: np.ndarray, cut: tuple[int, ...], cut_index: int, restarts: int, iters: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Alternating top-eigenvector updates for every restart of one cut at once.
 
     `tensor` is the operator with one axis per party and side (bra then ket).
-    Restart r starts from one row `default_rng([seed, cut_index, r]).standard_normal`
-    of real a, imag a, real b, imag b; `_restart_starts` derives the streams of
-    all restarts from one vectorised `SeedSequence` hash.  Each half-step is
-    one matmul of the stacked outer products conj(v)⊗v against the operator,
+    The starts of all restarts come from one generator per cut: restart r starts
+    side b from row r of `default_rng([seed, cut_index]).standard_normal((restarts,
+    2 * dim_b))`, real parts then imaginary parts, so a row does not depend on
+    `restarts`.  Side a needs no start, since the first half-step overwrites
+    it.  Each half-step is one matmul of the stacked outer products conj(v)⊗v against the operator,
     permuted once here, and one batched eigh over the rows still active.  A
     row stops when its value moves by less than 1e-10 or after `iters`
     alternations.  Returns per restart the final value, the alternation count,
@@ -274,10 +184,9 @@ def _seesaw_cut(
     op_for_a = contracted.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, dim_a * dim_a)
     op_for_b = contracted.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b)
 
-    starts = _restart_starts(seed, cut_index, restarts, 2 * dim_a + 2 * dim_b)
-    vec_a = starts[:, :dim_a] + 1j * starts[:, dim_a : 2 * dim_a]
-    vec_a /= np.linalg.norm(vec_a, axis=1, keepdims=True)
-    vec_b = starts[:, 2 * dim_a : 2 * dim_a + dim_b] + 1j * starts[:, 2 * dim_a + dim_b :]
+    starts = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
+    vec_a = np.empty((restarts, dim_a), dtype=complex)
+    vec_b = starts[:, :dim_b] + 1j * starts[:, dim_b:]
     vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
     values = np.full(restarts, -math.inf)
     counts = np.zeros(restarts, dtype=np.int64)

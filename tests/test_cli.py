@@ -188,3 +188,32 @@ def test_tol_is_a_witness_option(capsys):
     code, out = _run(capsys, ["singlet", "--tol", "1e-6", "--format", "json"])
     assert code == 0
     assert json.loads(out)["parameters"]["tol"] == 1e-6
+
+
+def test_bell_dimension_and_sweep_are_exclusive(capsys):
+    assert main(["bell", "7", "--sweep", "2", "3"]) == 2
+    assert "--sweep" in capsys.readouterr().err
+    code, out = _run(capsys, ["bell", "--sweep", "2", "32", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["d"] == 2
+
+
+def test_proptest_rejects_empty_suites(capsys):
+    for trials in ("0", "-5"):
+        assert main(["proptest", "--trials", trials]) == 2
+        assert "trial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["table1", "--tol", "nan"], "--tol"),
+        (["table1", "--tol", "-1"], "--tol"),
+        (["singlet", "--tol", "inf"], "--tol"),
+        (["singlet", "--struct-tol", "nan"], "--struct-tol"),
+        (["bell", "3", "--struct-tol", "-1e-3"], "--struct-tol"),
+    ],
+)
+def test_bad_tolerances_are_usage_errors(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

@@ -432,6 +432,14 @@ def test_prop2_single_family_long_run():
     assert count_prop2_violations(family, trials=500, seed=77) == 0
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sign_suites_reject_empty_runs(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        count_prop1_violations(ghz4_z_pairs()[0], trials, seed=1)
+    with pytest.raises(ValueError, match="at least one trial"):
+        count_prop2_violations(ghz4x3_correlators("z", 2, 3), trials, seed=1)
+
+
 def test_product_of_members_never_all_positive_manually():
     family = ghz4x3_correlators("f", 3, 7)
     rng = np.random.default_rng(55)

@@ -37,8 +37,6 @@ from qcorr.witnesses import (
     SINGLET_ALPHA,
     SINGLET_GAMMA,
     WitnessNeverFiresError,
-    _restart_starts,
-    _seed_states,
     _seesaw_cut,
     biseparable_max,
 )
@@ -227,12 +225,10 @@ def _scalar_seesaw(op, cut_index, cut, restarts, iters, seed):
     contracted = tensor.transpose(perm + [n + ax for ax in perm]).reshape(
         dim_a, dim_b, dim_a, dim_b
     )
+    starts = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
     values, counts, converged = [], [], []
     for restart in range(restarts):
-        rng = np.random.default_rng([seed, cut_index, restart])
-        vec_a = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
-        vec_a /= np.linalg.norm(vec_a)
-        vec_b = rng.standard_normal(dim_b) + 1j * rng.standard_normal(dim_b)
+        vec_b = starts[restart, :dim_b] + 1j * starts[restart, dim_b:]
         vec_b /= np.linalg.norm(vec_b)
         value = -math.inf
         count = 0
@@ -336,24 +332,39 @@ SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 1)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("cut_index", [0, 6])
 @pytest.mark.parametrize("restarts", [1, 257])
-def test_seed_states_equal_seed_sequence(seed, cut_index, restarts):
-    reference = np.stack(
-        [np.random.SeedSequence([seed, cut_index, r]).generate_state(4, np.uint64) for r in range(restarts)]
-    )
-    states = _seed_states(seed, cut_index, restarts)
-    assert states.dtype == np.uint64
-    assert np.array_equal(states, reference)
+def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, restarts):
+    op = _random_hermitian(PartyStructure((2, 2, 2, 2)), np.random.default_rng(8))
+    cut = bipartitions(4)[cut_index]
+    dim_b = 16 // 2 ** len(cut)
+    norm = np.linalg.norm
+    seen = []
+
+    def record(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", record)
+    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed)
+    rows = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
+    # the one vector normalised is side b's start; side a is never drawn
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], rows[:, :dim_b] + 1j * rows[:, dim_b:])
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("cut_index", [0, 6])
-@pytest.mark.parametrize("restarts", [1, 257])
-def test_restart_starts_equal_default_rng_streams(seed, cut_index, restarts):
-    size = 2 * 8 + 2 * 2
-    reference = np.stack(
-        [np.random.default_rng([seed, cut_index, r]).standard_normal(size) for r in range(restarts)]
-    )
-    assert np.array_equal(_restart_starts(seed, cut_index, restarts, size), reference)
+@pytest.mark.parametrize(
+    "make_op",
+    [build_C_psi, lambda: _random_hermitian(PartyStructure((2, 3, 2)), np.random.default_rng(8))],
+)
+def test_seesaw_restarts_do_not_depend_on_their_number(make_op):
+    op = make_op()
+    tensor = op.matrix.reshape(op.structure.dims * 2)
+    for cut_index, cut in enumerate(bipartitions(op.structure.n_parties)):
+        few = _seesaw_cut(tensor, cut, cut_index, 20, 500, 1234)
+        many = _seesaw_cut(tensor, cut, cut_index, 57, 500, 1234)
+        # same starts; the stacked matmul's round-off depends on the stack height
+        assert np.max(np.abs(few[0] - many[0][:20])) <= 1e-9
+        assert np.array_equal(few[1], many[1][:20])
+        assert np.array_equal(few[2], many[2][:20])
 
 
 def test_seesaw_rejects_negative_seed():
