@@ -332,6 +332,27 @@ SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 1)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("cut_index", [0, 6])
 @pytest.mark.parametrize("restarts", [1, 257])
+def test_seed_states_equal_seed_sequence(monkeypatch, seed, cut_index, restarts):
+    op = _random_hermitian(PartyStructure((2, 2, 2, 2)), np.random.default_rng(8))
+    cut = bipartitions(4)[cut_index]
+    default_rng = np.random.default_rng
+    states = []
+
+    def record(*args, **kwargs):
+        rng = default_rng(*args, **kwargs)
+        states.append(rng.bit_generator.state)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", record)
+    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed)
+    # one generator per cut, whatever the restart count, seeded by the cut's SeedSequence
+    assert len(states) == 1
+    assert states[0] == np.random.PCG64(np.random.SeedSequence([seed, cut_index])).state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cut_index", [0, 6])
+@pytest.mark.parametrize("restarts", [1, 257])
 def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, restarts):
     op = _random_hermitian(PartyStructure((2, 2, 2, 2)), np.random.default_rng(8))
     cut = bipartitions(4)[cut_index]
