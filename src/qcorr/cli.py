@@ -243,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--seed", type=int, default=1234, help="seed for randomized procedures")
-    common.add_argument(
-        "--struct-tol", type=_tolerance, default=None, help="structural tolerance override"
-    )
     witness = argparse.ArgumentParser(add_help=False, parents=[common])
     witness.add_argument(
         "--tol",
@@ -293,9 +290,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    previous_struct_tol = core.STRUCTURAL_TOL
     try:
-        core.set_tolerances(structural=args.struct_tol)
         report = RUNNERS[args.command](args)
     except (core.EigensolverError, WitnessNeverFiresError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -303,8 +298,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        core.set_tolerances(structural=previous_struct_tol)
     print(report.render(args.format))
     return 0 if report.passed else 1
 

@@ -2,8 +2,8 @@
 
 Party labels are 1-based throughout the package, and party 1 is the leftmost
 (most significant) tensor factor.  All container types are immutable after
-construction and every operation is a pure function, so values can be shared
-freely between concurrent workers.
+construction, the tolerances below are constants, and every operation is a
+pure function, so values can be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
@@ -22,13 +22,6 @@ IMAG_TOL = 1e-10
 
 class EigensolverError(RuntimeError):
     """Dense Hermitian eigensolver failed to converge."""
-
-
-def set_tolerances(structural: float | None = None) -> None:
-    """Override the module-wide structural tolerance."""
-    global STRUCTURAL_TOL
-    if structural is not None:
-        STRUCTURAL_TOL = float(structural)
 
 
 @dataclass(frozen=True)
@@ -256,20 +249,19 @@ def expectation(
     return float(val.real)
 
 
-def min_eigenvalue(op: HermitianOperator) -> float:
+def _spectrum(op: HermitianOperator) -> np.ndarray:
     try:
-        spectrum = np.linalg.eigvalsh(op.matrix)
+        return np.linalg.eigvalsh(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    return float(spectrum[0])
+
+
+def min_eigenvalue(op: HermitianOperator) -> float:
+    return float(_spectrum(op)[0])
 
 
 def spectral_norm(op: HermitianOperator) -> float:
-    try:
-        spectrum = np.linalg.eigvalsh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    return float(np.max(np.abs(spectrum)))
+    return float(np.max(np.abs(_spectrum(op))))
 
 
 def _split_axes(structure: PartyStructure, parties) -> tuple[list[int], list[int]]:

@@ -16,8 +16,8 @@ every party.  Each member counts a set of strings minus the same set with the
 cut party's outcome moved; the combined operators sum the member tables of a
 setting exactly and check the sum against its closed form.  A correlator's
 expectation is sum_s t[s] P(s), with P the state's outcome distribution in the
-setting, so the sign tests and suites never build a dense member; pairs and
-families build them only when `c0`/`c1`/`members` are read.
+setting, so correlator records hold their outcome tables only, and no dense
+member is ever built; only the combined operators are dense.
 
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -107,11 +107,6 @@ _QUBIT_BASES = {"z": _Z2, "x": _X2, "y": _Y2}
 _QUDIT4_BASES = {"z": _Z4, "f": _F4}
 
 
-def local_projector(basis: LocalBasis, level: int) -> HermitianOperator:
-    """Rank-1 projector onto the level-th basis vector, as a one-party operator."""
-    return HermitianOperator(basis.projector(level), PartyStructure((basis.dimension,)))
-
-
 class _OutcomeTables:
     """Integer outcome tables over the strings of one local setting (`setting`
     on every party): what correlator pairs and families hold."""
@@ -147,10 +142,7 @@ class _OutcomeTables:
 
 @dataclass(frozen=True, eq=False)
 class CorrelatorPair(_OutcomeTables):
-    """Two correlators whose expectation product is a sign test for `cut`.
-
-    The dense operators `c0`/`c1` (U diag(t) U^dagger) are built on first read.
-    """
+    """Two correlators whose expectation product is a sign test for `cut`."""
 
     setting: LocalBasis
     tables: tuple[np.ndarray, np.ndarray]
@@ -163,22 +155,10 @@ class CorrelatorPair(_OutcomeTables):
         if len(self.tables) != 2:
             raise ValueError(f"a pair needs two tables, got {len(self.tables)}")
 
-    @cached_property
-    def c0(self) -> HermitianOperator:
-        return _operator(self.setting, self.tables[0])
-
-    @cached_property
-    def c1(self) -> HermitianOperator:
-        return _operator(self.setting, self.tables[1])
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelatorFamily(_OutcomeTables):
-    """Correlators that must be jointly positive to certify correlation across `cut`.
-
-    The dense `members` are built on first read, through `shared`: families
-    handed one dict share the dense member of equal tables in one setting.
-    """
+    """Correlators that must be jointly positive to certify correlation across `cut`."""
 
     setting: LocalBasis
     tables: tuple[np.ndarray, ...]
@@ -186,22 +166,11 @@ class CorrelatorFamily(_OutcomeTables):
     label: str
     basis: str
     cut: tuple[int, ...]
-    shared: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.arity != len(self.tables):
             raise ValueError(f"arity {self.arity} does not match {len(self.tables)} tables")
-
-    @cached_property
-    def members(self) -> tuple[HermitianOperator, ...]:
-        built = []
-        for table in self.tables:
-            key = (self.setting, table.tobytes())
-            if key not in self.shared:
-                self.shared[key] = _operator(self.setting, table)
-            built.append(self.shared[key])
-        return tuple(built)
 
 
 #: Outcome strings as index grids: `_BITS[p - 1]` holds party p's outcome at
@@ -430,7 +399,14 @@ def _ghz4x3_table(basis_kind: str, n: int, k: int, image: int) -> np.ndarray:
     return _frozen(_moved(mask, image - k, n - 1))
 
 
-def _ghz4x3_family(basis_kind: str, n: int, j: int, shared: dict) -> CorrelatorFamily:
+def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
+    """Four-member correlator family for party n against the rest.
+
+    `j` in 1..9 picks a fixed-point-free permutation s of the levels
+    (lexicographic order, see DERANGEMENTS_4).  In the z setting member k is
+    (k - s_k) on party n times level-k projectors on the others; in the
+    Fourier setting the other two parties carry the level-sum-zero pair sum.
+    """
     if basis_kind not in _QUDIT4_BASES:
         raise ValueError(f"basis kind must be z or f, got {basis_kind!r}")
     if n not in (1, 2, 3):
@@ -445,32 +421,17 @@ def _ghz4x3_family(basis_kind: str, n: int, j: int, shared: dict) -> CorrelatorF
         label=f"ghz4x3.{basis_kind}.n{n}.j{j}",
         basis=basis_kind,
         cut=(n,),
-        shared=shared,
     )
-
-
-def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
-    """Four-member correlator family for party n against the rest.
-
-    `j` in 1..9 picks a fixed-point-free permutation s of the levels
-    (lexicographic order, see DERANGEMENTS_4).  In the z setting member k is
-    (k - s_k) on party n times level-k projectors on the others; in the
-    Fourier setting the other two parties carry the level-sum-zero pair sum.
-    """
-    return _ghz4x3_family(basis_kind, n, j, {})
 
 
 def all_ghz4x3_families() -> list[CorrelatorFamily]:
     """The 54 families: both settings, all parties, all nine permutations.
 
     Member k depends on the permutation only through s_k, so the 216 member
-    tables take 72 distinct values; the families share one `shared` dict, so
-    each dense member is built once, when first read, and shared by the
-    families that hold it.
+    tables take 72 distinct values, each one memoised read-only table.
     """
-    shared: dict = {}
     return [
-        _ghz4x3_family(kind, n, j, shared)
+        ghz4x3_correlators(kind, n, j)
         for kind in ("z", "f")
         for n in (1, 2, 3)
         for j in range(1, 10)

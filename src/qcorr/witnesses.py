@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,20 +51,15 @@ class Witness:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorWitness:
-    """alpha_p*1 - |target><target| with alpha_p the maximal biseparable overlap."""
+    """alpha_p*1 - |target><target| with alpha_p the maximal biseparable overlap,
+    i.e. the largest squared Schmidt coefficient of the target over all cuts."""
 
-    alpha_p: float
     target: PureState
+    alpha_p: float = field(init=False)
 
     def __post_init__(self) -> None:
-        best = max(
-            schmidt_max_sq(self.target, cut)
-            for cut in bipartitions(self.target.structure.n_parties)
-        )
-        if abs(self.alpha_p - best) > 1e-10:
-            raise ValueError(
-                f"alpha_p={self.alpha_p} is not the maximal squared Schmidt coefficient {best}"
-            )
+        cuts = bipartitions(self.target.structure.n_parties)
+        object.__setattr__(self, "alpha_p", max(schmidt_max_sq(self.target, cut) for cut in cuts))
 
     def operator(self) -> HermitianOperator:
         return self.alpha_p * identity(self.target.structure) - self.target.projector()
@@ -110,12 +105,7 @@ def make_witness(alpha: float, c_op: HermitianOperator, label: str = "") -> Witn
 
 def projector_witness(target: PureState) -> ProjectorWitness:
     """Projector witness with constant = max squared Schmidt coefficient over all cuts."""
-    if target.structure.n_parties < 2:
-        raise ValueError("projector witness needs at least two parties")
-    alpha_p = max(
-        schmidt_max_sq(target, cut) for cut in bipartitions(target.structure.n_parties)
-    )
-    return ProjectorWitness(alpha_p, target)
+    return ProjectorWitness(target)
 
 
 def verify_dominance(
@@ -129,10 +119,10 @@ def verify_dominance(
     gamma = float(gamma)
     if gamma <= 0.0:
         raise ValueError(f"dominance factor must be positive, got {gamma}")
-    diff = w.operator() - gamma * wp.operator()
-    lowest = min_eigenvalue(diff)
+    w_op = w.operator()
+    lowest = min_eigenvalue(w_op - gamma * wp.operator())
     if tol is None:
-        tol = DOMINANCE_TOL_SCALE * spectral_norm(w.operator())
+        tol = DOMINANCE_TOL_SCALE * spectral_norm(w_op)
     return DominanceCertificate(gamma, lowest, lowest >= -tol, float(tol))
 
 

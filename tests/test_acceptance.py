@@ -34,6 +34,7 @@ from qcorr import (
     spectral_norm,
     verify_dominance,
 )
+from qcorr import correlators
 from qcorr.bell import MeasurementSetting, SETTING_PAIRS
 from qcorr.correlators import (
     LocalBasis,
@@ -55,6 +56,11 @@ def _verdict(name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {name}: {'PASS' if ok else 'FAIL'}{suffix}")
     assert ok, f"criterion {name} failed{suffix}"
+
+
+def _dense(record):
+    """Each member of `record` as its dense operator U diag(t) U^dagger."""
+    return tuple(correlators._operator(record.setting, table) for table in record.tables)
 
 
 def test_criterion_01_ghz4_noise_and_dominance():
@@ -89,8 +95,8 @@ def test_criterion_03_singlet_pipeline():
     flips, groups = [], []
     for kind in ("z", "x", "y"):
         pairs = singlet_correlators(kind)
-        flips.extend(v for p in pairs[:4] for v in (expectation(p.c0, state), expectation(p.c1, state)))
-        groups.extend(v for p in pairs[4:] for v in (expectation(p.c0, state), expectation(p.c1, state)))
+        flips.extend(expectation(op, state) for p in pairs[:4] for op in _dense(p))
+        groups.extend(expectation(op, state) for p in pairs[4:] for op in _dense(p))
     ok = len(flips) == 24 and len(groups) == 24
     ok = ok and max(abs(v - 1 / 3) for v in flips) <= 1e-10
     ok = ok and max(abs(v - 1 / 6) for v in groups) <= 1e-10
@@ -107,7 +113,7 @@ def test_criterion_03_singlet_pipeline():
 def test_criterion_04_ghz4x3_pipeline():
     state = ghz_4x3()
     families = all_ghz4x3_families()
-    values = [expectation(m, state) for f in families for m in f.members]
+    values = [expectation(m, state) for f in families for m in _dense(f)]
     ok = len(values) == 216 and max(abs(v - 0.25) for v in values) <= 1e-10
     witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3())
     delta = noise_tolerance(witness, state)
@@ -175,14 +181,14 @@ def test_criterion_09_property_suites():
     # closed-form operator identities
     z_total = np.zeros((16, 16), dtype=complex)
     for pair in ghz4_z_pairs():
-        z_total += pair.c0.matrix + pair.c1.matrix
+        z_total += sum(op.matrix for op in _dense(pair))
     closed = -np.eye(16, dtype=complex)
     closed[0, 0] += 8.0
     closed[15, 15] += 8.0
     ok = ok and np.max(np.abs(z_total - closed)) <= 1e-12
     x_total = np.zeros((16, 16), dtype=complex)
     for pair in ghz4_x_pairs():
-        x_total += pair.c0.matrix + pair.c1.matrix
+        x_total += sum(op.matrix for op in _dense(pair))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     ok = ok and np.max(np.abs(x_total - 4.0 * np.kron(np.kron(sx, sx), np.kron(sx, sx)))) <= 1e-12
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcorr.cli import main
+from qcorr.cli import RUNNERS, main
 
 
 def _run(capsys, argv):
@@ -153,27 +153,12 @@ def test_bell_invariant_miss_is_numerical_failure(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
-def test_struct_tol_applies_during_the_run_only(capsys, monkeypatch):
-    import qcorr.cli as cli
-    from qcorr import core
-
-    before = core.STRUCTURAL_TOL
-    assert main(["bell", "2", "--struct-tol", "1e-3"]) == 0
-    assert core.STRUCTURAL_TOL == before
-    assert main(["bell", "99", "--lhv", "--struct-tol", "1e-3"]) == 2
-    assert core.STRUCTURAL_TOL == before
-
-    seen = []
-
-    def _record(args):
-        seen.append(core.STRUCTURAL_TOL)
-        return cli.Report("bell")
-
-    monkeypatch.setitem(cli.RUNNERS, "bell", _record)
-    main(["bell", "--struct-tol", "1e-3"])
-    assert seen == [1e-3]
-    assert core.STRUCTURAL_TOL == before
-    capsys.readouterr()
+@pytest.mark.parametrize("command", sorted(RUNNERS))
+def test_struct_tol_is_not_an_option(capsys, command):
+    # The structural tolerance is a module constant, so no flag can change it.
+    assert main([command, "--struct-tol", "1e-3"]) == 2
+    assert main([command, "--struct-tol=1e-3"]) == 2
+    assert "unrecognized arguments: --struct-tol=1e-3" in capsys.readouterr().err
 
 
 def test_lhv_and_sweep_are_exclusive(capsys):
@@ -210,8 +195,6 @@ def test_proptest_rejects_empty_suites(capsys):
         (["table1", "--tol", "nan"], "--tol"),
         (["table1", "--tol", "-1"], "--tol"),
         (["singlet", "--tol", "inf"], "--tol"),
-        (["singlet", "--struct-tol", "nan"], "--struct-tol"),
-        (["bell", "3", "--struct-tol", "-1e-3"], "--struct-tol"),
     ],
 )
 def test_bad_tolerances_are_usage_errors(capsys, argv, flag):

@@ -3,6 +3,7 @@ import pytest
 
 from qcorr import (
     DensityMatrix,
+    EigensolverError,
     HermitianOperator,
     PartyStructure,
     PureState,
@@ -16,6 +17,7 @@ from qcorr import (
     max_entangled_qudit,
     min_eigenvalue,
     schmidt_max_sq,
+    spectral_norm,
 )
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -146,6 +148,17 @@ def test_min_eigenvalue_shift():
         c = float(rng.uniform(-2.0, 2.0))
         shifted = op + c * identity(op.structure)
         assert abs(min_eigenvalue(shifted) - (min_eigenvalue(op) + c)) < 1e-10
+
+
+def test_eigensolver_breakdown_is_an_eigensolver_error(monkeypatch):
+    def _diverge(matrix):
+        raise np.linalg.LinAlgError("forced")
+
+    op = identity(Q1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _diverge)
+    for spectral in (min_eigenvalue, spectral_norm):
+        with pytest.raises(EigensolverError, match="did not converge: forced"):
+            spectral(op)
 
 
 def test_schmidt_ghz4_single_party():

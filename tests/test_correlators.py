@@ -30,7 +30,6 @@ from qcorr import (
     ghz4_z_pairs,
     ghz4x3_correlators,
     ghz_4x3,
-    local_projector,
     mix_white_noise,
     prop1_test,
     prop2_test,
@@ -53,6 +52,11 @@ from qcorr.states import QUBIT4, QUDIT4X3
 GHZ_ANGLES = ((math.pi / 4, math.pi / 6), (math.pi / 4.9, 0.0), (math.pi / 3.7, math.pi / 9))
 
 
+def _dense(record):
+    """Each member of `record` as its dense operator U diag(t) U^dagger."""
+    return tuple(correlators._operator(record.setting, table) for table in record.tables)
+
+
 def _basis_state(structure, index):
     amps = np.zeros(structure.dim)
     amps[index] = 1.0
@@ -64,13 +68,11 @@ def _basis_state(structure, index):
 
 
 def test_local_projector_z():
-    proj = local_projector(LocalBasis("z", 2), 0)
-    assert np.allclose(proj.matrix, np.diag([1.0, 0.0]))
+    assert np.allclose(LocalBasis("z", 2).projector(0), np.diag([1.0, 0.0]))
 
 
 def test_local_projector_x():
-    proj = local_projector(LocalBasis("x", 2), 0)
-    assert np.allclose(proj.matrix, np.full((2, 2), 0.5))
+    assert np.allclose(LocalBasis("x", 2).projector(0), np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("kind,dim", [("z", 2), ("x", 2), ("y", 2), ("z", 4), ("fourier", 4)])
@@ -89,7 +91,7 @@ def test_exchange_swaps_projectors():
 
 def test_level_out_of_range():
     with pytest.raises(ValueError):
-        local_projector(LocalBasis("z", 2), 2)
+        LocalBasis("z", 2).projector(2)
 
 
 # ---------------------------------------------------------------------------
@@ -98,33 +100,32 @@ def test_level_out_of_range():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ghz4_party_z_expectations(n):
-    pair = ghz4_party_z(n)
+    c0, c1 = _dense(ghz4_party_z(n))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
-        assert abs(expectation(pair.c0, state) - math.cos(theta) ** 2) < 1e-12
-        assert abs(expectation(pair.c1, state) - math.sin(theta) ** 2) < 1e-12
+        assert abs(expectation(c0, state) - math.cos(theta) ** 2) < 1e-12
+        assert abs(expectation(c1, state) - math.sin(theta) ** 2) < 1e-12
 
 
 def test_ghz4_party_z_matrix():
-    pair = ghz4_party_z(1)
     expected = np.zeros((16, 16))
     expected[0, 0] = 1.0
     expected[8, 8] = -1.0
-    assert np.allclose(pair.c0.matrix, expected)
+    assert np.allclose(_dense(ghz4_party_z(1))[0].matrix, expected)
 
 
 def test_ghz4_party_z_on_all_ones():
-    assert expectation(ghz4_party_z(2).c0, _basis_state(QUBIT4, 15)) == 0.0
+    assert expectation(_dense(ghz4_party_z(2))[0], _basis_state(QUBIT4, 15)) == 0.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_ghz4_pair_z_expectations(m):
-    pair = ghz4_pair_z(1, m)
+    c0, c1 = _dense(ghz4_pair_z(1, m))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
-        assert abs(expectation(pair.c0, state) - math.cos(theta) ** 2) < 1e-12
-        assert abs(expectation(pair.c1, state) - math.sin(theta) ** 2) < 1e-12
-    assert expectation(pair.c0, _basis_state(QUBIT4, 0b0011)) == 0.0
+        assert abs(expectation(c0, state) - math.cos(theta) ** 2) < 1e-12
+        assert abs(expectation(c1, state) - math.sin(theta) ** 2) < 1e-12
+    assert expectation(c0, _basis_state(QUBIT4, 0b0011)) == 0.0
 
 
 def test_ghz4_pair_z_rejects_equal_parties():
@@ -138,12 +139,12 @@ def test_ghz4_pair_z_rejects_equal_parties():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ghz4_party_x_expectations(n):
-    pair = ghz4_party_x(n)
+    c0, c1 = _dense(ghz4_party_x(n))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
         expected = math.sin(2 * theta) * math.cos(phi) / 2
-        assert abs(expectation(pair.c0, state) - expected) < 1e-12
-        assert abs(expectation(pair.c1, state) - expected) < 1e-12
+        assert abs(expectation(c0, state) - expected) < 1e-12
+        assert abs(expectation(c1, state) - expected) < 1e-12
 
 
 def test_ghz4_party_x_vanishes_at_quarter_phase():
@@ -152,17 +153,18 @@ def test_ghz4_party_x_vanishes_at_quarter_phase():
     amps[0] = math.cos(math.pi / 4)
     amps[15] = 1j * math.sin(math.pi / 4)
     state = PureState(amps, QUBIT4)
-    pair = ghz4_party_x(1)
-    assert abs(expectation(pair.c0, state)) < 1e-12
-    assert abs(expectation(pair.c1, state)) < 1e-12
+    c0, c1 = _dense(ghz4_party_x(1))
+    assert abs(expectation(c0, state)) < 1e-12
+    assert abs(expectation(c1, state)) < 1e-12
 
 
 def test_ghz4_party_z_sign_rule_on_products():
     pair = ghz4_party_z(1)
+    c0, c1 = _dense(pair)
     rng = np.random.default_rng(101)
     for _ in range(500):
         state = random_product_state(QUBIT4, pair.cut, rng)
-        assert expectation(pair.c0, state) * expectation(pair.c1, state) <= 1e-12
+        assert expectation(c0, state) * expectation(c1, state) <= 1e-12
 
 
 def test_ghz4_all_pairs_sign_rule():
@@ -173,7 +175,7 @@ def test_ghz4_all_pairs_sign_rule():
 def test_z_sum_closed_form():
     total = np.zeros((16, 16), dtype=complex)
     for pair in ghz4_z_pairs():
-        total += pair.c0.matrix + pair.c1.matrix
+        total += sum(op.matrix for op in _dense(pair))
     closed = -np.eye(16, dtype=complex)
     closed[0, 0] += 8.0
     closed[15, 15] += 8.0
@@ -183,7 +185,7 @@ def test_z_sum_closed_form():
 def test_x_sum_closed_form():
     total = np.zeros((16, 16), dtype=complex)
     for pair in ghz4_x_pairs():
-        total += pair.c0.matrix + pair.c1.matrix
+        total += sum(op.matrix for op in _dense(pair))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     closed = 4.0 * np.kron(np.kron(sx, sx), np.kron(sx, sx))
     assert np.max(np.abs(total - closed)) <= 1e-12
@@ -210,15 +212,15 @@ def _singlet_weighted_members():
         pairs = singlet_correlators(kind)
         for weight, group in ((5.0, pairs[:4]), (1.0, pairs[4:])):
             for pair in group:
-                yield weight, pair.c0
-                yield weight, pair.c1
+                for op in _dense(pair):
+                    yield weight, op
 
 
 #: builder -> (weighted public members, closed form from projector sums)
 COMBINED = {
     "C_phi": (
         build_C_phi,
-        lambda: ((1.0, op) for p in ghz4_z_pairs() + ghz4_x_pairs() for op in (p.c0, p.c1)),
+        lambda: ((1.0, op) for p in ghz4_z_pairs() + ghz4_x_pairs() for op in _dense(p)),
         lambda: _projector_sum("z", QUBIT4, lambda s: 8 * (len(set(s)) == 1) - 1)
         + _projector_sum("x", QUBIT4, lambda s: 4 * (-1) ** sum(s)),
     ),
@@ -230,7 +232,7 @@ COMBINED = {
     "C_ghz4x3": (
         build_C_ghz4x3,
         lambda: (
-            (1.5 if f.basis == "z" else 1.0, op) for f in all_ghz4x3_families() for op in f.members
+            (1.5 if f.basis == "z" else 1.0, op) for f in all_ghz4x3_families() for op in _dense(f)
         ),
         lambda: 1.5 * _projector_sum("z", QUDIT4X3, lambda s: {1: 27, 2: -3, 3: 0}[len(set(s))])
         + _projector_sum("fourier", QUDIT4X3, lambda s: 36 * (sum(s) % 4 == 0) - 9),
@@ -290,19 +292,18 @@ def test_singlet_correlator_values(kind):
     pairs = singlet_correlators(kind)
     assert len(pairs) == 8
     for pair in pairs[:4]:
-        assert abs(expectation(pair.c0, state) - 1 / 3) < 1e-10
-        assert abs(expectation(pair.c1, state) - 1 / 3) < 1e-10
+        for op in _dense(pair):
+            assert abs(expectation(op, state) - 1 / 3) < 1e-10
     for pair in pairs[4:]:
-        assert abs(expectation(pair.c0, state) - 1 / 6) < 1e-10
-        assert abs(expectation(pair.c1, state) - 1 / 6) < 1e-10
+        for op in _dense(pair):
+            assert abs(expectation(op, state) - 1 / 6) < 1e-10
 
 
 def test_singlet_flip_pair_matrix():
-    pair = singlet_flip_pair("z", 1)
     expected = np.zeros((16, 16))
     expected[0b0011, 0b0011] = 1.0
     expected[0b1011, 0b1011] = -1.0
-    assert np.allclose(pair.c0.matrix, expected)
+    assert np.allclose(_dense(singlet_flip_pair("z", 1))[0].matrix, expected)
 
 
 def test_singlet_sign_rule_on_products():
@@ -342,21 +343,22 @@ def test_ghz4x3_family_values(kind, n):
     state = ghz_4x3()
     for j in range(1, 10):
         family = ghz4x3_correlators(kind, n, j)
-        assert len(family.members) == 4
+        members = _dense(family)
+        assert len(members) == 4
         assert family.arity == 4
-        for member in family.members:
+        for member in members:
             assert abs(expectation(member, state) - 0.25) < 1e-10
 
 
 def test_ghz4x3_cyclic_shift_family_explicit():
     # the cyclic shift k -> k+1 mod 4 sits at lexicographic index j=2
-    family = ghz4x3_correlators("z", 1, 2)
+    members = _dense(ghz4x3_correlators("z", 1, 2))
     eye = np.eye(4, dtype=complex)
     for k in range(4):
         proj = lambda level: np.outer(eye[level], eye[level])  # noqa: E731
         first = proj(k) - proj((k + 1) % 4)
         expected = np.kron(first, np.kron(proj(k), proj(k)))
-        assert np.allclose(family.members[k].matrix, expected, atol=1e-12)
+        assert np.allclose(members[k].matrix, expected, atol=1e-12)
 
 
 def test_ghz4x3_cyclic_shift_fourier_family_explicit():
@@ -368,11 +370,11 @@ def test_ghz4x3_cyclic_shift_fourier_family_explicit():
         2: ((0, 2), (1, 1), (2, 0), (3, 3)),
         3: ((0, 1), (1, 0), (2, 3), (3, 2)),
     }
-    family = ghz4x3_correlators("f", 1, 2)
+    members = _dense(ghz4x3_correlators("f", 1, 2))
     for k in range(4):
         pair_sum = sum(np.kron(proj(l), proj(r)) for l, r in listed_pairs[k])
         expected = np.kron(proj(k) - proj((k + 1) % 4), pair_sum)
-        assert np.allclose(family.members[k].matrix, expected, atol=1e-12)
+        assert np.allclose(members[k].matrix, expected, atol=1e-12)
 
 
 def test_ghz4x3_bad_indices():
@@ -387,13 +389,13 @@ def test_ghz4x3_bad_indices():
 def test_families_share_their_72_distinct_members():
     # member k depends on the permutation only through s_k
     families = all_ghz4x3_families()
-    assert len({id(m) for f in families for m in f.members}) == 72
+    assert len({(f.basis, t.tobytes()) for f in families for t in f.tables}) == 72
     for family in families:
         n, j = family.cut[0], int(family.label.rsplit(".j", 1)[1])
         alone = ghz4x3_correlators(family.basis, n, j)
         assert alone.label == family.label
-        for shared, own in zip(family.members, alone.members):
-            assert np.array_equal(shared.matrix, own.matrix)
+        for shared, own in zip(family.tables, alone.tables):
+            assert np.array_equal(shared, own)
 
 
 def test_build_C_ghz4x3_values():
@@ -445,7 +447,7 @@ def test_product_of_members_never_all_positive_manually():
     rng = np.random.default_rng(55)
     for _ in range(50):
         state = random_product_state(QUDIT4X3, family.cut, rng)
-        values = [expectation(m, state) for m in family.members]
+        values = [expectation(m, state) for m in _dense(family)]
         assert min(values) <= 1e-12
 
 
@@ -565,11 +567,11 @@ def test_batched_counts_match_scalar_loop():
     nonzero = 0
     for seed in range(10):
         for i, pair in enumerate(pairs):
-            expected = _reference_count((pair.c0, pair.c1), pair.cut, trials, 31 * seed + i, _pair_violated)
+            expected = _reference_count(_dense(pair), pair.cut, trials, 31 * seed + i, _pair_violated)
             assert count_prop1_violations(pair, trials, 31 * seed + i) == expected, pair.label
             nonzero += expected > 0
         for i, family in enumerate(families):
-            expected = _reference_count(family.members, family.cut, trials, 97 * seed + i, _family_violated)
+            expected = _reference_count(_dense(family), family.cut, trials, 97 * seed + i, _family_violated)
             assert count_prop2_violations(family, trials, 97 * seed + i) == expected, family.label
             nonzero += expected > 0
     # the flipped variants make the comparison more than 0 == 0
@@ -607,7 +609,7 @@ def test_batch_runs_the_scalar_checks(monkeypatch):
     state = random_product_state(QUDIT4X3, family.cut, np.random.default_rng(1))
     monkeypatch.setattr(core, "IMAG_TOL", -1.0)
     with pytest.raises(ValueError, match="imaginary residue"):
-        expectation(family.members[0], state)
+        expectation(_dense(family)[0], state)
     monkeypatch.setattr(core, "STRUCTURAL_TOL", -1.0)
     with pytest.raises(ValueError, match="norm"):
         random_product_states(QUDIT4X3, (1,), 3, np.random.default_rng(1))
@@ -662,7 +664,7 @@ def test_table_expectations_equal_dense_expectations():
     checked = 0
     for records, states in ((pairs, qubit_states), (families, qudit_states)):
         for record in records:
-            dense = record.members if isinstance(record, CorrelatorFamily) else (record.c0, record.c1)
+            dense = _dense(record)
             for state in states:
                 values = record.expectations(state)
                 reference = [expectation(op, state) for op in dense]
@@ -761,5 +763,3 @@ def test_sign_suites_build_no_dense_correlator(monkeypatch, capsys):
     assert main(["proptest", "--trials", "20", "--format", "json"]) == 0
     capsys.readouterr()
     assert built == []
-    ghz4_party_z(1).c0
-    assert built == ["_operator", "HermitianOperator"]

@@ -28,6 +28,7 @@ from qcorr import (
     spectral_norm,
     verify_dominance,
 )
+from qcorr import witnesses
 from qcorr.witnesses import (
     GHZ4_CASES,
     GHZ4_WITNESS_GRID,
@@ -36,6 +37,7 @@ from qcorr.witnesses import (
     SEESAW_TIE_TOL,
     SINGLET_ALPHA,
     SINGLET_GAMMA,
+    ProjectorWitness,
     WitnessNeverFiresError,
     _seesaw_cut,
     biseparable_max,
@@ -63,6 +65,38 @@ def test_projector_witness_qudits():
     for d in range(2, 9):
         wp = projector_witness(max_entangled_qudit(d))
         assert abs(wp.alpha_p - 1.0 / d) < 1e-10
+
+
+def test_projector_witness_derives_its_constant_in_one_pass(monkeypatch):
+    # one squared Schmidt coefficient per cut, computed by the constructor only
+    calls = []
+    schmidt = witnesses.schmidt_max_sq
+
+    def spy(state, cut):
+        calls.append(cut)
+        return schmidt(state, cut)
+
+    monkeypatch.setattr(witnesses, "schmidt_max_sq", spy)
+    wp = projector_witness(singlet4())
+    assert isinstance(wp, ProjectorWitness) and wp.alpha_p == pytest.approx(0.75, abs=1e-10)
+    assert calls == bipartitions(4)
+    assert ProjectorWitness(singlet4()).alpha_p == wp.alpha_p
+    with pytest.raises(TypeError):
+        ProjectorWitness(0.75, singlet4())
+
+
+def test_dominance_builds_the_witness_operator_once(monkeypatch):
+    built = []
+    operator = witnesses.Witness.operator
+
+    def spy(self):
+        built.append(self)
+        return operator(self)
+
+    monkeypatch.setattr(witnesses.Witness, "operator", spy)
+    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    assert verify_dominance(witness, projector_witness(singlet4()), SINGLET_GAMMA).passed
+    assert built == [witness]
 
 
 def test_witness_grid_values():
