@@ -1,13 +1,16 @@
 """d-level bipartite Bell functional: quantum value, closed form, exhaustive
 deterministic local-model maximization, and noise thresholds.
 
-Each of the four correlation functions reads only 2d joint detection events,
-and the deterministic local bound of the full functional is 2 for every d.
+Each of the four correlation functions reads only 2d joint detection events
+from one d x d outcome table (`core.outcome_probabilities` with the pair's two
+setting bases), and the deterministic local bound of the full functional is 2
+for every d.
 
 Every term of the functional depends only on a residue sum of two outcomes,
-and t21 = t11 - t12 + t22 (mod d), so the local search tabulates the value of
-each residue triple (t11, t12, t22) once: d^3 entries, each reached by exactly
-d assignments. `bell_report` keeps only the maximum and the maximizer count;
+with the coefficients in `RESIDUES` (read by the quantum correlators and by the
+local residue table alike), and t21 = t11 - t12 + t22 (mod d), so the local
+search tabulates the value of each residue triple (t11, t12, t22) once: d^3
+entries, each reached by exactly d assignments. `bell_report` keeps only the maximum and the maximizer count;
 `lhv_max` rebuilds the maximizing assignments when asked. The search is still
 refused past `ENUMERATION_GUARD`.
 """
@@ -21,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import DensityMatrix, PureState, WhiteNoiseState
+from .core import outcome_probabilities
 from .states import max_entangled_qudit
 
 #: Phase offsets of the four local observables, keyed by (party, setting).
@@ -33,6 +36,17 @@ OFFSETS: dict[tuple[int, int], Fraction] = {
 }
 
 SETTING_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+#: The functional's coefficients, keyed by setting pair (i, j): its term for
+#: the pair is [v1 + v2 = plus] - [v1 + v2 = minus] (mod d), with v1 party 1's
+#: outcome under setting i and v2 party 2's under setting j.  The correlators
+#: and the local residue table both read them from here.
+RESIDUES: dict[tuple[int, int], tuple[int, int]] = {
+    (1, 1): (0, -1),
+    (1, 2): (0, 1),
+    (2, 1): (-1, 0),
+    (2, 2): (0, -1),
+}
 
 #: The exhaustive local search (over d^3 residue triples, standing for all d^4
 #: deterministic assignments) refuses dimensions past this point.
@@ -75,18 +89,9 @@ def setting_vector(ms: MeasurementSetting, l: int) -> np.ndarray:
     return setting_basis(ms)[:, int(l)]
 
 
-def _pure_table(state: PureState, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    d = u1.shape[0]
-    return np.abs(u1.conj().T @ state.amplitudes.reshape(d, d) @ u2.conj()) ** 2
-
-
 def outcome_table(state, s1: MeasurementSetting, s2: MeasurementSetting) -> np.ndarray:
-    """Joint outcome probabilities P[v1, v2] of one setting pair, by one contraction.
-
-    Pure states give |U1^H Psi U2^*|^2; density matrices are contracted with
-    U1 x U2 on the right (two d^5 steps) and their diagonal read against the
-    conjugate bases; white-noise mixtures give (1-p) P_pure + p/d^2.
-    """
+    """Joint outcome probabilities P[v1, v2] of one setting pair
+    (`core.outcome_probabilities` with the two setting bases)."""
     if s1.party != 1 or s2.party != 2:
         raise ValueError("first setting must belong to party 1, second to party 2")
     d = s1.dimension
@@ -94,18 +99,7 @@ def outcome_table(state, s1: MeasurementSetting, s2: MeasurementSetting) -> np.n
         raise ValueError(
             f"state structure {state.structure.dims} does not match settings of dimension {d}"
         )
-    u1, u2 = setting_basis(s1), setting_basis(s2)
-    if isinstance(state, PureState):
-        return _pure_table(state, u1, u2)
-    if isinstance(state, WhiteNoiseState):
-        return (1.0 - state.p) * _pure_table(state.pure, u1, u2) + state.p / d**2
-    if isinstance(state, DensityMatrix):
-        rho = state.matrix.reshape(d, d, d, d)
-        right = np.tensordot(np.tensordot(rho, u1, axes=(2, 0)), u2, axes=(2, 0))
-        return np.einsum("av,bw,abvw->vw", u1.conj(), u2.conj(), right).real
-    raise TypeError(
-        f"expected PureState, DensityMatrix or WhiteNoiseState, got {type(state).__name__}"
-    )
+    return outcome_probabilities(state, (setting_basis(s1), setting_basis(s2)))
 
 
 def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v2: int) -> float:
@@ -117,24 +111,15 @@ def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v
     return float(table[int(v1), int(v2)])
 
 
-def _outcome_pairs(d: int, i: int, j: int, m):
-    """Party-1 outcomes (positive term, negative term) paired with v2 = m."""
-    if (i, j) == (1, 2):
-        return (-m) % d, (1 - m) % d
-    if (i, j) == (2, 1):
-        return (d - m - 1) % d, (-m) % d
-    if i == j:
-        return (-m) % d, (d - m - 1) % d
-    raise ValueError(f"unknown setting pair {(i, j)}")
-
-
 def _correlators(state, i: int, j: int) -> np.ndarray:
-    """The d correlators of setting pair (i, j), read from one outcome table."""
+    """The d correlators of setting pair (i, j), read from one outcome table:
+    at v2 = m, P(v1 + m = plus) - P(v1 + m = minus) (mod d), with the
+    residues (plus, minus) of `RESIDUES`."""
     d = state.structure.dims[0]
     table = outcome_table(state, MeasurementSetting(1, i, d), MeasurementSetting(2, j, d))
+    plus, minus = RESIDUES[(i, j)]
     m = np.arange(d)
-    plus, minus = _outcome_pairs(d, i, j, m)
-    return table[plus, m] - table[minus, m]
+    return table[(plus - m) % d, m] - table[(minus - m) % d, m]
 
 
 def correlator_m(state, i: int, j: int, m: int) -> float:
@@ -222,17 +207,17 @@ def lhv_residue_table(d: int) -> np.ndarray:
     if d > ENUMERATION_GUARD:
         raise ValueError(f"dimension {d} exceeds the enumeration guard {ENUMERATION_GUARD}")
     r = np.arange(d)
-    zero = (r == 0).astype(np.int8)
-    one = (r == 1).astype(np.int8)
-    minus_one = ((-r) % d == 1).astype(np.int8)
-    c11 = zero - minus_one  # also the t22 term
-    c12 = zero - one
-    c21 = minus_one - zero
+    # Row k holds setting pair k's term at each residue: +1 at plus, -1 at minus.
+    coefficients = np.zeros((len(SETTING_PAIRS), d), dtype=np.int8)
+    for row, pair in zip(coefficients, SETTING_PAIRS):
+        plus, minus = RESIDUES[pair]
+        row[plus % d], row[minus % d] = 1, -1
+    c11, c12, c21, c22 = coefficients
     # shifted[u, t22] = c21[(u + t22) % d], gathered at u = t11 - t12.
     shifted = c21[(r[:, None] + r[None, :]) % d]
     values = shifted[(r[:, None] - r[None, :]) % d]
     values += (c11[:, None] + c12[None, :])[:, :, None]
-    values += c11
+    values += c22
     return values
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: recompute every headline number and emit a report.
 
 Exit status: 0 all checks pass, 1 at least one check failed, 2 usage error,
-3 numerical failure (eigensolver breakdown, non-firing witness, ...).
+3 numerical failure (eigensolver breakdown, non-firing witness, ...) or out
+of memory (a dimension or restart count too large to allocate).
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def run_singlet(args) -> Report:
     flips, groups, kinds = [], [], set()
     for kind in ("z", "x", "y"):
         pairs = singlet_correlators(kind)
-        kinds.update(p.basis for p in pairs)
+        kinds.update(p.setting.kind for p in pairs)
         flips.extend(v for pair in pairs[:4] for v in pair.expectations(state).tolist())
         groups.extend(v for pair in pairs[4:] for v in pair.expectations(state).tolist())
     lo, hi = min(flips), max(flips)
@@ -129,7 +130,7 @@ def run_ghz4x3(args) -> Report:
     state = ghz_4x3()
     values, kinds = [], set()
     for family in all_ghz4x3_families():
-        kinds.add(family.basis)
+        kinds.add(family.setting.kind)
         values.extend(family.expectations(state).tolist())
     lo, hi = min(values), max(values)
     report.add_result("family_expectation_min", lo)
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
         report = RUNNERS[args.command](args)
     except (core.EigensolverError, WitnessNeverFiresError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

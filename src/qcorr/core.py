@@ -249,6 +249,41 @@ def expectation(
     return float(val.real)
 
 
+def outcome_probabilities(state: PureState | DensityMatrix | WhiteNoiseState, unitaries) -> np.ndarray:
+    """<u_s|state|u_s> for every outcome string s, shaped like the party structure.
+
+    `unitaries` holds one d_k x d_k unitary array per party, its columns the
+    basis vectors; u_s is the product of column s_k of each.  Each party is
+    contracted by one matmul on the vector reshaped to (d_k, -1), which moves
+    that party's axis to the end, so no D x D unitary is formed.  A pure state
+    is contracted conjugated, as |<u_s|psi>|^2 = |sum_x U[x, s] psi[x]^*|^2.
+    A density matrix takes the same steps over its 2n axes (conjugate bases on
+    the rows, bases on the columns) and its diagonal is read; a white-noise
+    mixture gives (1-p) P_pure + p/D.
+    """
+    if isinstance(state, WhiteNoiseState):
+        probs = outcome_probabilities(state.pure, unitaries)
+        return (1.0 - state.p) * probs + state.p / probs.size
+    if isinstance(state, PureState):
+        vector, factors = state.amplitudes.conj(), unitaries
+    elif isinstance(state, DensityMatrix):
+        vector, factors = state.matrix, [u.conj() for u in unitaries] + list(unitaries)
+    else:
+        raise TypeError(
+            f"expected PureState, DensityMatrix or WhiteNoiseState, got {type(state).__name__}"
+        )
+    dims = state.structure.dims
+    shapes = [u.shape for u in unitaries]
+    if shapes != [(d, d) for d in dims]:
+        raise ValueError(f"unitaries of shapes {shapes} do not match party structure {dims}")
+    for factor in factors:
+        # ndarray.dot: the same product as @, with less call overhead on small matrices
+        vector = vector.reshape(factor.shape[0], -1).T.dot(factor)
+    if isinstance(state, PureState):
+        return (np.abs(vector) ** 2).reshape(dims)
+    return vector.reshape(state.structure.dim, -1).diagonal().real.reshape(dims).copy()
+
+
 def _spectrum(op: HermitianOperator) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(op.matrix)

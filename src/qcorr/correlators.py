@@ -16,8 +16,10 @@ every party.  Each member counts a set of strings minus the same set with the
 cut party's outcome moved; the combined operators sum the member tables of a
 setting exactly and check the sum against its closed form.  A correlator's
 expectation is sum_s t[s] P(s), with P the state's outcome distribution in the
-setting, so correlator records hold their outcome tables only, and no dense
-member is ever built; only the combined operators are dense.
+setting (`core.outcome_probabilities` with the setting's basis on every
+party), so correlator records hold their setting, outcome tables, label and
+cut only, and no dense member is ever built; only the combined operators are
+dense.
 
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
@@ -36,7 +38,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import core
-from .core import DensityMatrix, HermitianOperator, PartyStructure, PureState, WhiteNoiseState
+from .core import HermitianOperator, PartyStructure, PureState
 from .core import _frozen, _split_axes
 from .states import QUBIT4, QUDIT4X3
 
@@ -122,10 +124,6 @@ class _OutcomeTables:
             raise ValueError("member tables must share one shape")
         if not shape or any(n != self.setting.dimension for n in shape):
             raise ValueError(f"table shape {shape} does not match setting dimension {self.setting.dimension}")
-        named = [b for b in (_QUBIT_BASES.get(self.basis), _QUDIT4_BASES.get(self.basis)) if b is not None]
-        spec = (self.setting.kind, self.setting.dimension, self.setting.offset)
-        if spec not in [(b.kind, b.dimension, b.offset) for b in named]:
-            raise ValueError(f"basis {self.basis!r} does not name the setting {spec[0]}, dimension {spec[1]}")
         cut, n = self.cut, len(shape)
         if not cut or len(set(cut)) < len(cut) or len(cut) >= n or not all(1 <= p <= n for p in cut):
             raise ValueError(f"cut {cut} must be distinct parties of 1..{n}, not all of them")
@@ -147,7 +145,6 @@ class CorrelatorPair(_OutcomeTables):
     setting: LocalBasis
     tables: tuple[np.ndarray, np.ndarray]
     label: str
-    basis: str
     cut: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -162,15 +159,8 @@ class CorrelatorFamily(_OutcomeTables):
 
     setting: LocalBasis
     tables: tuple[np.ndarray, ...]
-    arity: int
     label: str
-    basis: str
     cut: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.arity != len(self.tables):
-            raise ValueError(f"arity {self.arity} does not match {len(self.tables)} tables")
 
 
 #: Outcome strings as index grids: `_BITS[p - 1]` holds party p's outcome at
@@ -196,31 +186,13 @@ def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
     return HermitianOperator((unitary * table.reshape(-1)) @ unitary.conj().T, PartyStructure(table.shape))
 
 
-def _probabilities(amplitudes: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """|U^dagger v|^2 for the vector v, or for each row of a batch."""
-    return np.abs(amplitudes.conj() @ unitary) ** 2
-
-
 def outcome_distribution(basis: LocalBasis, state) -> np.ndarray:
     """Probabilities of the outcome strings of `basis` on every party, shaped
-    like the party structure: |U^dagger psi|^2 for pure states, the diagonal
-    of U^dagger rho U for density matrices, (1-p) P_pure + p/D for white-noise
-    mixtures."""
+    like the party structure (`core.outcome_probabilities`)."""
     dims = state.structure.dims
     if any(d != basis.dimension for d in dims):
         raise ValueError(f"state structure {dims} does not match setting dimension {basis.dimension}")
-    unitary = _unitary(basis, len(dims))
-    if isinstance(state, PureState):
-        probs = _probabilities(state.amplitudes, unitary)
-    elif isinstance(state, WhiteNoiseState):
-        probs = (1.0 - state.p) * _probabilities(state.pure.amplitudes, unitary) + state.p / unitary.shape[0]
-    elif isinstance(state, DensityMatrix):
-        probs = np.sum((unitary.conj().T @ state.matrix) * unitary.T, axis=1).real
-    else:
-        raise TypeError(
-            f"expected PureState, DensityMatrix or WhiteNoiseState, got {type(state).__name__}"
-        )
-    return probs.reshape(dims)
+    return core.outcome_probabilities(state, [basis._vectors] * len(dims))
 
 
 def _string(shape: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
@@ -248,7 +220,7 @@ def _check_qubit_party(n: int) -> None:
 
 
 def _qubit_pair(kind: str, tables, label: str, cut: tuple[int, ...]) -> CorrelatorPair:
-    return CorrelatorPair(_QUBIT_BASES[kind], tables, label=label, basis=kind, cut=cut)
+    return CorrelatorPair(_QUBIT_BASES[kind], tables, label=label, cut=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +389,7 @@ def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
     return CorrelatorFamily(
         _QUDIT4_BASES[basis_kind],
         tuple(_ghz4x3_table(basis_kind, n, k, shifts[k]) for k in range(4)),
-        arity=4,
         label=f"ghz4x3.{basis_kind}.n{n}.j{j}",
-        basis=basis_kind,
         cut=(n,),
     )
 
@@ -557,7 +527,7 @@ def _suite_signs(record, trials: int, seed: int):
     rng = np.random.default_rng(seed)
     for start in range(0, trials, CHUNK_ROWS):
         sides = _side_vectors(dim_a, structure.dim // dim_a, min(CHUNK_ROWS, trials - start), rng)
-        probs_a, probs_b = (_probabilities(v, u) for v, u in zip(sides, unitaries))
+        probs_a, probs_b = (np.abs(v.conj() @ u) ** 2 for v, u in zip(sides, unitaries))
         dev = np.abs(np.concatenate([probs_a.sum(axis=1), probs_b.sum(axis=1)]) - 1.0)
         if not np.all(dev <= core.STRUCTURAL_TOL):
             raise ValueError(f"outcome probabilities sum to 1 +- {np.max(dev)!r}, beyond tolerance")

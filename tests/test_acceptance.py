@@ -105,7 +105,7 @@ def test_criterion_03_singlet_pipeline():
     ok = ok and abs(delta - 15.0 / 88.0) <= 1e-6
     cert = verify_dominance(witness, projector_witness(state), SINGLET_GAMMA)
     ok = ok and cert.passed
-    lms = {p.basis for kind in ("z", "x", "y") for p in singlet_correlators(kind)}
+    lms = {p.setting.kind for kind in ("z", "x", "y") for p in singlet_correlators(kind)}
     ok = ok and len(lms) == 3
     _verdict("03 singlet pipeline", ok, f"delta={delta:.8f} min_eig={cert.min_eig:.2e} lms={len(lms)}")
 
@@ -120,7 +120,7 @@ def test_criterion_04_ghz4x3_pipeline():
     ok = ok and abs(delta - 0.4) <= 1e-3
     cert = verify_dominance(witness, projector_witness(state), GHZ4X3_GAMMA)
     ok = ok and cert.passed
-    lms = {f.basis for f in families}
+    lms = {f.setting.kind for f in families}
     ok = ok and len(lms) == 2
     _verdict("04 ghz4x3 pipeline", ok, f"delta={delta:.6f} min_eig={cert.min_eig:.2e} lms={len(lms)}")
 

@@ -360,3 +360,23 @@ def test_detection_event_miss_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(bell, "correlation", lambda state, i, j: (0.0, 1))
     with pytest.raises(BellInvariantError, match="detection-event"):
         bell_report(3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_correlations_on_assigned_eigenvectors_are_lhv_value(d):
+    # Every deterministic assignment: on the product of the assigned setting
+    # eigenvectors, the four correlations sum to the local model's value, so
+    # the quantum and local sides read the same coefficients.
+    structure = PartyStructure((d, d))
+    vectors = {
+        (party, setting): [setting_vector(MeasurementSetting(party, setting, d), l) for l in range(d)]
+        for party in (1, 2)
+        for setting in (1, 2)
+    }
+    for v11, v21, v12, v22 in product(range(d), repeat=4):
+        outcome = {(1, 1): v11, (1, 2): v12, (2, 1): v21, (2, 2): v22}
+        total = 0.0
+        for i, j in SETTING_PAIRS:
+            u, w = vectors[(1, i)][outcome[(1, i)]], vectors[(2, j)][outcome[(2, j)]]
+            total += correlation(PureState(np.kron(u, w), structure), i, j)[0]
+        assert abs(total - lhv_value(LhvAssignment(v11, v21, v12, v22), d)) <= 1e-9

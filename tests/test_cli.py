@@ -200,3 +200,34 @@ def test_proptest_rejects_empty_suites(capsys):
 def test_bad_tolerances_are_usage_errors(capsys, argv, flag):
     assert main(argv) == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [(["bell", "100000"], "bell_report"), (["table1", "--restarts", "100000000"], "biseparable_max")],
+)
+def test_out_of_memory_is_a_numerical_failure(capsys, monkeypatch, argv, target):
+    import qcorr.cli as cli
+
+    def _oom(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, target, _oom)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
+def test_console_script_entry_point(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    import importlib
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["qcorr"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry(["table2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "table2"

@@ -7,6 +7,7 @@ from qcorr import (
     HermitianOperator,
     PartyStructure,
     PureState,
+    WhiteNoiseState,
     bipartitions,
     combine_bipartite,
     expectation,
@@ -16,6 +17,7 @@ from qcorr import (
     kron,
     max_entangled_qudit,
     min_eigenvalue,
+    outcome_probabilities,
     schmidt_max_sq,
     spectral_norm,
 )
@@ -227,3 +229,41 @@ def test_combine_bipartite_round_trip():
     flat = tensor.transpose(1, 0, 2).reshape(2, 4)
     assert abs(schmidt_max_sq(state, (2,)) - 1.0) < 1e-12
     assert np.linalg.matrix_rank(flat, tol=1e-10) == 1
+
+
+def _random_unitary(rng, dim):
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(mat)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (4, 4, 4), (5, 5)])
+def test_outcome_probabilities_match_dense_reference(dims):
+    rng = np.random.default_rng(sum(dims))
+    unitaries = [_random_unitary(rng, d) for d in dims]
+    dense = unitaries[0]
+    for u in unitaries[1:]:
+        dense = np.kron(dense, u)
+    pure = _random_state(rng, dims)
+    noisy = WhiteNoiseState(pure, 0.3)
+    for state in (pure, pure.density(), noisy):
+        rho = pure.projector().matrix if state is pure else state.matrix
+        reference = np.diag(dense.conj().T @ rho @ dense).real
+        probs = outcome_probabilities(state, unitaries)
+        assert probs.shape == dims
+        assert np.max(np.abs(probs.reshape(-1) - reference)) <= 1e-12, type(state).__name__
+
+
+def test_outcome_probabilities_reject_bad_input():
+    rng = np.random.default_rng(5)
+    dims = (2, 3, 2)
+    unitaries = [_random_unitary(rng, d) for d in dims]
+    state = _random_state(rng, dims)
+    with pytest.raises(ValueError, match="do not match"):
+        outcome_probabilities(state, unitaries[:2])
+    with pytest.raises(ValueError, match="do not match"):
+        outcome_probabilities(state.density(), [unitaries[1], unitaries[0], unitaries[2]])
+    with pytest.raises(ValueError, match="do not match"):
+        outcome_probabilities(WhiteNoiseState(state, 0.5), [np.eye(2), np.eye(3)[:, :2], np.eye(2)])
+    with pytest.raises(TypeError, match="expected PureState"):
+        outcome_probabilities(state.projector(), unitaries)

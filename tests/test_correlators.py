@@ -232,7 +232,7 @@ COMBINED = {
     "C_ghz4x3": (
         build_C_ghz4x3,
         lambda: (
-            (1.5 if f.basis == "z" else 1.0, op) for f in all_ghz4x3_families() for op in _dense(f)
+            (1.5 if f.setting.kind == "z" else 1.0, op) for f in all_ghz4x3_families() for op in _dense(f)
         ),
         lambda: 1.5 * _projector_sum("z", QUDIT4X3, lambda s: {1: 27, 2: -3, 3: 0}[len(set(s))])
         + _projector_sum("fourier", QUDIT4X3, lambda s: 36 * (sum(s) % 4 == 0) - 9),
@@ -345,7 +345,6 @@ def test_ghz4x3_family_values(kind, n):
         family = ghz4x3_correlators(kind, n, j)
         members = _dense(family)
         assert len(members) == 4
-        assert family.arity == 4
         for member in members:
             assert abs(expectation(member, state) - 0.25) < 1e-10
 
@@ -389,10 +388,10 @@ def test_ghz4x3_bad_indices():
 def test_families_share_their_72_distinct_members():
     # member k depends on the permutation only through s_k
     families = all_ghz4x3_families()
-    assert len({(f.basis, t.tobytes()) for f in families for t in f.tables}) == 72
+    assert len({(f.setting.kind, t.tobytes()) for f in families for t in f.tables}) == 72
     for family in families:
         n, j = family.cut[0], int(family.label.rsplit(".j", 1)[1])
-        alone = ghz4x3_correlators(family.basis, n, j)
+        alone = ghz4x3_correlators(family.label.split(".")[1], n, j)
         assert alone.label == family.label
         for shared, own in zip(family.tables, alone.tables):
             assert np.array_equal(shared, own)
@@ -471,14 +470,14 @@ def test_basis_product_states_of_own_setting_are_no_violations():
         pairs.extend(singlet_correlators(kind))
     assert len(pairs) == 35
     for pair in pairs:
-        for state in _basis_product_states(QUBIT4, qubit_bases[pair.basis]):
+        for state in _basis_product_states(QUBIT4, qubit_bases[pair.setting.kind]):
             assert not prop1_test(pair, state), pair.label
 
-    qudit_bases = {"z": LocalBasis("z", 4), "f": LocalBasis("fourier", 4)}
+    qudit_bases = {"z": LocalBasis("z", 4), "fourier": LocalBasis("fourier", 4)}
     families = all_ghz4x3_families()
     assert len(families) == 54
     for family in families:
-        states = list(_basis_product_states(QUDIT4X3, qudit_bases[family.basis]))
+        states = list(_basis_product_states(QUDIT4X3, qudit_bases[family.setting.kind]))
         assert len(states) == 64
         for state in states:
             assert not prop2_test(family, state), family.label
@@ -492,8 +491,8 @@ def test_sign_margin_boundary(monkeypatch, scale, counted):
     monkeypatch.setattr(correlators, "SIGN_MARGIN", 1.0 / scale)
     table = np.ones(QUBIT4.dims, dtype=int)
     z = LocalBasis("z", 2)
-    pair = CorrelatorPair(z, (table, table), label="constant", basis="z", cut=(1,))
-    family = CorrelatorFamily(z, (table,) * 4, arity=4, label="constant", basis="z", cut=(2, 3))
+    pair = CorrelatorPair(z, (table, table), label="constant", cut=(1,))
+    family = CorrelatorFamily(z, (table,) * 4, label="constant", cut=(2, 3))
     state = _basis_state(QUBIT4, 5)
     assert prop1_test(pair, state) is counted
     assert prop2_test(family, state) is counted
@@ -552,10 +551,10 @@ def _suites():
         pairs.extend(singlet_correlators(kind))
     families = all_ghz4x3_families()
     flipped_pairs = [
-        CorrelatorPair(p.setting, (p.tables[0], -p.tables[1]), p.label, p.basis, p.cut) for p in pairs
+        CorrelatorPair(p.setting, (p.tables[0], -p.tables[1]), p.label, p.cut) for p in pairs
     ]
     flipped_families = [
-        CorrelatorFamily(f.setting, (-f.tables[0],) + f.tables[1:], f.arity, f.label, f.basis, f.cut)
+        CorrelatorFamily(f.setting, (-f.tables[0],) + f.tables[1:], f.label, f.cut)
         for f in families
     ]
     return pairs + flipped_pairs, families + flipped_families
@@ -692,31 +691,19 @@ _ONES4 = (np.ones(QUBIT4.dims, int),) * 4
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: CorrelatorFamily(_Z2, (), 4, "empty", "z", (1,)), "at least one"),
+        (lambda: CorrelatorFamily(_Z2, (), "empty", (1,)), "at least one"),
         (
-            lambda: CorrelatorFamily(_Z2, (np.ones((2, 2), int), np.ones((2, 2, 2), int)), 2, "f", "z", (1,)),
+            lambda: CorrelatorFamily(_Z2, (np.ones((2, 2), int), np.ones((2, 2, 2), int)), "f", (1,)),
             "share one shape",
         ),
-        (lambda: CorrelatorPair(_Z2, (np.ones((2, 3), int),) * 2, "p", "z", (1,)), "setting dimension"),
-        (lambda: CorrelatorPair(_Z2, (np.full((2, 2), 0.5),) * 2, "p", "z", (1,)), "integer"),
-        (lambda: CorrelatorPair(_Z2, (np.ones((2, 2), int),) * 3, "p", "z", (1,)), "two tables"),
-        (
-            lambda: CorrelatorFamily(
-                LocalBasis("z", 2), (np.ones((2, 2), int),) * 4, arity=7, label="x", basis="q", cut=(5,)
-            ),
-            "basis 'q' does not name",
-        ),
-        (lambda: CorrelatorFamily(_Z2, _ONES4, 3, "f", "z", (1,)), "arity 3"),
-        (lambda: CorrelatorFamily(_Z2, _ONES4, 4, "f", "x", (1,)), "basis 'x' does not name"),
-        (
-            lambda: CorrelatorFamily(LocalBasis("z", 4), (np.ones((4,) * 3, int),) * 4, 4, "f", "f", (1,)),
-            "basis 'f' does not name",
-        ),
-        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", "z", ()), r"cut \(\)"),
-        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", "z", (1, 1)), r"cut \(1, 1\)"),
-        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", "z", (0,)), r"cut \(0,\)"),
-        (lambda: CorrelatorFamily(_Z2, _ONES4, 4, "f", "z", (2, 5)), r"cut \(2, 5\)"),
-        (lambda: CorrelatorFamily(_Z2, _ONES4, 4, "f", "z", (1, 2, 3, 4)), r"cut \(1, 2, 3, 4\)"),
+        (lambda: CorrelatorPair(_Z2, (np.ones((2, 3), int),) * 2, "p", (1,)), "setting dimension"),
+        (lambda: CorrelatorPair(_Z2, (np.full((2, 2), 0.5),) * 2, "p", (1,)), "integer"),
+        (lambda: CorrelatorPair(_Z2, (np.ones((2, 2), int),) * 3, "p", (1,)), "two tables"),
+        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", ()), r"cut \(\)"),
+        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", (1, 1)), r"cut \(1, 1\)"),
+        (lambda: CorrelatorPair(_Z2, _ONES4[:2], "p", (0,)), r"cut \(0,\)"),
+        (lambda: CorrelatorFamily(_Z2, _ONES4, "f", (2, 5)), r"cut \(2, 5\)"),
+        (lambda: CorrelatorFamily(_Z2, _ONES4, "f", (1, 2, 3, 4)), r"cut \(1, 2, 3, 4\)"),
     ],
 )
 def test_record_validation(make, message):
@@ -735,7 +722,7 @@ def test_ghz4x3_tables_are_memoised_read_only():
 
 def test_records_keep_read_only_integer_tables():
     source = np.ones((2, 2), dtype=np.int32)
-    pair = CorrelatorPair(_Z2, (source, source), "p", "z", (1,))
+    pair = CorrelatorPair(_Z2, (source, source), "p", (1,))
     source[0, 0] = 5
     assert all(t.dtype == np.int64 and not t.flags.writeable for t in pair.tables)
     assert pair.tables[0][0, 0] == 1
