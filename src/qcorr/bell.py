@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import outcome_probabilities
+from .core import local_dimension, outcome_probabilities
 from .states import max_entangled_qudit
 
 #: Phase offsets of the four local observables, keyed by (party, setting).
@@ -67,8 +67,7 @@ class MeasurementSetting:
             raise ValueError(f"party must be 1 or 2, got {self.party}")
         if self.setting not in (1, 2):
             raise ValueError(f"setting must be 1 or 2, got {self.setting}")
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
+        local_dimension(self.dimension)
         object.__setattr__(self, "offset", OFFSETS[(self.party, self.setting)])
 
 
@@ -150,9 +149,7 @@ def quantum_value(state, d: int | None = None) -> float:
 def analytic_value(d: int) -> float:
     """Closed form of the functional on the maximally entangled state:
     (2/d^2)(csc^2(pi/4d) - csc^2(3pi/4d)); increases with d towards (16/3pi)^2."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = local_dimension(d)
     return (2.0 / d**2) * (
         1.0 / math.sin(math.pi / (4 * d)) ** 2 - 1.0 / math.sin(3 * math.pi / (4 * d)) ** 2
     )
@@ -201,9 +198,7 @@ def lhv_residue_table(d: int) -> np.ndarray:
     Each triple is reached by exactly d assignments, one per v11:
     v21 = t11 - v11, v22 = t12 - v11, v12 = t22 - v22 (mod d).
     """
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = local_dimension(d)
     if d > ENUMERATION_GUARD:
         raise ValueError(f"dimension {d} exceeds the enumeration guard {ENUMERATION_GUARD}")
     r = np.arange(d)
@@ -243,9 +238,7 @@ def noise_threshold(d: int) -> float:
 
 def projector_witness_threshold(d: int) -> float:
     """Noise tolerance of the projector witness (1/d)1 - |psi_d><psi_d|."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = local_dimension(d)
     return d / (d + 1)
 
 

@@ -8,6 +8,7 @@ pure function, so values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -24,6 +25,18 @@ class EigensolverError(RuntimeError):
     """Dense Hermitian eigensolver failed to converge."""
 
 
+def local_dimension(d) -> int:
+    """`d` as a local dimension: an integer (Python or numpy, via
+    `operator.index`, so 2.5 is refused rather than truncated) of at least 2."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"local dimension must be an integer, got {d!r}") from None
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class PartyStructure:
     """Ordered list of local dimensions, one entry per party."""
@@ -31,11 +44,9 @@ class PartyStructure:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(local_dimension(d) for d in self.dims)
         if not dims:
             raise ValueError("PartyStructure needs at least one party")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"local dimensions must be >= 2, got {dims}")
         object.__setattr__(self, "dims", dims)
 
     @property

@@ -59,7 +59,7 @@ class LocalBasis:
     offset: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        d = int(self.dimension)
+        d = core.local_dimension(self.dimension)
         if self.kind == "z":
             vectors = np.eye(d, dtype=np.complex128)
         elif self.kind in ("x", "y"):

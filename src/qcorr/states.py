@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PartyStructure, PureState, WhiteNoiseState
+from .core import PartyStructure, PureState, WhiteNoiseState, local_dimension
 
 QUBIT4 = PartyStructure((2, 2, 2, 2))
 QUDIT4X3 = PartyStructure((4, 4, 4))
@@ -58,9 +58,7 @@ def ghz_4x3() -> PureState:
 
 def max_entangled_qudit(d: int) -> PureState:
     """(1/sqrt(d)) sum_l |ll> for two d-level parties."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    d = local_dimension(d)
     amps = np.zeros(d * d, dtype=np.complex128)
     amps[:: d + 1] = 1.0 / math.sqrt(d)
     return PureState(amps, PartyStructure((d, d)))

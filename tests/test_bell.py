@@ -46,6 +46,15 @@ def test_setting_vector_d2_offset0():
     assert np.allclose(setting_vector(ms, 0), np.array([1.0, 1.0]) / math.sqrt(2))
 
 
+def test_dimensions_must_be_integral():
+    with pytest.raises(ValueError, match="integer"):
+        MeasurementSetting(1, 1, 2.5)
+    for fn in (analytic_value, projector_witness_threshold, lhv_residue_table):
+        with pytest.raises(ValueError, match="integer"):
+            fn(3.5)
+    assert setting_vector(MeasurementSetting(1, 1, np.int64(3)), 2).shape == (3,)
+
+
 def test_setting_offsets():
     from fractions import Fraction
 

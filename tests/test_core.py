@@ -44,6 +44,18 @@ def test_party_structure_validation():
         PartyStructure((2, 1))
 
 
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.7), 2.0, "3"])
+def test_party_structure_refuses_non_integral_dims(bad):
+    with pytest.raises(ValueError, match="integer"):
+        PartyStructure((bad, 2))
+
+
+def test_party_structure_takes_numpy_ints():
+    dims = PartyStructure((np.int64(3), np.int32(2))).dims
+    assert dims == (3, 2)
+    assert all(type(d) is int for d in dims)
+
+
 def test_pure_state_norm_enforced():
     with pytest.raises(ValueError):
         PureState(np.ones(4), PartyStructure((2, 2)))

@@ -82,6 +82,13 @@ def test_projector_completeness(kind, dim):
     assert np.allclose(total, np.eye(dim), atol=1e-12)
 
 
+def test_local_basis_refuses_non_integral_dimension():
+    for kind in ("z", "fourier"):
+        with pytest.raises(ValueError, match="integer"):
+            LocalBasis(kind, 2.5)
+    assert LocalBasis("z", np.int64(3)).vector(2).shape == (3,)
+
+
 def test_exchange_swaps_projectors():
     for kind in ("z", "x", "y"):
         basis = LocalBasis(kind, 2)

@@ -133,3 +133,10 @@ def test_noisy_expectation_dense_matches_factored(build, target):
         noisy = mix_white_noise(target, p)
         dense = expectation(op, DensityMatrix(noisy.matrix, noisy.structure))
         assert abs(expectation(op, noisy) - dense) < 1e-12
+
+
+def test_max_entangled_qudit_refuses_non_integral_dimension():
+    for bad in (2.9, np.float64(3.0)):
+        with pytest.raises(ValueError, match="integer"):
+            max_entangled_qudit(bad)
+    assert max_entangled_qudit(np.int64(3)).structure.dims == (3, 3)

@@ -1,10 +1,13 @@
 import math
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     HermitianOperator,
@@ -34,11 +37,14 @@ from qcorr.witnesses import (
     GHZ4_WITNESS_GRID,
     GHZ4X3_ALPHA,
     GHZ4X3_GAMMA,
+    CERTIFY_TOL,
+    SEESAW_STOP_TOL,
     SEESAW_TIE_TOL,
     SINGLET_ALPHA,
     SINGLET_GAMMA,
     ProjectorWitness,
     WitnessNeverFiresError,
+    _certify,
     _seesaw_cut,
     biseparable_max,
 )
@@ -358,6 +364,93 @@ def test_seesaw_iteration_cap():
     result = biseparable_max(build_C_psi(), restarts=5, iters=1, seed=1234)
     assert result.capped == 5 * len(bipartitions(4))
     assert list(result.iteration_histogram) == [0, result.capped]
+
+
+def _unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+def _certify_one(mat, vec, value):
+    return _certify(mat[None], vec[None], np.array([value]), float(np.linalg.norm(mat)))
+
+
+def test_certify_accepts_top_eigenvector_with_gap():
+    u = _unitary(np.random.default_rng(5), 3)
+    mat = (u * [5.0, 1.0, 0.0]) @ u.conj().T
+    assert _certify_one(mat, u[:, 0], 5.0).tolist() == [True]
+
+
+def test_certify_refuses_second_eigenvector():
+    # an exact eigenpair, residual zero, but not the top one
+    mat = np.diag([5.0, 1.0, 0.0]).astype(complex)
+    assert _certify_one(mat, np.eye(3, dtype=complex)[1], 1.0).tolist() == [False]
+
+
+def test_certify_refuses_degenerate_top():
+    mat = np.diag([5.0, 5.0, 0.0]).astype(complex)
+    assert _certify_one(mat, np.eye(3, dtype=complex)[0], 5.0).tolist() == [False]
+
+
+def test_certify_refuses_residual_above_bound():
+    # gap 0.1: a tilt of 1e-11 leaves r ~ 1e-12 <= CERTIFY_TOL, but the
+    # bound 2 ||C|| r / delta is ~1.4e-10; untilted, the row is certified
+    mat = np.diag([5.0, 4.9, 0.0]).astype(complex)
+    c_norm = float(np.linalg.norm(mat))
+    vecs = np.array([[1.0, 1e-11, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    values = np.einsum("ri,ij,rj->r", vecs.conj(), mat, vecs).real
+    r = np.linalg.norm(np.einsum("ij,rj->ri", mat, vecs) - values[:, None] * vecs, axis=1)
+    assert r[0] <= CERTIFY_TOL < 2 * c_norm * r[0] / (0.1 - 2 * r[0])
+    assert _certify(np.stack([mat, mat]), vecs, values, c_norm).tolist() == [False, True]
+
+
+def test_certificate_closes_every_phi_restart():
+    for seed in (1, 1234, 2024):
+        result = biseparable_max(build_C_phi(), restarts=200, seed=seed)
+        assert result.certified == 1400
+        assert list(result.iteration_histogram) == [0, 0, 1400]
+
+
+def _locally_diagonal(structure, rng):
+    """Real spectrum in a random product basis: seesaw restarts reach exact
+    fixed points after a few alternations, so the certificate fires."""
+    u = reduce(np.kron, [_unitary(rng, d) for d in structure.dims])
+    return HermitianOperator((u * rng.standard_normal(structure.dim)) @ u.conj().T, structure)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]),
+    st.sampled_from([None, 0.0, 1e-12, 1e-8, 1e-4]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 30),
+)
+def test_certified_seesaw_matches_scalar_loop(dims, tilt, op_seed, seed, restarts):
+    """`tilt` None draws a generic Hermitian operator; otherwise a locally
+    diagonal one plus `tilt` times a generic one, near which restarts
+    converge fast enough to be certified."""
+    structure = PartyStructure(dims)
+    rng = np.random.default_rng(op_seed)
+    op = _random_hermitian(structure, rng)
+    if tilt is not None:
+        op = _locally_diagonal(structure, rng) + tilt * op
+    tensor = op.matrix.reshape(dims * 2)
+    for cut_index, cut in enumerate(bipartitions(len(dims))):
+        values, counts, converged, _, _ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed)
+        ref_values, ref_counts, ref_converged = _scalar_seesaw(op, cut_index, cut, restarts, 100, seed)
+        same = (counts == ref_counts) & (converged == ref_converged)
+        assert np.max(np.abs(values - ref_values)[same], initial=0.0) <= 1e-10
+        # The two loops round differently, so a restart whose value moves by
+        # SEESAW_STOP_TOL to within round-off may stop one alternation apart
+        # in them; any other difference is a fault.
+        for r in np.flatnonzero(~same):
+            k = min(counts[r], ref_counts[r])
+            assert abs(counts[r] - ref_counts[r]) == 1 and k >= 2
+            before = _scalar_seesaw(op, cut_index, cut, restarts, k - 1, seed)[0][r]
+            after = _scalar_seesaw(op, cut_index, cut, restarts, k, seed)[0][r]
+            assert abs(abs(after - before) - SEESAW_STOP_TOL) <= 1e-13
 
 
 SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 1)
