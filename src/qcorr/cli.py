@@ -75,7 +75,7 @@ def run_table1(args) -> Report:
     report.add_result("biseparable_cut", "+".join(str(p) for p in seesaw.cut))
     report.add_result("lms_count", 2)
     for idx, case in enumerate(GHZ4_CASES, start=1):
-        witness = make_witness(case.alpha, c_phi, label=case.label)
+        witness = make_witness(case.alpha, c_phi)
         state = ghz4(case.theta, case.phi)
         _witness_block(report, f"case{idx}.", witness, state, case.gamma, case.noise_delta, 1e-3, args.tol)
         report.add_check(
@@ -88,7 +88,7 @@ def run_table2(args) -> Report:
     report = Report("table2", seed=args.seed)
     c_phi = build_C_phi()
     for row, (case_w, expected_row) in enumerate(zip(GHZ4_CASES, GHZ4_WITNESS_GRID), start=1):
-        witness = make_witness(case_w.alpha, c_phi, label=case_w.label)
+        witness = make_witness(case_w.alpha, c_phi)
         for col, (case_s, expected) in enumerate(zip(GHZ4_CASES, expected_row), start=1):
             actual = witness.value(ghz4(case_s.theta, case_s.phi))
             report.add_result(f"value[{row}][{col}]", actual)
@@ -118,7 +118,7 @@ def run_singlet(args) -> Report:
         approx_check("group_expectations_dev_from_1/6", 0.0, max(abs(lo - 1 / 6), abs(hi - 1 / 6)), 1e-10)
     )
 
-    witness = make_witness(SINGLET_ALPHA, build_C_psi(), label="singlet4")
+    witness = make_witness(SINGLET_ALPHA, build_C_psi())
     _witness_block(report, "", witness, state, SINGLET_GAMMA, SINGLET_NOISE_DELTA, 1e-6, args.tol)
     report.add_result("lms_count", len(kinds))
     report.add_check(exact_check("lms_count", 3, len(kinds)))
@@ -140,7 +140,7 @@ def run_ghz4x3(args) -> Report:
         approx_check("family_expectations_dev_from_1/4", 0.0, max(abs(lo - 0.25), abs(hi - 0.25)), 1e-10)
     )
 
-    witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3(), label="ghz4x3")
+    witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3())
     _witness_block(report, "", witness, state, GHZ4X3_GAMMA, GHZ4X3_NOISE_DELTA, 1e-3, args.tol)
     report.add_result("lms_count", len(kinds))
     report.add_check(exact_check("lms_count", 2, len(kinds)))

@@ -8,6 +8,7 @@ pure function, so values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations
@@ -59,17 +60,6 @@ class PartyStructure:
     @property
     def n_parties(self) -> int:
         return len(self.dims)
-
-    def parties(self) -> range:
-        return range(1, len(self.dims) + 1)
-
-    def local_dim(self, party: int) -> int:
-        self.check_party(party)
-        return self.dims[party - 1]
-
-    def check_party(self, party: int) -> None:
-        if not 1 <= int(party) <= len(self.dims):
-            raise ValueError(f"party {party} outside 1..{len(self.dims)}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -310,30 +300,56 @@ def spectral_norm(op: HermitianOperator) -> float:
     return float(np.max(np.abs(_spectrum(op))))
 
 
-def _split_axes(structure: PartyStructure, parties) -> tuple[list[int], list[int]]:
-    subset = tuple(sorted({int(p) for p in parties}))
-    for p in subset:
-        structure.check_party(p)
-    if not subset or len(subset) >= structure.n_parties:
-        raise ValueError("bipartition must be a proper non-empty subset of the parties")
-    axes_a = [p - 1 for p in subset]
-    axes_b = [k for k in range(structure.n_parties) if k not in axes_a]
-    return axes_a, axes_b
+def cut_axes(dims, cut) -> tuple[tuple[int, ...], int]:
+    """Layout of the bipartition `cut` of parties with local dimensions `dims`.
+
+    Returns the axis order that puts side a first, its parties (those in
+    `cut`) ascending and then the others ascending, and side a's dimension.
+    This is the package's one cut rule: the parties must be integers (through
+    `operator.index`, so 1.5 is refused rather than truncated), distinct,
+    within 1..n, and leave at least one party on each side.
+    """
+    n = len(dims)
+    try:
+        side_a = sorted(map(operator.index, cut))
+    except TypeError:
+        side_a = []
+    if not (side_a and len(set(side_a)) == len(side_a) < n and 1 <= side_a[0] and side_a[-1] <= n):
+        raise ValueError(f"cut {cut} must be distinct parties of 1..{n}, not all of them")
+    axes_a = [p - 1 for p in side_a]
+    dim_a = math.prod([dims[k] for k in axes_a])
+    return tuple(axes_a + [k for k in range(n) if k + 1 not in side_a]), dim_a
+
+
+def join_sides(vec_a: np.ndarray, vec_b: np.ndarray, dims, order) -> np.ndarray:
+    """Rows (..., D_a) on side a and (..., D_b) on side b joined into their
+    product rows (..., D) in the global party order, `order` and `dims` as
+    from `cut_axes`."""
+    lead = vec_a.shape[:-1]
+    tensor = (vec_a[..., :, None] * vec_b[..., None, :]).reshape(lead + tuple(dims[k] for k in order))
+    back = [len(lead) + k for k in np.argsort(order)]
+    return tensor.transpose([*range(len(lead)), *back]).reshape(lead + (-1,))
+
+
+def unit_rows(normals: np.ndarray) -> np.ndarray:
+    """Complex unit rows from rows of normals: the first half of each row
+    holds the real parts, the second half the imaginary parts."""
+    dim = normals.shape[-1] // 2
+    rows = normals[..., :dim] + 1j * normals[..., dim:]
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows
 
 
 def schmidt_max_sq(state: PureState, parties) -> float:
     """Largest squared Schmidt coefficient of `state` across the given bipartition.
 
-    `parties` selects one side of the cut; the amplitude vector is reshaped to a
-    matrix over (side A, side B) and the top singular value is squared.
+    `parties` selects side a of the cut (see `cut_axes`); the amplitude vector
+    is reshaped to a matrix over (side a, side b) and the top singular value
+    is squared.
     """
-    axes_a, axes_b = _split_axes(state.structure, parties)
     dims = state.structure.dims
-    dim_a = 1
-    for k in axes_a:
-        dim_a *= dims[k]
-    tensor = state.amplitudes.reshape(dims)
-    matrix = tensor.transpose(axes_a + axes_b).reshape(dim_a, -1)
+    order, dim_a = cut_axes(dims, parties)
+    matrix = state.amplitudes.reshape(dims).transpose(order).reshape(dim_a, -1)
     top = np.linalg.svd(matrix, compute_uv=False)[0]
     return float(top**2)
 
@@ -355,15 +371,12 @@ def combine_bipartite(side_a, parties_a, side_b, structure: PartyStructure) -> P
 
     `side_a` holds amplitudes for the ascending parties in `parties_a`,
     `side_b` those for the remaining parties; the result is reordered to the
-    global party order and normalized.
+    global party order (`join_sides`) and normalized.
     """
-    axes_a, axes_b = _split_axes(structure, parties_a)
-    dims = structure.dims
+    order, _ = cut_axes(structure.dims, parties_a)
     vec_a = np.asarray(side_a, dtype=np.complex128).reshape(-1)
     vec_b = np.asarray(side_b, dtype=np.complex128).reshape(-1)
-    shape = [dims[k] for k in axes_a] + [dims[k] for k in axes_b]
-    tensor = np.outer(vec_a, vec_b).reshape(shape)
-    full = tensor.transpose(np.argsort(axes_a + axes_b)).reshape(-1)
+    full = join_sides(vec_a, vec_b, structure.dims, order)
     norm = np.linalg.norm(full)
     if norm == 0.0:
         raise ValueError("cannot combine zero vectors into a state")

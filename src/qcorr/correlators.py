@@ -30,7 +30,6 @@ positive throughout.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import core
 from .core import HermitianOperator, PartyStructure, PureState
-from .core import _frozen, _split_axes
+from .core import _frozen, cut_axes, join_sides, unit_rows
 from .states import QUBIT4, QUDIT4X3
 
 #: The nine fixed-point-free permutations of {0,1,2,3}, lexicographically
@@ -124,9 +123,7 @@ class _OutcomeTables:
             raise ValueError("member tables must share one shape")
         if not shape or any(n != self.setting.dimension for n in shape):
             raise ValueError(f"table shape {shape} does not match setting dimension {self.setting.dimension}")
-        cut, n = self.cut, len(shape)
-        if not cut or len(set(cut)) < len(cut) or len(cut) >= n or not all(1 <= p <= n for p in cut):
-            raise ValueError(f"cut {cut} must be distinct parties of 1..{n}, not all of them")
+        cut_axes(shape, self.cut)
         object.__setattr__(self, "tables", tuple(_frozen(t.astype(np.int64)) for t in tables))
 
     def expectations(self, state) -> np.ndarray:
@@ -470,12 +467,7 @@ def _side_vectors(dim_a: int, dim_b: int, trials: int, rng: np.random.Generator)
     parts of side a, then those of side b.
     """
     normals = rng.standard_normal((trials, 2 * dim_a + 2 * dim_b))
-    re_a, im_a, re_b, im_b = np.split(normals, [dim_a, 2 * dim_a, 2 * dim_a + dim_b], axis=1)
-    vec_a = re_a + 1j * im_a
-    vec_b = re_b + 1j * im_b
-    vec_a /= np.linalg.norm(vec_a, axis=1, keepdims=True)
-    vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
-    return vec_a, vec_b
+    return unit_rows(normals[:, :2 * dim_a]), unit_rows(normals[:, 2 * dim_a:])
 
 
 def random_product_states(
@@ -483,16 +475,12 @@ def random_product_states(
 ) -> np.ndarray:
     """`trials` Haar-ish random product states across `cut`, as a (trials, D) array.
 
-    The outer product of the two `_side_vectors` of each row is reordered to
-    the global party order.  Every row passes the norm check `PureState` runs.
+    The two `_side_vectors` of each row are joined in the global party order
+    (`core.join_sides`).  Every row passes the norm check `PureState` runs.
     """
-    axes_a, axes_b = _split_axes(structure, cut)
-    shape_a = [structure.dims[k] for k in axes_a]
-    shape_b = [structure.dims[k] for k in axes_b]
-    vec_a, vec_b = _side_vectors(math.prod(shape_a), math.prod(shape_b), trials, rng)
-    tensor = (vec_a[:, :, None] * vec_b[:, None, :]).reshape([trials] + shape_a + shape_b)
-    order = np.argsort(axes_a + axes_b)
-    amps = tensor.transpose([0, *(order + 1)]).reshape(trials, structure.dim)
+    order, dim_a = cut_axes(structure.dims, cut)
+    vec_a, vec_b = _side_vectors(dim_a, structure.dim // dim_a, trials, rng)
+    amps = join_sides(vec_a, vec_b, structure.dims, order)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     dev = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
     if not np.all(dev <= core.STRUCTURAL_TOL):
@@ -518,15 +506,15 @@ def _suite_signs(record, trials: int, seed: int):
     """
     if trials < 1:
         raise ValueError(f"sign suite needs at least one trial, got {trials}")
-    structure = PartyStructure(record.tables[0].shape)
-    axes_a, axes_b = _split_axes(structure, record.cut)
-    dim_a = math.prod(structure.dims[k] for k in axes_a)
-    stack = np.stack(record.tables).transpose([0, *(np.array(axes_a + axes_b) + 1)])
+    dims = record.tables[0].shape
+    order, dim_a = cut_axes(dims, record.cut)
+    stack = np.stack(record.tables).transpose([0, *(k + 1 for k in order)])
     stack = stack.reshape(len(record.tables), dim_a, -1).astype(float)
-    unitaries = [_unitary(record.setting, len(axes)) for axes in (axes_a, axes_b)]
+    n_a = len(record.cut)
+    unitaries = [_unitary(record.setting, n_a), _unitary(record.setting, len(dims) - n_a)]
     rng = np.random.default_rng(seed)
     for start in range(0, trials, CHUNK_ROWS):
-        sides = _side_vectors(dim_a, structure.dim // dim_a, min(CHUNK_ROWS, trials - start), rng)
+        sides = _side_vectors(dim_a, stack.shape[2], min(CHUNK_ROWS, trials - start), rng)
         probs_a, probs_b = (np.abs(v.conj() @ u) ** 2 for v, u in zip(sides, unitaries))
         dev = np.abs(np.concatenate([probs_a.sum(axis=1), probs_b.sum(axis=1)]) - 1.0)
         if not np.all(dev <= core.STRUCTURAL_TOL):

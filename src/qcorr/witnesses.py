@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     HermitianOperator,
-    PartyStructure,
     PureState,
     bipartitions,
     combine_bipartite,
+    cut_axes,
     expectation,
     identity,
     min_eigenvalue,
     schmidt_max_sq,
     spectral_norm,
+    unit_rows,
 )
 
 DOMINANCE_TOL_SCALE = 1e-8
@@ -42,7 +44,6 @@ class Witness:
 
     alpha: float
     c_op: HermitianOperator
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha):
@@ -108,8 +109,8 @@ class SeesawResult:
     certified: int
 
 
-def make_witness(alpha: float, c_op: HermitianOperator, label: str = "") -> Witness:
-    return Witness(float(alpha), c_op, label)
+def make_witness(alpha: float, c_op: HermitianOperator) -> Witness:
+    return Witness(float(alpha), c_op)
 
 
 def projector_witness(target: PureState) -> ProjectorWitness:
@@ -185,14 +186,17 @@ def _certify(mats: np.ndarray, vecs: np.ndarray, values: np.ndarray, c_norm: flo
     return certified
 
 
-class _CutRun(tuple):
-    """`(values, counts, converged, vec_a, vec_b)` of one cut's restarts, with
-    `certified`, the number of them closed by `_certify`."""
+class _CutRun(NamedTuple):
+    """One cut's restarts: per restart the final value, the alternation count,
+    whether it converged and the two side vectors; `certified` counts the
+    restarts `_certify` closed."""
 
-    def __new__(cls, fields: tuple, certified: int):
-        run = super().__new__(cls, fields)
-        run.certified = certified
-        return run
+    values: np.ndarray
+    counts: np.ndarray
+    converged: np.ndarray
+    vec_a: np.ndarray
+    vec_b: np.ndarray
+    certified: int
 
 
 def _seesaw_cut(
@@ -210,26 +214,17 @@ def _seesaw_cut(
     row stops when its value moves by less than `SEESAW_STOP_TOL` or after
     `iters` alternations.
 
-    From the second alternation on, a row that `_certify` proves cannot move
-    by more than `CERTIFY_TOL` stops before the alternation's eigensolves, with
-    the same count and flag as the alternation would give it and its value
-    within `CERTIFY_TOL` of the one it would store.  The check runs at
-    alternation 2, again right after any check that closed a row, and
-    otherwise at alternations 3, 5, 9, 17, ..., so a search whose restarts
-    converge only linearly pays for a logarithmic number of checks.
-    Returns per restart the final value, the alternation count, whether it
-    converged, and the two side vectors; `certified` counts the rows the
-    certificate closed.
+    At alternation 2, a row that `_certify` proves cannot move by more than
+    `CERTIFY_TOL` stops before the alternation's eigensolves, with the same
+    count and flag as the alternation would give it and its value within
+    `CERTIFY_TOL` of the one it would store.  The check runs once: a restart
+    it does not close by then runs to the stop test.
     """
-    n = tensor.ndim // 2
-    dims = tensor.shape[:n]
-    axes_a = [p - 1 for p in cut]
-    axes_b = [k for k in range(n) if k not in axes_a]
-    dim_a = math.prod(dims[k] for k in axes_a)
-    dim_b = math.prod(dims[k] for k in axes_b)
-    perm = axes_a + axes_b
+    dims = tensor.shape[:tensor.ndim // 2]
+    order, dim_a = cut_axes(dims, cut)
+    dim_b = math.prod(dims) // dim_a
     # contracted[i, j, k, l] = <i j| op |k l> with i, k on side a.
-    contracted = tensor.transpose(perm + [n + ax for ax in perm]).reshape(
+    contracted = tensor.transpose(order + tuple(len(dims) + k for k in order)).reshape(
         dim_a, dim_b, dim_a, dim_b
     )
     op_for_a = contracted.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, dim_a * dim_a)
@@ -238,31 +233,25 @@ def _seesaw_cut(
 
     starts = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
     vec_a = np.empty((restarts, dim_a), dtype=complex)
-    vec_b = starts[:, :dim_b] + 1j * starts[:, dim_b:]
-    vec_b /= np.linalg.norm(vec_b, axis=1, keepdims=True)
+    vec_b = unit_rows(starts)
     values = np.full(restarts, -math.inf)
     counts = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
     certified = 0
-    check_at = 2
     active = np.arange(restarts)
     for step in range(1, iters + 1):
         side_b = vec_b[active]
         outer_b = (side_b.conj()[:, :, None] * side_b[:, None, :]).reshape(-1, dim_b * dim_b)
         mats_a = (outer_b @ op_for_a).reshape(-1, dim_a, dim_a)
-        if step == check_at:
+        if step == 2:
             closed = _certify(mats_a, vec_a[active], values[active], c_norm)
-            if closed.any():
-                counts[active[closed]] = step
-                converged[active[closed]] = True
-                certified += int(np.count_nonzero(closed))
-                active = active[~closed]
-                if active.size == 0:
-                    break
-                mats_a = mats_a[~closed]
-                check_at = step + 1
-            else:
-                check_at = 2 * step - 1
+            counts[active[closed]] = step
+            converged[active[closed]] = True
+            certified = int(np.count_nonzero(closed))
+            active = active[~closed]
+            if active.size == 0:
+                break
+            mats_a = mats_a[~closed]
         _, vecs = np.linalg.eigh(mats_a)
         side_a = vecs[:, :, -1]
         outer_a = (side_a.conj()[:, :, None] * side_a[:, None, :]).reshape(-1, dim_a * dim_a)
@@ -277,7 +266,7 @@ def _seesaw_cut(
         active = active[~done]
         if active.size == 0:
             break
-    return _CutRun((values, counts, converged, vec_a, vec_b), certified)
+    return _CutRun(values, counts, converged, vec_a, vec_b, certified)
 
 
 def biseparable_max(
@@ -288,13 +277,13 @@ def biseparable_max(
 
     Each cut runs all its restarts as one stack (see `_seesaw_cut`).  A restart
     stops when an alternation moves its value by less than `SEESAW_STOP_TOL`,
-    or one alternation early when a Davis-Kahan residual bound (`_certify`)
-    proves that alternation cannot move it by more than `CERTIFY_TOL`; counts
-    and flags are the same either way, and values differ by at most
-    `CERTIFY_TOL` from those the extra alternation would store.  Among the
-    restarts within `SEESAW_TIE_TOL` of the best value, the lowest (cut index,
-    restart) wins and its own value and state are reported, so round-off in
-    `op` does not reorder near-equal maxima.  Deterministic for a fixed seed;
+    or, at alternation 2 only, before that alternation when a Davis-Kahan
+    residual bound (`_certify`) proves it cannot move the value by more than
+    `CERTIFY_TOL`; counts and flags are the same either way, and values
+    differ by at most `CERTIFY_TOL` from those the extra alternation would
+    store.  Among the restarts within `SEESAW_TIE_TOL` of the best value, the
+    lowest (cut index, restart) wins and its own value and state are reported,
+    so round-off in `op` does not reorder near-equal maxima.  Deterministic for a fixed seed;
     the returned value never exceeds the global maximum eigenvalue of `op`.
     """
     if restarts < 1:
@@ -308,7 +297,7 @@ def biseparable_max(
         _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
         for cut_index, cut in enumerate(cuts)
     ]
-    values, counts, converged, vecs_a, vecs_b = zip(*runs)
+    values, counts, converged, vecs_a, vecs_b, certified = zip(*runs)
     values = np.stack(values)
     within = values >= values.max() - SEESAW_TIE_TOL
     cut_index, restart = (int(k) for k in np.argwhere(within)[0])
@@ -324,7 +313,7 @@ def biseparable_max(
         iteration_histogram=np.bincount(np.concatenate(counts)),
         capped=int(np.count_nonzero(~np.concatenate(converged))),
         at_best=int(np.count_nonzero(within)),
-        certified=sum(run.certified for run in runs),
+        certified=sum(certified),
     )
 
 
@@ -343,13 +332,12 @@ class Ghz4Case:
     alpha: float
     gamma: float
     noise_delta: float
-    label: str
 
 
 GHZ4_CASES: tuple[Ghz4Case, ...] = (
-    Ghz4Case(math.pi / 4, math.pi / 6, 9.01, 6.54, 0.139, "theta=pi/4 phi=pi/6"),
-    Ghz4Case(math.pi / 4.9, 0.0, 9.21, 6.44, 0.150, "theta=pi/4.9 phi=0"),
-    Ghz4Case(math.pi / 3.7, math.pi / 9, 8.92, 6.86, 0.169, "theta=pi/3.7 phi=pi/9"),
+    Ghz4Case(math.pi / 4, math.pi / 6, 9.01, 6.54, 0.139),
+    Ghz4Case(math.pi / 4.9, 0.0, 9.21, 6.44, 0.150),
+    Ghz4Case(math.pi / 3.7, math.pi / 9, 8.92, 6.86, 0.169),
 )
 
 #: Expected witness expectation values: row = witness case, column = state case.

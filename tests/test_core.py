@@ -21,6 +21,7 @@ from qcorr import (
     schmidt_max_sq,
     spectral_norm,
 )
+from qcorr.core import cut_axes
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 Q1 = PartyStructure((2,))
@@ -221,6 +222,11 @@ def test_schmidt_rejects_bad_subsets():
         schmidt_max_sq(state, ())
     with pytest.raises(ValueError):
         schmidt_max_sq(state, (1, 2, 3, 4))
+
+
+def test_cut_axes_puts_side_a_first():
+    # side a ascending, then the rest ascending; side a's dimension is 3 * 5
+    assert cut_axes((2, 3, 4, 5), (4, 2)) == ((1, 3, 0, 2), 15)
 
 
 def test_bipartition_count():

@@ -718,6 +718,28 @@ def test_record_validation(make, message):
         make()
 
 
+#: Every entry point that takes a cut of the four qubits, called with `cut`.
+_CUT_TAKERS = {
+    "schmidt_max_sq": lambda cut: schmidt_max_sq(ghz4(math.pi / 4, 0.0), cut),
+    "combine_bipartite": lambda cut: combine_bipartite(np.ones(2), cut, np.ones(8), QUBIT4),
+    "random_product_states": lambda cut: random_product_states(QUBIT4, cut, 2, np.random.default_rng(1)),
+    "CorrelatorPair": lambda cut: CorrelatorPair(_Z2, _ONES4[:2], "p", cut),
+    "CorrelatorFamily": lambda cut: CorrelatorFamily(_Z2, _ONES4, "f", cut),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(_CUT_TAKERS))
+@pytest.mark.parametrize("cut", [(), (0,), (2, 5), (1, 2, 3, 4), (1, 1), (1.5,)], ids=str)
+def test_one_cut_rule_refuses(taker, cut):
+    with pytest.raises(ValueError, match=r"must be distinct parties of 1\.\.4, not all of them"):
+        _CUT_TAKERS[taker](cut)
+
+
+@pytest.mark.parametrize("taker", sorted(_CUT_TAKERS))
+def test_one_cut_rule_takes_numpy_integers(taker):
+    _CUT_TAKERS[taker]((np.int64(2),))
+
+
 def test_ghz4x3_tables_are_memoised_read_only():
     correlators._ghz4x3_table.cache_clear()
     all_ghz4x3_families()

@@ -319,7 +319,7 @@ def test_batched_seesaw_matches_scalar_loop(make_op, restarts):
     tensor = op.matrix.reshape(op.structure.dims * 2)
     for cut_index, cut in enumerate(bipartitions(op.structure.n_parties)):
         ref = _scalar_seesaw(op, cut_index, cut, restarts, iters, seed)
-        values, counts, converged, _, _ = _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
+        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
         assert np.max(np.abs(values - ref[0])) <= 1e-9
         assert np.array_equal(counts, ref[1])
         assert np.array_equal(converged, ref[2])
@@ -438,7 +438,7 @@ def test_certified_seesaw_matches_scalar_loop(dims, tilt, op_seed, seed, restart
         op = _locally_diagonal(structure, rng) + tilt * op
     tensor = op.matrix.reshape(dims * 2)
     for cut_index, cut in enumerate(bipartitions(len(dims))):
-        values, counts, converged, _, _ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed)
+        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed)
         ref_values, ref_counts, ref_converged = _scalar_seesaw(op, cut_index, cut, restarts, 100, seed)
         same = (counts == ref_counts) & (converged == ref_converged)
         assert np.max(np.abs(values - ref_values)[same], initial=0.0) <= 1e-10
