@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .correlators import (
     prop2_test,
     singlet_correlators,
 )
-from .report import Check, Report, approx_check, bound_check, exact_check
+from .report import Report, approx_check, bound_check, exact_check
 from .states import ghz4, ghz_4x3, singlet4
 from .witnesses import (
     GHZ4_CASES,
@@ -59,8 +60,18 @@ def _witness_block(report, prefix, witness, state, gamma, expected_delta, delta_
     report.add_result(f"{prefix}alpha_p", wp.alpha_p)
     report.add_result(f"{prefix}dominance_min_eig", cert.min_eig)
     report.add_result(f"{prefix}noise_delta", delta)
-    report.add_check(Check(f"{prefix}dominance(gamma={gamma})", True, cert.passed, None, cert.passed))
+    report.add_check(exact_check(f"{prefix}dominance(gamma={gamma})", True, cert.passed))
     report.add_check(approx_check(f"{prefix}noise_delta", expected_delta, delta, delta_tol))
+
+
+def _expectation_range(report, name: str, values, target: Fraction) -> None:
+    """The least and greatest of `values` as results, and a check that both
+    lie within 1e-10 of `target`."""
+    lo, hi = min(values), max(values)
+    report.add_result(f"{name}_expectation_min", lo)
+    report.add_result(f"{name}_expectation_max", hi)
+    dev = max(abs(lo - float(target)), abs(hi - float(target)))
+    report.add_check(approx_check(f"{name}_expectations_dev_from_{target}", 0.0, dev, 1e-10))
 
 
 def run_table1(args) -> Report:
@@ -105,18 +116,8 @@ def run_singlet(args) -> Report:
         kinds.update(p.setting.kind for p in pairs)
         flips.extend(v for pair in pairs[:4] for v in pair.expectations(state).tolist())
         groups.extend(v for pair in pairs[4:] for v in pair.expectations(state).tolist())
-    lo, hi = min(flips), max(flips)
-    report.add_result("flip_expectation_min", lo)
-    report.add_result("flip_expectation_max", hi)
-    report.add_check(
-        approx_check("flip_expectations_dev_from_1/3", 0.0, max(abs(lo - 1 / 3), abs(hi - 1 / 3)), 1e-10)
-    )
-    lo, hi = min(groups), max(groups)
-    report.add_result("group_expectation_min", lo)
-    report.add_result("group_expectation_max", hi)
-    report.add_check(
-        approx_check("group_expectations_dev_from_1/6", 0.0, max(abs(lo - 1 / 6), abs(hi - 1 / 6)), 1e-10)
-    )
+    _expectation_range(report, "flip", flips, Fraction(1, 3))
+    _expectation_range(report, "group", groups, Fraction(1, 6))
 
     witness = make_witness(SINGLET_ALPHA, build_C_psi())
     _witness_block(report, "", witness, state, SINGLET_GAMMA, SINGLET_NOISE_DELTA, 1e-6, args.tol)
@@ -132,13 +133,8 @@ def run_ghz4x3(args) -> Report:
     for family in all_ghz4x3_families():
         kinds.add(family.setting.kind)
         values.extend(family.expectations(state).tolist())
-    lo, hi = min(values), max(values)
-    report.add_result("family_expectation_min", lo)
-    report.add_result("family_expectation_max", hi)
+    _expectation_range(report, "family", values, Fraction(1, 4))
     report.add_result("family_member_count", len(values))
-    report.add_check(
-        approx_check("family_expectations_dev_from_1/4", 0.0, max(abs(lo - 0.25), abs(hi - 0.25)), 1e-10)
-    )
 
     witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3())
     _witness_block(report, "", witness, state, GHZ4X3_GAMMA, GHZ4X3_NOISE_DELTA, 1e-3, args.tol)
@@ -168,7 +164,7 @@ def run_bell(args) -> Report:
             report.add_result(f"noise_threshold_d{d}", noise_threshold(d))
         increasing = all(b > a for a, b in zip(values, values[1:]))
         limit = (16.0 / (3.0 * math.pi)) ** 2
-        report.add_check(Check("sweep_strictly_increasing", True, increasing, None, increasing))
+        report.add_check(exact_check("sweep_strictly_increasing", True, increasing))
         report.add_check(bound_check("sweep_below_limit", limit, max(values)))
         return report
 
@@ -192,7 +188,7 @@ def run_bell(args) -> Report:
             approx_check("quantum_value_d2", 2.0 * math.sqrt(2.0), rep.quantum_value, 1e-9)
         )
         chsh_ok = chsh_reduction_check()
-        report.add_check(Check("two_setting_reduction", True, chsh_ok, None, chsh_ok))
+        report.add_check(exact_check("two_setting_reduction", True, chsh_ok))
     return report
 
 

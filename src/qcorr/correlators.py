@@ -13,8 +13,9 @@ Three families are provided:
 Every correlator is an integer table t over the outcome strings of one local
 setting, i.e. the operator U diag(t) U^dagger with U the setting's basis on
 every party.  Each member counts a set of strings minus the same set with the
-cut party's outcome moved; the combined operators sum the member tables of a
-setting exactly and check the sum against its closed form.  A correlator's
+cut party's outcome moved; each combined operator sums the member tables of
+its own records exactly per setting and checks each sum against its closed
+form.  Records are immutable, so their constructors are memoised.  A correlator's
 expectation is sum_s t[s] P(s), with P the state's outcome distribution in the
 setting (`core.outcome_probabilities` with the setting's basis on every
 party), so correlator records hold their setting, outcome tables, label and
@@ -128,8 +129,9 @@ class _OutcomeTables:
 
     def expectations(self, state) -> np.ndarray:
         """Every member's expectation at `state`: sum_s t[s] P(s), with P the
-        state's outcome distribution in the setting."""
-        probs = outcome_distribution(self.setting, state)
+        state's outcome distribution in the setting (`core.outcome_probabilities`
+        with the setting's basis on every party)."""
+        probs = core.outcome_probabilities(state, [self.setting._vectors] * len(state.structure.dims))
         if probs.shape != self.tables[0].shape:
             raise ValueError(f"party structures differ: {self.tables[0].shape} vs {probs.shape}")
         return np.array([np.vdot(table, probs) for table in self.tables])
@@ -183,15 +185,6 @@ def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
     return HermitianOperator((unitary * table.reshape(-1)) @ unitary.conj().T, PartyStructure(table.shape))
 
 
-def outcome_distribution(basis: LocalBasis, state) -> np.ndarray:
-    """Probabilities of the outcome strings of `basis` on every party, shaped
-    like the party structure (`core.outcome_probabilities`)."""
-    dims = state.structure.dims
-    if any(d != basis.dimension for d in dims):
-        raise ValueError(f"state structure {dims} does not match setting dimension {basis.dimension}")
-    return core.outcome_probabilities(state, [basis._vectors] * len(dims))
-
-
 def _string(shape: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
     """Mask of the single outcome string `levels`."""
     mask = np.zeros(shape, dtype=bool)
@@ -206,14 +199,18 @@ def _moved(mask: np.ndarray, shift: int, axes) -> np.ndarray:
     return mask - np.roll(mask, shift, axes)
 
 
-def _check_closed_form(name: str, table: np.ndarray, closed: np.ndarray) -> None:
-    if not np.array_equal(table, closed):
-        raise ArithmeticError(f"{name} table misses its closed form by {np.max(np.abs(table - closed))}")
-
-
-def _check_qubit_party(n: int) -> None:
-    if n not in (1, 2, 3, 4):
-        raise ValueError(f"party index {n} outside 1..4")
+def _summed_tables(name: str, weighted, closed_forms: dict) -> list[np.ndarray]:
+    """The member tables of the (weight, record) pairs of `weighted`, summed
+    exactly per setting and checked against `closed_forms` ({setting: closed
+    table}); one table per setting, in the order of `closed_forms`."""
+    sums = dict.fromkeys(closed_forms, 0)
+    for weight, record in weighted:
+        sums[record.setting] = sums[record.setting] + weight * sum(record.tables)
+    for setting, closed in closed_forms.items():
+        if not np.array_equal(sums[setting], closed):
+            miss = np.max(np.abs(sums[setting] - closed))
+            raise ArithmeticError(f"{name} {setting.kind} table misses its closed form by {miss}")
+    return list(sums.values())
 
 
 def _qubit_pair(kind: str, tables, label: str, cut: tuple[int, ...]) -> CorrelatorPair:
@@ -230,32 +227,29 @@ def _ghz4_z_tables(cut: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_moved(_string(QUBIT4.dims, (j,) * 4), 1, axes) for j in (0, 1))
 
 
-def _ghz4_x_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The even-weight strings with party n at 0 (resp. 1), minus them with party n flipped."""
-    even = _BITS.sum(axis=0) % 2 == 0
-    return tuple(_moved(even & (_BITS[n - 1] == j), 1, n - 1) for j in (0, 1))
-
-
+@lru_cache(maxsize=None)
 def ghz4_party_z(n: int) -> CorrelatorPair:
     """z-setting pair testing correlation between party n and the other three."""
-    _check_qubit_party(n)
+    cut_axes(QUBIT4.dims, (n,))
     return _qubit_pair("z", _ghz4_z_tables((n,)), f"ghz4.z.n{n}", (n,))
 
 
+@lru_cache(maxsize=None)
 def ghz4_pair_z(n: int, m: int) -> CorrelatorPair:
     """z-setting pair testing correlation between the group {n, m} and the other two."""
-    _check_qubit_party(n)
-    _check_qubit_party(m)
-    if n == m:
-        raise ValueError("pair correlator needs two distinct parties")
     cut = tuple(sorted((n, m)))
+    cut_axes(QUBIT4.dims, cut)
     return _qubit_pair("z", _ghz4_z_tables(cut), f"ghz4.z.n{n}m{m}", cut)
 
 
+@lru_cache(maxsize=None)
 def ghz4_party_x(n: int) -> CorrelatorPair:
-    """x-setting pair for party n: even x-parity sum on one side, odd on the other."""
-    _check_qubit_party(n)
-    return _qubit_pair("x", _ghz4_x_tables(n), f"ghz4.x.n{n}", (n,))
+    """x-setting pair for party n: the even-weight strings with party n at 0
+    (resp. 1), minus them with party n flipped."""
+    cut_axes(QUBIT4.dims, (n,))
+    even = _BITS.sum(axis=0) % 2 == 0
+    tables = tuple(_moved(even & (_BITS[n - 1] == j), 1, n - 1) for j in (0, 1))
+    return _qubit_pair("x", tables, f"ghz4.x.n{n}", (n,))
 
 
 def ghz4_z_pairs() -> list[CorrelatorPair]:
@@ -271,15 +265,16 @@ def ghz4_x_pairs() -> list[CorrelatorPair]:
 def build_C_phi() -> HermitianOperator:
     """Sum of all GHZ correlator members, one dense product per setting.
 
-    The member tables sum to 8([0000] + [1111]) - 1 in z, i.e.
-    8(P_0000 + P_1111) - 1, and to 4(-1)^{|s|} in x, i.e. 4 sigma_x^{(x)4};
-    both identities are checked exactly on every build.
+    The member tables of `ghz4_z_pairs` and `ghz4_x_pairs` sum to
+    8([0000] + [1111]) - 1 in z, i.e. 8(P_0000 + P_1111) - 1, and to
+    4(-1)^{|s|} in x, i.e. 4 sigma_x^{(x)4}; both identities are checked
+    exactly on every build.
     """
-    cuts = [(n,) for n in (1, 2, 3, 4)] + [(1, m) for m in (2, 3, 4)]
-    z = sum(sum(_ghz4_z_tables(cut)) for cut in cuts)
-    x = sum(sum(_ghz4_x_tables(n)) for n in (1, 2, 3, 4))
-    _check_closed_form("C_phi z", z, 8 * np.all(_BITS == _BITS[0], axis=0) - 1)
-    _check_closed_form("C_phi x", x, 4 * (-1) ** _BITS.sum(axis=0))
+    z, x = _summed_tables(
+        "C_phi",
+        ((1, pair) for pair in ghz4_z_pairs() + ghz4_x_pairs()),
+        {_Z2: 8 * np.all(_BITS == _BITS[0], axis=0) - 1, _X2: 4 * (-1) ** _BITS.sum(axis=0)},
+    )
     return _operator(_Z2, z) + _operator(_X2, x)
 
 
@@ -290,40 +285,32 @@ def build_C_phi() -> HermitianOperator:
 _SINGLET_GROUPS = ((0, 1), (0, 2), (1, 3), (1, 4))
 
 
-def _singlet_flip_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """0011 and 1100, each minus itself with party m flipped."""
-    return tuple(_moved(_string(QUBIT4.dims, (j, j, 1 - j, 1 - j)), 1, m - 1) for j in (0, 1))
-
-
-def _singlet_group_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The strings 01 (resp. 10) on group n times 01 or 10 on the other pair,
-    minus them with party k flipped."""
-    a, b, c, e = (1, 2, 3, 4) if n == 0 else (3, 4, 1, 2)
-    rest = _BITS[c - 1] != _BITS[e - 1]
-    return tuple(
-        _moved(rest & (_BITS[a - 1] == j) & (_BITS[b - 1] == 1 - j), 1, k - 1) for j in (0, 1)
-    )
-
-
+@lru_cache(maxsize=None)
 def singlet_flip_pair(basis_kind: str, m: int) -> CorrelatorPair:
     """Pair comparing the 0011/1100 patterns with the same patterns flipped at party m.
 
     For the x and y settings the flip exchanges the two local basis vectors,
     so every setting shares the z tables.
     """
-    _check_qubit_party(m)
-    return _qubit_pair(basis_kind, _singlet_flip_tables(m), f"singlet4.{basis_kind}.m{m}", (m,))
+    cut_axes(QUBIT4.dims, (m,))
+    tables = tuple(_moved(_string(QUBIT4.dims, (j, j, 1 - j, 1 - j)), 1, m - 1) for j in (0, 1))
+    return _qubit_pair(basis_kind, tables, f"singlet4.{basis_kind}.m{m}", (m,))
 
 
+@lru_cache(maxsize=None)
 def singlet_group_pair(basis_kind: str, n: int, k: int) -> CorrelatorPair:
     """Pair comparing a 01/10 pattern on one party pair, flipped at party k,
     multiplied by the symmetric 01+10 pattern on the complementary pair."""
     if n not in (0, 1):
         raise ValueError(f"group index must be 0 or 1, got {n}")
-    group = (2 * n + 1, 2 * n + 2)
-    if k not in group:
-        raise ValueError(f"flip party {k} must be one of the group parties {group}")
-    return _qubit_pair(basis_kind, _singlet_group_tables(n, k), f"singlet4.{basis_kind}.n{n}k{k}", (k,))
+    a, b, c, e = (1, 2, 3, 4) if n == 0 else (3, 4, 1, 2)
+    if k not in (a, b):
+        raise ValueError(f"flip party {k} must be one of the group parties {(a, b)}")
+    rest = _BITS[c - 1] != _BITS[e - 1]
+    tables = tuple(
+        _moved(rest & (_BITS[a - 1] == j) & (_BITS[b - 1] == 1 - j), 1, k - 1) for j in (0, 1)
+    )
+    return _qubit_pair(basis_kind, tables, f"singlet4.{basis_kind}.n{n}k{k}", (k,))
 
 
 def singlet_correlators(basis_kind: str) -> list[CorrelatorPair]:
@@ -336,18 +323,19 @@ def singlet_correlators(basis_kind: str) -> list[CorrelatorPair]:
 
 @lru_cache(maxsize=1)
 def build_C_psi() -> HermitianOperator:
-    """Weighted sum over the three settings: flip pairs x5, group pairs x1.
+    """Weighted sum over the three settings of `singlet_correlators`: flip
+    pairs (the first four of each setting) x5, group pairs x1.
 
     The settings share one table, checked exactly on every build: 20 on
     0011/1100, 4 on the other weight-2 strings, -7 on odd weight, 0 on
     0000/1111.
     """
-    table = 5 * sum(sum(_singlet_flip_tables(m)) for m in (1, 2, 3, 4))
-    table += sum(sum(_singlet_group_tables(n, k)) for n, k in _SINGLET_GROUPS)
     weight = _BITS.sum(axis=0)
     two = np.where(_BITS[0] == _BITS[1], 20, 4)
-    _check_closed_form("C_psi", table, np.where(weight % 2 == 1, -7, np.where(weight == 2, two, 0)))
-    return _operator(_Z2, table) + _operator(_X2, table) + _operator(_Y2, table)
+    closed = np.where(weight % 2 == 1, -7, np.where(weight == 2, two, 0))
+    pairs = [(5 if i < 4 else 1, p) for kind in "zxy" for i, p in enumerate(singlet_correlators(kind))]
+    z, x, y = _summed_tables("C_psi", pairs, dict.fromkeys((_Z2, _X2, _Y2), closed))
+    return _operator(_Z2, z) + _operator(_X2, x) + _operator(_Y2, y)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +356,7 @@ def _ghz4x3_table(basis_kind: str, n: int, k: int, image: int) -> np.ndarray:
     return _frozen(_moved(mask, image - k, n - 1))
 
 
+@lru_cache(maxsize=None)
 def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
     """Four-member correlator family for party n against the rest.
 
@@ -378,8 +367,7 @@ def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
     """
     if basis_kind not in _QUDIT4_BASES:
         raise ValueError(f"basis kind must be z or f, got {basis_kind!r}")
-    if n not in (1, 2, 3):
-        raise ValueError(f"party index {n} outside 1..3")
+    cut_axes(QUDIT4X3.dims, (n,))
     if not 1 <= j <= 9:
         raise ValueError(f"permutation index {j} outside 1..9")
     shifts = DERANGEMENTS_4[j - 1]
@@ -407,24 +395,22 @@ def all_ghz4x3_families() -> list[CorrelatorFamily]:
 
 @lru_cache(maxsize=1)
 def build_C_ghz4x3() -> HermitianOperator:
-    """Weighted sum over all families: z members x1.5, Fourier members x1.
+    """Weighted sum over `all_ghz4x3_families`: z members x1.5, Fourier members x1.
 
     The member tables of each setting are summed and checked exactly on every
     build: in z, 27 where all three levels agree, -3 where exactly two agree
-    and 0 otherwise; in Fourier, 36 [s1+s2+s3 = 0 mod 4] - 9.
+    and 0 otherwise; in Fourier, 36 [s1+s2+s3 = 0 mod 4] - 9.  The 1.5 is
+    applied to the dense z operator, so both tables stay integer.
     """
-    z, f = (
-        sum(
-            _ghz4x3_table(kind, n, k, shifts[k])
-            for n in (1, 2, 3)
-            for shifts in DERANGEMENTS_4
-            for k in range(4)
-        )
-        for kind in ("z", "f")
-    )
     agreeing = sum(_LEVELS[a] == _LEVELS[b] for a, b in ((0, 1), (0, 2), (1, 2)))
-    _check_closed_form("C_ghz4x3 z", z, np.where(agreeing == 3, 27, -3 * (agreeing == 1)))
-    _check_closed_form("C_ghz4x3 Fourier", f, 36 * (_LEVELS.sum(axis=0) % 4 == 0) - 9)
+    z, f = _summed_tables(
+        "C_ghz4x3",
+        ((1, family) for family in all_ghz4x3_families()),
+        {
+            _Z4: np.where(agreeing == 3, 27, -3 * (agreeing == 1)),
+            _F4: 36 * (_LEVELS.sum(axis=0) % 4 == 0) - 9,
+        },
+    )
     return 1.5 * _operator(_Z4, z) + _operator(_F4, f)
 
 

@@ -256,6 +256,23 @@ def test_combined_operator_equals_member_sum_and_closed_form(name):
     assert np.max(np.abs(op.matrix - closed_form())) <= 1e-12
 
 
+#: The memoised record constructors and four-level member tables.
+_MEMOISED = (
+    correlators.ghz4_party_z,
+    correlators.ghz4_pair_z,
+    correlators.ghz4_party_x,
+    correlators.singlet_flip_pair,
+    correlators.singlet_group_pair,
+    correlators.ghz4x3_correlators,
+    correlators._ghz4x3_table,
+)
+
+
+def _clear_memos():
+    for memoised in _MEMOISED:
+        memoised.cache_clear()
+
+
 @pytest.mark.parametrize("name", sorted(COMBINED))
 def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name):
     moved = correlators._moved
@@ -266,14 +283,50 @@ def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name
         return table
 
     monkeypatch.setattr(correlators, "_moved", off_by_one)
-    # The four-level member tables are memoised: build from fresh, corrupted
-    # ones, and keep those out of the cache for later tests.
-    correlators._ghz4x3_table.cache_clear()
+    # Records and four-level member tables are memoised: build from fresh,
+    # corrupted ones, and keep those out of the caches for later tests.
+    _clear_memos()
     try:
         with pytest.raises(ArithmeticError, match="closed form"):
             COMBINED[name][0].__wrapped__()
     finally:
-        correlators._ghz4x3_table.cache_clear()
+        _clear_memos()
+
+
+#: Each combined operator's record-list function, as the builder reads it.
+_RECORD_LISTS = {"C_phi": "ghz4_z_pairs", "C_psi": "singlet_correlators", "C_ghz4x3": "all_ghz4x3_families"}
+
+
+@pytest.mark.parametrize("name", sorted(COMBINED))
+def test_combined_operator_is_summed_from_its_records(monkeypatch, name):
+    records = getattr(correlators, _RECORD_LISTS[name])
+    monkeypatch.setattr(correlators, _RECORD_LISTS[name], lambda *args: records(*args)[1:])
+    with pytest.raises(ArithmeticError, match="closed form"):
+        COMBINED[name][0].__wrapped__()
+
+
+def test_combined_operator_reuses_memoised_records():
+    all_ghz4x3_families()
+    misses = correlators.ghz4x3_correlators.cache_info().misses
+    build_C_ghz4x3.__wrapped__()
+    assert correlators.ghz4x3_correlators.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (ghz4_party_z, 5),
+        (ghz4_pair_z, 2, 2),
+        (ghz4_party_x, 0),
+        (singlet_flip_pair, "z", 5),
+        (ghz4x3_correlators, "z", 4, 1),
+        (ghz4x3_correlators, "f", 4, 1),
+    ],
+    ids=lambda case: f"{case[0].__name__}{case[1:]}",
+)
+def test_record_constructors_take_the_one_cut_rule(case):
+    with pytest.raises(ValueError, match=r"must be distinct parties of 1\.\.\d, not all of them"):
+        case[0](*case[1:])
 
 
 def test_build_C_phi_values():
@@ -685,8 +738,8 @@ def test_table_expectations_equal_dense_expectations():
 
 
 def test_outcome_distribution_rejects_a_mismatched_state():
-    with pytest.raises(ValueError, match="setting dimension"):
-        correlators.outcome_distribution(LocalBasis("z", 2), ghz_4x3())
+    with pytest.raises(ValueError, match="do not match"):
+        ghz4_party_z(1).expectations(ghz_4x3())
     with pytest.raises(ValueError, match="party structures"):
         ghz4_party_z(1).expectations(PureState([1.0, 0, 0, 0], PartyStructure((2, 2))))
 
@@ -741,6 +794,7 @@ def test_one_cut_rule_takes_numpy_integers(taker):
 
 
 def test_ghz4x3_tables_are_memoised_read_only():
+    correlators.ghz4x3_correlators.cache_clear()
     correlators._ghz4x3_table.cache_clear()
     all_ghz4x3_families()
     build_C_ghz4x3.__wrapped__()
