@@ -15,12 +15,13 @@ setting, i.e. the operator U diag(t) U^dagger with U the setting's basis on
 every party.  Each member counts a set of strings minus the same set with the
 cut party's outcome moved; each combined operator sums the member tables of
 its own records exactly per setting and checks each sum against its closed
-form.  Records are immutable, so their constructors are memoised.  A correlator's
-expectation is sum_s t[s] P(s), with P the state's outcome distribution in the
-setting (`core.outcome_probabilities` with the setting's basis on every
-party), so correlator records hold their setting, outcome tables, label and
-cut only, and no dense member is ever built; only the combined operators are
-dense.
+form.  Records are immutable, so their constructors are memoised; a
+constructor raises on an invalid argument before its cache stores anything,
+so each cache holds at most its subject's records.  A correlator's expectation
+is sum_s t[s] P(s), with P the state's outcome distribution in the setting
+(`core.outcome_probabilities` with the setting's basis on every party), so
+correlator records hold their setting, outcome tables, label and cut only, and
+no dense member is ever built; only the combined operators are dense.
 
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
