@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -236,59 +238,92 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--seed", type=int, default=1234, help="seed for randomized procedures")
-    witness = argparse.ArgumentParser(add_help=False, parents=[common])
-    witness.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=None,
-        help="absolute tolerance of the dominance eigenvalue check "
-        "(default: 1e-8 times the witness's spectral norm)",
-    )
+def _option(*flags, **kwargs) -> tuple:
+    """An option as its `add_argument` arguments."""
+    return flags, kwargs
 
+
+_FORMAT = _option("--format", choices=("text", "json", "csv"), default="text")
+_SEED = _option("--seed", type=int, default=1234, help="seed for randomized procedures")
+_TOL = _option(
+    "--tol",
+    type=_tolerance,
+    default=None,
+    help="absolute tolerance of the dominance eigenvalue check "
+    "(default: 1e-8 times the witness's spectral norm)",
+)
+_RESTARTS = _option("--restarts", type=int, default=200, help="seesaw restarts")
+_TRIALS = _option("--trials", type=int, default=200, help="random states per correlator")
+_D = _option("d", type=int, nargs="?", default=None, help="dimension (default 2)")
+_LHV = _option("--lhv", action="store_true", help="run the exhaustive local-model search")
+_SWEEP = _option("--sweep", nargs=2, type=int, metavar=("DMIN", "DMAX"), help="tabulate a dimension range")
+_COMMON = (_FORMAT, _SEED)
+_WITNESS = _COMMON + (_TOL,)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One `qcorr` command: its runner, its help line in `qcorr --help`, and
+    its options, added in order and then `exclusive` as one mutually
+    exclusive group."""
+
+    name: str
+    run: Callable[[argparse.Namespace], Report]
+    help: str
+    options: tuple
+    exclusive: tuple = ()
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(prog=f"qcorr {self.name}")
+        for flags, kwargs in self.options:
+            parser.add_argument(*flags, **kwargs)
+        if self.exclusive:
+            group = parser.add_mutually_exclusive_group()
+            for flags, kwargs in self.exclusive:
+                group.add_argument(*flags, **kwargs)
+        return parser
+
+
+COMMANDS = {
+    command.name: command
+    for command in (
+        Command("table1", run_table1, "GHZ witness constants and noise tolerances", _WITNESS + (_RESTARTS,)),
+        Command("table2", run_table2, "GHZ witness cross-expectation grid", _COMMON),
+        Command("singlet", run_singlet, "four-qubit singlet witness pipeline", _WITNESS),
+        Command("ghz4x3", run_ghz4x3, "four-level tripartite GHZ witness pipeline", _WITNESS),
+        Command("bell", run_bell, "d-level bipartite Bell functional", _COMMON + (_D,), (_LHV, _SWEEP)),
+        Command("proptest", run_proptest, "random product-state sign suites", _COMMON + (_TRIALS,)),
+    )
+}
+
+
+def _listing_parser() -> argparse.ArgumentParser:
+    """The top-level parser: the commands by name, without their options."""
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Recompute correlator-witness and Bell-functional results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    table1 = sub.add_parser("table1", parents=[witness], help="GHZ witness constants and noise tolerances")
-    table1.add_argument("--restarts", type=int, default=200, help="seesaw restarts")
-    sub.add_parser("table2", parents=[common], help="GHZ witness cross-expectation grid")
-    sub.add_parser("singlet", parents=[witness], help="four-qubit singlet witness pipeline")
-    sub.add_parser("ghz4x3", parents=[witness], help="four-level tripartite GHZ witness pipeline")
-    bell = sub.add_parser("bell", parents=[common], help="d-level bipartite Bell functional")
-    bell.add_argument("d", type=int, nargs="?", default=None, help="dimension (default 2)")
-    mode = bell.add_mutually_exclusive_group()
-    mode.add_argument("--lhv", action="store_true", help="run the exhaustive local-model search")
-    mode.add_argument(
-        "--sweep", nargs=2, type=int, metavar=("DMIN", "DMAX"), help="tabulate a dimension range"
-    )
-    prop = sub.add_parser("proptest", parents=[common], help="random product-state sign suites")
-    prop.add_argument("--trials", type=int, default=200, help="random states per correlator")
+    for command in COMMANDS.values():
+        sub.add_parser(command.name, help=command.help)
     return parser
 
 
-RUNNERS = {
-    "table1": run_table1,
-    "table2": run_table2,
-    "singlet": run_singlet,
-    "ghz4x3": run_ghz4x3,
-    "bell": run_bell,
-    "proptest": run_proptest,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run `qcorr <argv>` (default `sys.argv[1:]`), building only the parser
+    of the command it names; any other argv is help or a usage error of the
+    listing parser."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            command, rest = COMMANDS[argv[0]], argv[1:]
+        else:  # exits with help or a usage error, unless a leading `--` hid the command
+            command, rest = COMMANDS[_listing_parser().parse_args(argv).command], []
+        args = command.parser().parse_args(rest)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = RUNNERS[args.command](args)
+        report = command.run(args)
     except (core.EigensolverError, WitnessNeverFiresError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

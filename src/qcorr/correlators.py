@@ -110,6 +110,14 @@ _QUBIT_BASES = {"z": _Z2, "x": _X2, "y": _Y2}
 _QUDIT4_BASES = {"z": _Z4, "f": _F4}
 
 
+def _owned_int64(table: np.ndarray) -> np.ndarray:
+    """`table` itself when it is a read-only int64 array owning its data (a
+    memoised table), else a read-only int64 copy that no caller can change."""
+    if table.dtype == np.int64 and table.flags.owndata and not table.flags.writeable:
+        return table
+    return _frozen(table.astype(np.int64))
+
+
 class _OutcomeTables:
     """Integer outcome tables over the strings of one local setting (`setting`
     on every party): what correlator pairs and families hold."""
@@ -126,7 +134,7 @@ class _OutcomeTables:
         if not shape or any(n != self.setting.dimension for n in shape):
             raise ValueError(f"table shape {shape} does not match setting dimension {self.setting.dimension}")
         cut_axes(shape, self.cut)
-        object.__setattr__(self, "tables", tuple(_frozen(t.astype(np.int64)) for t in tables))
+        object.__setattr__(self, "tables", tuple(map(_owned_int64, tables)))
 
     def expectations(self, state) -> np.ndarray:
         """Every member's expectation at `state`: sum_s t[s] P(s), with P the

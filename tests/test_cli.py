@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+import sys
 
 import pytest
 
-from qcorr.cli import RUNNERS, main
+from qcorr.cli import COMMANDS, main
 
 
 def _run(capsys, argv):
@@ -98,9 +101,11 @@ def test_reports_byte_identical(capsys):
     assert first == second
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert main(["not-a-command"]) == 2
+    assert "invalid choice: 'not-a-command'" in capsys.readouterr().err
     assert main([]) == 2
+    assert "the following arguments are required: command" in capsys.readouterr().err
     assert main(["bell", "--sweep", "5"]) == 2
 
 
@@ -153,7 +158,7 @@ def test_bell_invariant_miss_is_numerical_failure(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
-@pytest.mark.parametrize("command", sorted(RUNNERS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_struct_tol_is_not_an_option(capsys, command):
     # The structural tolerance is a module constant, so no flag can change it.
     assert main([command, "--struct-tol", "1e-3"]) == 2
@@ -230,4 +235,73 @@ def test_console_script_entry_point(capsys):
     module, _, attr = target.partition(":")
     entry = getattr(importlib.import_module(module), attr)
     assert entry(["table2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "table2"
+
+
+#: Each command's options as its --help names them.
+OPTIONS = {
+    "table1": {"--help", "--format", "--seed", "--tol", "--restarts"},
+    "table2": {"--help", "--format", "--seed"},
+    "singlet": {"--help", "--format", "--seed", "--tol"},
+    "ghz4x3": {"--help", "--format", "--seed", "--tol"},
+    "bell": {"--help", "--format", "--seed", "--lhv", "--sweep"},
+    "proptest": {"--help", "--format", "--seed", "--trials"},
+}
+
+
+def test_every_command_is_listed():
+    assert set(COMMANDS) == set(OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--restarts", "2"],
+        ["table2"],
+        ["singlet"],
+        ["ghz4x3"],
+        ["bell", "--sweep", "2", "3"],
+        ["proptest", "--trials", "1"],
+    ],
+)
+def test_a_run_builds_one_parser(capsys, monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert built == [f"qcorr {argv[0]}"]
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_command_help_names_its_own_options(capsys, command):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: qcorr {command} ")
+    assert set(re.findall(r"--[a-z]+", out)) == OPTIONS[command]
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qcorr [-h] {table1,table2,singlet,ghz4x3,bell,proptest} ...")
+    for name, command in COMMANDS.items():
+        assert re.search(rf"^    {name} +{re.escape(command.help)}$", out, re.M)
+
+
+def test_unrecognized_option_prints_the_command_usage(capsys):
+    assert main(["table2", "--tol", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qcorr table2 ")
+    assert err.endswith("qcorr table2: error: unrecognized arguments: --tol 5\n")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qcorr", "table2", "--format", "json"])
+    assert main() == 0
     assert json.loads(capsys.readouterr().out)["command"] == "table2"

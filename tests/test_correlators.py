@@ -803,12 +803,27 @@ def test_ghz4x3_tables_are_memoised_read_only():
     assert not correlators._ghz4x3_table("f", 2, 1, 3).flags.writeable
 
 
+def test_families_hold_the_memoised_tables_themselves():
+    correlators.ghz4x3_correlators.cache_clear()
+    correlators._ghz4x3_table.cache_clear()
+    families = all_ghz4x3_families()
+    assert len({id(t) for f in families for t in f.tables}) == 72
+    shifts = correlators.DERANGEMENTS_4[0]
+    family = ghz4x3_correlators("f", 2, 1)
+    assert all(t is correlators._ghz4x3_table("f", 2, k, shifts[k]) for k, t in enumerate(family.tables))
+
+
 def test_records_keep_read_only_integer_tables():
-    source = np.ones((2, 2), dtype=np.int32)
-    pair = CorrelatorPair(_Z2, (source, source), "p", (1,))
-    source[0, 0] = 5
-    assert all(t.dtype == np.int64 and not t.flags.writeable for t in pair.tables)
-    assert pair.tables[0][0, 0] == 1
+    # a writable array and a read-only view of one can both change after
+    # the record is built, so the record holds copies of them
+    for dtype in (np.int32, np.int64):
+        source = np.ones((2, 2), dtype=dtype)
+        view = source.view()
+        view.setflags(write=False)
+        pair = CorrelatorPair(_Z2, (source, view), "p", (1,))
+        source[0, 0] = 5
+        assert all(t.dtype == np.int64 and not t.flags.writeable for t in pair.tables)
+        assert [t[0, 0] for t in pair.tables] == [1, 1]
 
 
 def test_sign_suites_build_no_dense_correlator(monkeypatch, capsys):
