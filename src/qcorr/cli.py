@@ -7,12 +7,12 @@ of memory (a dimension or restart count too large to allocate).
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -49,6 +49,9 @@ from .witnesses import (
     projector_witness,
     verify_dominance,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 BISEP_SLACK = 0.02
 
@@ -234,6 +237,8 @@ def _tolerance(text: str) -> float:
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value >= 0.0):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
     return value
 
@@ -268,12 +273,14 @@ class Command:
     exclusive group."""
 
     name: str
-    run: Callable[[argparse.Namespace], Report]
+    run: Callable[[argparse.Namespace | SimpleNamespace], Report]
     help: str
     options: tuple
     exclusive: tuple = ()
 
     def parser(self) -> argparse.ArgumentParser:
+        import argparse
+
         parser = argparse.ArgumentParser(prog=f"qcorr {self.name}")
         for flags, kwargs in self.options:
             parser.add_argument(*flags, **kwargs)
@@ -282,6 +289,59 @@ class Command:
             for flags, kwargs in self.exclusive:
                 group.add_argument(*flags, **kwargs)
         return parser
+
+    def scan(self, rest: list[str]) -> SimpleNamespace | None:
+        """What `self.parser().parse_args(rest)` returns, read from the option
+        table without argparse, if `rest` keeps to the strict grammar of a
+        normal run: an optional leading bare positional, then options spelled
+        in full, each at most once and followed by exactly its `nargs` values,
+        none of which starts with `-`, and at most one exclusive option.  None
+        for anything else (help, abbreviations, `--opt=value`, negative
+        values, `--`, a value its `type` or `choices` refuses), which argparse
+        then parses or rejects with its own message."""
+        options = self.options + self.exclusive
+        named = {flags[0]: kwargs for flags, kwargs in options if flags[0].startswith("--")}
+        bare = [(flags[0], kwargs) for flags, kwargs in options if not flags[0].startswith("-")]
+        given = {}
+        try:
+            if bare and rest and not rest[0].startswith("-"):
+                (name, kwargs), = bare
+                given[name] = _value(kwargs, rest[0])
+                rest = rest[1:]
+            while rest:
+                flag, rest = rest[0], rest[1:]
+                kwargs = named.get(flag)
+                if kwargs is None or flag in given:
+                    return None
+                if kwargs.get("action") == "store_true":
+                    given[flag] = True
+                    continue
+                count = kwargs.get("nargs", 1)
+                words, rest = rest[:count], rest[count:]
+                if len(words) < count:
+                    return None
+                words = [_value(kwargs, word) for word in words]
+                given[flag] = words if "nargs" in kwargs else words[0]
+        except Exception:  # argparse refuses the same value, with its message
+            return None
+        if sum(flags[0] in given for flags, _ in self.exclusive) > 1:
+            return None
+        namespace = SimpleNamespace()
+        for flags, kwargs in options:
+            default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+            setattr(namespace, flags[0].lstrip("-").replace("-", "_"), given.get(flags[0], default))
+        return namespace
+
+
+def _value(kwargs: dict, word: str):
+    """`word` converted by the option's `type` and checked against its
+    `choices`, as argparse does; raises on a word that starts with `-`."""
+    if word.startswith("-"):
+        raise ValueError(f"{word!r} looks like an option")
+    value = kwargs.get("type", str)(word)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
 
 
 COMMANDS = {
@@ -299,6 +359,8 @@ COMMANDS = {
 
 def _listing_parser() -> argparse.ArgumentParser:
     """The top-level parser: the commands by name, without their options."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qcorr",
         description="Recompute correlator-witness and Bell-functional results.",
@@ -310,16 +372,19 @@ def _listing_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run `qcorr <argv>` (default `sys.argv[1:]`), building only the parser
-    of the command it names; any other argv is help or a usage error of the
-    listing parser."""
+    """Run `qcorr <argv>` (default `sys.argv[1:]`).  A command whose options
+    `Command.scan` reads runs without argparse; any other options go to that
+    command's parser, and an argv that names no command to the listing
+    parser, for help or a usage error."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         if argv and argv[0] in COMMANDS:
             command, rest = COMMANDS[argv[0]], argv[1:]
         else:  # exits with help or a usage error, unless a leading `--` hid the command
             command, rest = COMMANDS[_listing_parser().parse_args(argv).command], []
-        args = command.parser().parse_args(rest)
+        args = command.scan(rest)
+        if args is None:
+            args = command.parser().parse_args(rest)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,9 +1,16 @@
 import argparse
+import contextlib
+import io
 import json
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_bench_reference import workloads
 
 from qcorr.cli import COMMANDS, main
 
@@ -265,6 +272,8 @@ def test_every_command_is_listed():
     ],
 )
 def test_a_run_builds_one_parser(capsys, monkeypatch, argv):
+    """A normal run builds no parser; help and a usage error build only the
+    parser of the command they name."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -274,7 +283,11 @@ def test_a_run_builds_one_parser(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(argv) == 0
+    assert built == []
+    assert main([argv[0], "--help"]) == 0
     assert built == [f"qcorr {argv[0]}"]
+    assert main(argv + ["--bogus"]) == 2
+    assert built == [f"qcorr {argv[0]}"] * 2
 
 
 @pytest.mark.parametrize("command", sorted(OPTIONS))
@@ -305,3 +318,109 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["qcorr", "table2", "--format", "json"])
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["command"] == "table2"
+
+
+#: Words an argv is drawn from: every option name, abbreviations, the
+#: `--opt=value` form, `--`, `-h` and stray words, and values that argparse
+#: takes or refuses.
+WORDS = sorted(set().union(*OPTIONS.values())) + [
+    "--res",
+    "--sw",
+    "--form",
+    "--format=json",
+    "--",
+    "-h",
+    "bogus",
+    "d",
+]
+VALUES = ["json", "xml", "0", "3", "32", "-1", "1e-3", "nan", ""]
+#: How many values each option takes; the rest take one.
+ARITY = {"--lhv": 0, "--sweep": 2}
+
+
+def _chunk(flag):
+    """`flag` with as many values as it takes, half of them values it
+    accepts, so that the fast path comes up often."""
+    count = ARITY.get(flag, 1)
+    value = st.sampled_from(["json"] if flag == "--format" else ["3", "32"]) | st.sampled_from(VALUES)
+    return st.lists(value, min_size=count, max_size=count).map(lambda values: [flag, *values])
+
+
+#: Up to three of each command's own options, with their values.
+CHUNKS = {
+    command: st.lists(st.one_of([_chunk(flag) for flag in sorted(flags - {"--help"})]), max_size=3)
+    for command, flags in OPTIONS.items()
+}
+
+
+@st.composite
+def _argv(draw, command):
+    """An argv for `command`: its own options with their values, `bell`'s
+    dimension first or not, and maybe one stray word anywhere."""
+    argv = sum(draw(CHUNKS[command]), [])
+    if command == "bell" and draw(st.booleans()):
+        argv.insert(0, draw(st.sampled_from(["3"] + VALUES)))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(WORDS + VALUES)))
+    return argv
+
+
+def _argparse_namespace(command, rest):
+    """What the command's parser makes of `rest`, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(COMMANDS[command].parser().parse_args(rest))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scan_agrees_with_argparse(command, data):
+    rest = data.draw(_argv(command))
+    scanned = COMMANDS[command].scan(rest)
+    expected = _argparse_namespace(command, rest)
+    if expected is None:
+        assert scanned is None
+    elif scanned is not None:
+        assert repr(sorted(vars(scanned).items())) == repr(sorted(expected.items()))
+
+
+def _readme_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()]
+
+
+FAST_ARGV = [
+    argv + ["--format", "json", "--seed", seed]
+    for argv in workloads.COMMANDS.values()
+    for seed in ("1", "2147483646")
+] + _readme_examples()
+
+
+@pytest.mark.parametrize("argv", FAST_ARGV, ids=" ".join)
+def test_normal_runs_take_the_fast_path(argv):
+    command, rest = argv[0], argv[1:]
+    scanned = COMMANDS[command].scan(rest)
+    assert scanned is not None
+    assert vars(scanned) == _argparse_namespace(command, rest)
+
+
+def test_a_run_leaves_argparse_unloaded():
+    import qcorr
+
+    src = str(Path(qcorr.__file__).resolve().parents[1])
+    probe = (
+        "import sys; names = ('argparse', 'gettext', 'locale'); "
+        "print(any(n in sys.modules for n in names), file=sys.stderr); "
+        "from qcorr.cli import main; code = main(['table2', '--format', 'json']); "
+        "print(code, [n for n in names if n in sys.modules], file=sys.stderr)"
+    )
+    err = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src
+    ).stderr.splitlines()
+    if err[0] == "True":
+        pytest.skip("this interpreter imports argparse, gettext or locale at start-up")
+    assert err[1] == "0 []"
