@@ -95,7 +95,8 @@ class SeesawResult:
     `capped` the number stopped by the iteration cap rather than convergence,
     `at_best` the number within `SEESAW_TIE_TOL` of the best value, and
     `certified` the number closed by the fixed-point certificate of
-    `_certify` instead of a last alternation.
+    `_certify` instead of a last alternation, whether the interlacing bound
+    or an eigensolve proved it; the count is the same either way.
     """
 
     value: float
@@ -154,7 +155,9 @@ def noise_tolerance(w: Witness, target: PureState) -> float:
     return float((c_target - w.alpha) / denom)
 
 
-def _certify(mats: np.ndarray, vecs: np.ndarray, values: np.ndarray, c_norm: float) -> np.ndarray:
+def _certify(
+    mats: np.ndarray, vecs: np.ndarray, values: np.ndarray, c_norm: float, second: float
+) -> np.ndarray:
     """Mask of the rows whose next alternation provably cannot move their value
     by more than `CERTIFY_TOL`.
 
@@ -167,15 +170,24 @@ def _certify(mats: np.ndarray, vecs: np.ndarray, values: np.ndarray, c_norm: flo
     up to an angle theta with sin(theta) <= r / delta (Davis-Kahan), so the
     vector the eigensolve would return changes the side-b value by at most
     2 ||C|| sin(theta).  r carries a round-off allowance of 4 dim eps c_norm,
-    which covers the computed residual and eigenvalues.  Only rows with
-    r <= CERTIFY_TOL, which the last test implies, reach `eigvalsh`.
+    which covers the computed residual and eigenvalues.
+
+    `second` bounds l2 from above for every row (see `_second_bound`); pass
+    `math.inf` when no bound is known.  M has an eigenvalue within r of v, so
+    once v - r > `second` that eigenvalue is l1, and delta >= v - second - 3r.
+    A row with 2 c_norm r <= CERTIFY_TOL (v - second - 3r) therefore meets
+    all three conditions without an eigensolve.  The rule certifies only
+    rows that meet the conditions for M's exact eigenvalues, so it closes
+    the rows `eigvalsh` would close, up to that eigensolve's own round-off at
+    the edge of the test.  Of the other rows, only those with
+    r <= CERTIFY_TOL, which the last condition implies, reach `eigvalsh`.
     """
     dim = mats.shape[-1]
     resid = (mats @ vecs[:, :, None])[:, :, 0] - values[:, None] * vecs
     resid = np.sqrt((resid.real**2 + resid.imag**2).sum(axis=1))
     resid += 4 * dim * np.finfo(float).eps * c_norm
-    certified = resid <= CERTIFY_TOL
-    rows = np.flatnonzero(certified)
+    certified = 2 * c_norm * resid <= CERTIFY_TOL * (values - second - 3 * resid)
+    rows = np.flatnonzero(~certified & (resid <= CERTIFY_TOL))
     if rows.size:
         top = np.linalg.eigvalsh(mats[rows])
         r = resid[rows]
@@ -184,6 +196,25 @@ def _certify(mats: np.ndarray, vecs: np.ndarray, values: np.ndarray, c_norm: flo
             drift = 2 * c_norm * r / gap
         certified[rows] = (np.abs(top[:, -1] - values[rows]) <= r) & (gap > 0) & (drift <= CERTIFY_TOL)
     return certified
+
+
+def _second_bound(mat: np.ndarray) -> float:
+    """Upper bound on the second eigenvalue of every matrix the seesaw
+    contracts out of the D x D operator `mat`, for any cut and side.
+
+    Side a's matrix M is the compression (1_a x b)^H C (1_a x b) of C by an
+    isometry, so Cauchy interlacing gives l2(M) <= l2(C); the same holds for
+    side b.  To the computed l2(C) the bound adds the Hermitian defect
+    ||C - C^H||_F, since the eigensolves of C and M read one triangle each,
+    and a round-off pad of 4 D^2 eps ||C||_F.  The pad covers the backward
+    error of C's `eigvalsh`, the matmul that builds M (each entry sums at
+    most D^2/4 products, an error of about (D^2/4 + 1) eps ||C||_F in
+    Frobenius norm) and the rounding of b's norm.
+    """
+    dim = mat.shape[0]
+    defect = mat - mat.conj().T
+    pad = 4 * dim * dim * np.finfo(float).eps * math.sqrt(np.vdot(mat, mat).real)
+    return float(np.linalg.eigvalsh(mat)[-2]) + math.sqrt(np.vdot(defect, defect).real) + pad
 
 
 class _CutRun(NamedTuple):
@@ -218,7 +249,15 @@ def _seesaw_cut(
     `CERTIFY_TOL` stops before the alternation's eigensolves, with the same
     count and flag as the alternation would give it and its value within
     `CERTIFY_TOL` of the one it would store.  The check runs once: a restart
-    it does not close by then runs to the stop test.
+    it does not close by then runs to the stop test.  The proof needs M's
+    second eigenvalue l2 only as an upper bound, so the cut first computes
+    `_second_bound` of the D x D operator with one `eigvalsh` (l2(C) plus the
+    Hermitian defect and a round-off pad; Cauchy interlacing).  A row whose
+    value clears that bound by enough is certified without an eigensolve of
+    its own, and only the others reach `_certify`'s batched `eigvalsh`.  The
+    bound accepts only rows that pass that eigensolve's test for M's exact
+    eigenvalues, so the same rows close, with the same counts, values and
+    vectors, barring the eigensolve's round-off at the edge of its test.
     """
     dims = tensor.shape[:tensor.ndim // 2]
     order, dim_a = cut_axes(dims, cut)
@@ -230,6 +269,7 @@ def _seesaw_cut(
     op_for_a = contracted.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, dim_a * dim_a)
     op_for_b = contracted.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b)
     c_norm = math.sqrt(np.vdot(tensor, tensor).real)
+    second = _second_bound(tensor.reshape(dim_a * dim_b, dim_a * dim_b))
 
     starts = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
     vec_a = np.empty((restarts, dim_a), dtype=complex)
@@ -244,7 +284,7 @@ def _seesaw_cut(
         outer_b = (side_b.conj()[:, :, None] * side_b[:, None, :]).reshape(-1, dim_b * dim_b)
         mats_a = (outer_b @ op_for_a).reshape(-1, dim_a, dim_a)
         if step == 2:
-            closed = _certify(mats_a, vec_a[active], values[active], c_norm)
+            closed = _certify(mats_a, vec_a[active], values[active], c_norm, second)
             counts[active[closed]] = step
             converged[active[closed]] = True
             certified = int(np.count_nonzero(closed))
@@ -281,9 +321,14 @@ def biseparable_max(
     residual bound (`_certify`) proves it cannot move the value by more than
     `CERTIFY_TOL`; counts and flags are the same either way, and values
     differ by at most `CERTIFY_TOL` from those the extra alternation would
-    store.  Among the restarts within `SEESAW_TIE_TOL` of the best value, the
-    lowest (cut index, restart) wins and its own value and state are reported,
-    so round-off in `op` does not reorder near-equal maxima.  Deterministic for a fixed seed;
+    store.  For a restart whose value clears op's second eigenvalue by
+    enough, the spectral gap that bound needs comes from Cauchy interlacing
+    and one eigensolve of `op` per cut, not from an eigensolve of its own;
+    for C_phi every restart clears it.  The same restarts close either way,
+    so the result does not change.  Among the restarts within
+    `SEESAW_TIE_TOL` of the best value, the lowest (cut index, restart) wins
+    and its own value and state are reported, so round-off in `op` does not
+    reorder near-equal maxima.  Deterministic for a fixed seed;
     the returned value never exceeds the global maximum eigenvalue of `op`.
     """
     if restarts < 1:

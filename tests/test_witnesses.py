@@ -32,6 +32,7 @@ from qcorr import (
     verify_dominance,
 )
 from qcorr import witnesses
+from qcorr.core import unit_rows
 from qcorr.witnesses import (
     GHZ4_CASES,
     GHZ4_WITNESS_GRID,
@@ -45,6 +46,7 @@ from qcorr.witnesses import (
     ProjectorWitness,
     WitnessNeverFiresError,
     _certify,
+    _second_bound,
     _seesaw_cut,
     biseparable_max,
 )
@@ -371,8 +373,8 @@ def _unitary(rng, dim):
     return q
 
 
-def _certify_one(mat, vec, value):
-    return _certify(mat[None], vec[None], np.array([value]), float(np.linalg.norm(mat)))
+def _certify_one(mat, vec, value, second=math.inf):
+    return _certify(mat[None], vec[None], np.array([value]), float(np.linalg.norm(mat)), second)
 
 
 def test_certify_accepts_top_eigenvector_with_gap():
@@ -381,10 +383,25 @@ def test_certify_accepts_top_eigenvector_with_gap():
     assert _certify_one(mat, u[:, 0], 5.0).tolist() == [True]
 
 
+def test_certify_accepts_top_eigenvector_by_interlacing_alone(monkeypatch):
+    u = _unitary(np.random.default_rng(5), 3)
+    mat = (u * [5.0, 1.0, 0.0]) @ u.conj().T
+    # a matrix is its own compression, so its bound holds for it
+    second = _second_bound(mat)
+    assert 1.0 <= second <= 1.0 + 1e-12
+
+    def eigvalsh(a, *args, **kwargs):
+        raise AssertionError(f"eigvalsh called on shape {np.shape(a)}")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert _certify_one(mat, u[:, 0], 5.0, second).tolist() == [True]
+
+
 def test_certify_refuses_second_eigenvector():
     # an exact eigenpair, residual zero, but not the top one
     mat = np.diag([5.0, 1.0, 0.0]).astype(complex)
-    assert _certify_one(mat, np.eye(3, dtype=complex)[1], 1.0).tolist() == [False]
+    for second in (math.inf, 1.0):
+        assert _certify_one(mat, np.eye(3, dtype=complex)[1], 1.0, second).tolist() == [False]
 
 
 def test_certify_refuses_degenerate_top():
@@ -402,14 +419,75 @@ def test_certify_refuses_residual_above_bound():
     values = np.einsum("ri,ij,rj->r", vecs.conj(), mat, vecs).real
     r = np.linalg.norm(np.einsum("ij,rj->ri", mat, vecs) - values[:, None] * vecs, axis=1)
     assert r[0] <= CERTIFY_TOL < 2 * c_norm * r[0] / (0.1 - 2 * r[0])
-    assert _certify(np.stack([mat, mat]), vecs, values, c_norm).tolist() == [False, True]
+    assert _certify(np.stack([mat, mat]), vecs, values, c_norm, math.inf).tolist() == [False, True]
 
 
-def test_certificate_closes_every_phi_restart():
+def test_certificate_closes_every_phi_restart(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def record(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
     for seed in (1, 1234, 2024):
+        shapes.clear()
         result = biseparable_max(build_C_phi(), restarts=200, seed=seed)
         assert result.certified == 1400
         assert list(result.iteration_histogram) == [0, 0, 1400]
+        # lambda_2(C_phi) = 3 and every restart reaches 7: interlacing closes
+        # them all, leaving one eigensolve of the operator per cut
+        assert shapes == [(16, 16)] * len(bipartitions(4))
+
+
+def _planted(dims, perm, vec_b, rng):
+    """Hermitian matrix on `dims` whose top two eigenvectors are x1 (x) b and
+    x2 (x) b, with side a the parties `perm` lists first.  Its compression by
+    1_a (x) b has x1 and x2 as eigenvectors with C's top two eigenvalues, so
+    interlacing holds with equality: l2(M) = l2(C)."""
+    dim = math.prod(dims)
+    top = np.kron(_unitary(rng, dim // vec_b.size)[:, :2], vec_b[:, None])
+    rest = rng.standard_normal((dim, dim - 2)) + 1j * rng.standard_normal((dim, dim - 2))
+    basis = np.linalg.qr(np.hstack([top, rest]))[0]
+    spectrum = np.concatenate([[2.0, 1.0 + rng.random()], -rng.random(dim - 2)])
+    mat = (basis * spectrum) @ basis.conj().T
+    back = list(np.argsort(perm))
+    shape = tuple(dims[k] for k in perm) * 2
+    return mat.reshape(shape).transpose(back + [len(dims) + k for k in back]).reshape(dim, dim)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_second_bound_holds_for_every_compression(dims, planted, seed):
+    """Every cut's side-a and side-b matrices, for random unit vectors on the
+    other side, have l2 at most `_second_bound` of the operator; `planted`
+    makes side a's matrix meet interlacing with equality."""
+    n = len(dims)
+    dim = math.prod(dims)
+    rng = np.random.default_rng(seed)
+    mat = _random_hermitian(PartyStructure(dims), rng).matrix
+    for cut in bipartitions(n):
+        axes_a = [p - 1 for p in cut]
+        perm = axes_a + [k for k in range(n) if k not in axes_a]
+        dim_a = math.prod(dims[k] for k in axes_a)
+        vec_a, vec_b = (unit_rows(rng.standard_normal(2 * d)) for d in (dim_a, dim // dim_a))
+        if planted:
+            mat = _planted(dims, perm, vec_b, rng)
+        bound = _second_bound(mat)
+        contracted = mat.reshape(dims * 2).transpose(perm + [n + ax for ax in perm]).reshape(
+            dim_a, dim // dim_a, dim_a, dim // dim_a
+        )
+        mat_a = np.einsum("ijkl,j,l->ik", contracted, vec_b.conj(), vec_b)
+        mat_b = np.einsum("ijkl,i,k->jl", contracted, vec_a.conj(), vec_a)
+        if planted:
+            assert abs(np.linalg.eigvalsh(mat_a)[-2] - np.linalg.eigvalsh(mat)[-2]) <= 1e-12
+        for side in (mat_a, mat_b):
+            assert np.linalg.eigvalsh(side)[-2] <= bound
 
 
 def _locally_diagonal(structure, rng):
