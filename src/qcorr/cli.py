@@ -27,6 +27,7 @@ from .correlators import (
     count_prop2_violations,
     ghz4_x_pairs,
     ghz4_z_pairs,
+    member_expectations,
     prop1_test,
     prop2_test,
     singlet_correlators,
@@ -103,10 +104,11 @@ def run_table1(args) -> Report:
 def run_table2(args) -> Report:
     report = Report("table2", seed=args.seed)
     c_phi = build_C_phi()
+    targets = [ghz4(case.theta, case.phi) for case in GHZ4_CASES]
     for row, (case_w, expected_row) in enumerate(zip(GHZ4_CASES, GHZ4_WITNESS_GRID), start=1):
         witness = make_witness(case_w.alpha, c_phi)
-        for col, (case_s, expected) in enumerate(zip(GHZ4_CASES, expected_row), start=1):
-            actual = witness.value(ghz4(case_s.theta, case_s.phi))
+        for col, (target, expected) in enumerate(zip(targets, expected_row), start=1):
+            actual = witness.value(target)
             report.add_result(f"value[{row}][{col}]", actual)
             report.add_check(approx_check(f"value[{row}][{col}]", expected, actual, 0.01))
     return report
@@ -119,8 +121,9 @@ def run_singlet(args) -> Report:
     for kind in ("z", "x", "y"):
         pairs = singlet_correlators(kind)
         kinds.update(p.setting.kind for p in pairs)
-        flips.extend(v for pair in pairs[:4] for v in pair.expectations(state).tolist())
-        groups.extend(v for pair in pairs[4:] for v in pair.expectations(state).tolist())
+        values = member_expectations(pairs, state)
+        flips.extend(v for pair in values[:4] for v in pair.tolist())
+        groups.extend(v for pair in values[4:] for v in pair.tolist())
     _expectation_range(report, "flip", flips, Fraction(1, 3))
     _expectation_range(report, "group", groups, Fraction(1, 6))
 
@@ -134,10 +137,9 @@ def run_singlet(args) -> Report:
 def run_ghz4x3(args) -> Report:
     report = Report("ghz4x3", parameters={"tol": args.tol}, seed=args.seed)
     state = ghz_4x3()
-    values, kinds = [], set()
-    for family in all_ghz4x3_families():
-        kinds.add(family.setting.kind)
-        values.extend(family.expectations(state).tolist())
+    families = all_ghz4x3_families()
+    kinds = {family.setting.kind for family in families}
+    values = [v for family in member_expectations(families, state) for v in family.tolist()]
     _expectation_range(report, "family", values, Fraction(1, 4))
     report.add_result("family_member_count", len(values))
 

@@ -17,11 +17,15 @@ cut party's outcome moved; each combined operator sums the member tables of
 its own records exactly per setting and checks each sum against its closed
 form.  Records are immutable, so their constructors are memoised; a
 constructor raises on an invalid argument before its cache stores anything,
-so each cache holds at most its subject's records.  A correlator's expectation
-is sum_s t[s] P(s), with P the state's outcome distribution in the setting
-(`core.outcome_probabilities` with the setting's basis on every party), so
-correlator records hold their setting, outcome tables, label and cut only, and
-no dense member is ever built; only the combined operators are dense.
+so each cache holds at most its subject's records.  Member tables are
+memoised read-only arrays keyed by what they depend on, so records that
+differ only in setting (the singlet's z, x and y pairs) share one set of
+tables.  A correlator's expectation is sum_s t[s] P(s), with P the state's
+outcome distribution in the setting (`core.outcome_probabilities` with the
+setting's basis on every party); `member_expectations` reads P once per
+distinct setting for a whole list of records.  So correlator records hold
+their setting, outcome tables, label and cut only, and no dense member is ever
+built; only the combined operators are dense.
 
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
@@ -80,25 +84,6 @@ class LocalBasis:
         vectors.setflags(write=False)
         object.__setattr__(self, "_vectors", vectors)
 
-    def vector(self, level: int) -> np.ndarray:
-        self._check_level(level)
-        return self._vectors[:, level]
-
-    def projector(self, level: int) -> np.ndarray:
-        vec = self.vector(level)
-        return np.outer(vec, vec.conj())
-
-    def exchange(self) -> np.ndarray:
-        """Unitary swapping the two basis vectors (dimension-2 bases only)."""
-        if self.dimension != 2:
-            raise ValueError("exchange is only defined for dimension-2 bases")
-        v0, v1 = self._vectors[:, 0], self._vectors[:, 1]
-        return np.outer(v0, v1.conj()) + np.outer(v1, v0.conj())
-
-    def _check_level(self, level: int) -> None:
-        if not 0 <= int(level) < self.dimension:
-            raise ValueError(f"level {level} outside 0..{self.dimension - 1}")
-
 
 _Z2 = LocalBasis("z", 2)
 _X2 = LocalBasis("x", 2)
@@ -137,13 +122,29 @@ class _OutcomeTables:
         object.__setattr__(self, "tables", tuple(map(_owned_int64, tables)))
 
     def expectations(self, state) -> np.ndarray:
-        """Every member's expectation at `state`: sum_s t[s] P(s), with P the
-        state's outcome distribution in the setting (`core.outcome_probabilities`
-        with the setting's basis on every party)."""
-        probs = core.outcome_probabilities(state, [self.setting._vectors] * len(state.structure.dims))
-        if probs.shape != self.tables[0].shape:
-            raise ValueError(f"party structures differ: {self.tables[0].shape} vs {probs.shape}")
-        return np.array([np.vdot(table, probs) for table in self.tables])
+        """Every member's expectation at `state` (see `member_expectations`)."""
+        return member_expectations([self], state)[0]
+
+
+def member_expectations(records, state) -> list[np.ndarray]:
+    """Every member's expectation at `state`, one array per record of `records`.
+
+    Member t's expectation is sum_s t[s] P(s), with P the state's outcome
+    distribution in the record's setting (`core.outcome_probabilities` with
+    the setting's basis on every party).  P is computed once per distinct
+    setting and shared by every record measured in it.
+    """
+    distributions = {}
+    values = []
+    for record in records:
+        probs = distributions.get(record.setting)
+        if probs is None:
+            unitaries = [record.setting._vectors] * len(state.structure.dims)
+            probs = distributions[record.setting] = core.outcome_probabilities(state, unitaries)
+        if probs.shape != record.tables[0].shape:
+            raise ValueError(f"party structures differ: {record.tables[0].shape} vs {probs.shape}")
+        values.append(np.array([np.vdot(table, probs) for table in record.tables]))
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +180,20 @@ _LEVELS = np.indices(QUDIT4X3.dims)
 
 @lru_cache(maxsize=32)
 def _unitary(basis: LocalBasis, parties: int) -> np.ndarray:
-    """`basis` on each of `parties` parties, as one read-only matrix."""
-    return _frozen(reduce(np.kron, [basis._vectors] * parties))
+    """`basis` on each of `parties` parties, as one read-only matrix.
+
+    Entry [s, t] is the product of the parties' entries [s_k, t_k], multiplied
+    left to right as `reduce(np.kron, ...)` would, from one broadcast view per
+    party (rows on axis k, columns on axis parties + k).
+    """
+    vectors = basis._vectors
+    d = vectors.shape[0]
+    factors = []
+    for k in range(parties):
+        shape = [1] * (2 * parties)
+        shape[k] = shape[parties + k] = d
+        factors.append(vectors.reshape(shape))
+    return _frozen(reduce(np.multiply, factors).reshape(d**parties, d**parties))
 
 
 def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
@@ -201,11 +214,23 @@ def _string(shape: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Sparse index grids of `shape`: entry k holds axis k's index."""
+    return np.indices(shape, sparse=True)
+
+
 def _moved(mask: np.ndarray, shift: int, axes) -> np.ndarray:
     """The strings of `mask` minus the same strings with the outcome of every
-    party on `axes` moved up by `shift` (cyclically), as an integer table."""
+    party on `axes` (an axis or a tuple of axes) moved up by `shift`
+    (cyclically), as an integer table."""
     mask = mask.astype(np.int64)
-    return mask - np.roll(mask, shift, axes)
+    axes = (axes,) if isinstance(axes, int) else axes
+    index = tuple(
+        (grid - shift) % n if k in axes else grid
+        for k, (grid, n) in enumerate(zip(_grid(mask.shape), mask.shape))
+    )
+    return mask - mask[index]
 
 
 def _summed_tables(name: str, weighted, closed_forms: dict) -> list[np.ndarray]:
@@ -295,31 +320,45 @@ _SINGLET_GROUPS = ((0, 1), (0, 2), (1, 3), (1, 4))
 
 
 @lru_cache(maxsize=None)
-def singlet_flip_pair(basis_kind: str, m: int) -> CorrelatorPair:
-    """Pair comparing the 0011/1100 patterns with the same patterns flipped at party m.
-
-    For the x and y settings the flip exchanges the two local basis vectors,
-    so every setting shares the z tables.
-    """
-    cut_axes(QUBIT4.dims, (m,))
-    tables = tuple(_moved(_string(QUBIT4.dims, (j, j, 1 - j, 1 - j)), 1, m - 1) for j in (0, 1))
-    return _qubit_pair(basis_kind, tables, f"singlet4.{basis_kind}.m{m}", (m,))
+def _singlet_flip_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """0011 and 1100, each minus itself flipped at party m; memoised read-only."""
+    return tuple(_frozen(_moved(_string(QUBIT4.dims, (j, j, 1 - j, 1 - j)), 1, m - 1)) for j in (0, 1))
 
 
 @lru_cache(maxsize=None)
-def singlet_group_pair(basis_kind: str, n: int, k: int) -> CorrelatorPair:
-    """Pair comparing a 01/10 pattern on one party pair, flipped at party k,
-    multiplied by the symmetric 01+10 pattern on the complementary pair."""
+def _singlet_group_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """01 and 10 on group n's party pair times 01+10 on the other pair, each
+    minus itself flipped at party k; memoised read-only."""
     if n not in (0, 1):
         raise ValueError(f"group index must be 0 or 1, got {n}")
     a, b, c, e = (1, 2, 3, 4) if n == 0 else (3, 4, 1, 2)
     if k not in (a, b):
         raise ValueError(f"flip party {k} must be one of the group parties {(a, b)}")
     rest = _BITS[c - 1] != _BITS[e - 1]
-    tables = tuple(
-        _moved(rest & (_BITS[a - 1] == j) & (_BITS[b - 1] == 1 - j), 1, k - 1) for j in (0, 1)
+    return tuple(
+        _frozen(_moved(rest & (_BITS[a - 1] == j) & (_BITS[b - 1] == 1 - j), 1, k - 1)) for j in (0, 1)
     )
-    return _qubit_pair(basis_kind, tables, f"singlet4.{basis_kind}.n{n}k{k}", (k,))
+
+
+@lru_cache(maxsize=None)
+def singlet_flip_pair(basis_kind: str, m: int) -> CorrelatorPair:
+    """Pair comparing the 0011/1100 patterns with the same patterns flipped at party m.
+
+    For the x and y settings the flip exchanges the two local basis vectors,
+    so every setting shares the z tables: the same read-only arrays.
+    """
+    cut_axes(QUBIT4.dims, (m,))
+    return _qubit_pair(basis_kind, _singlet_flip_tables(m), f"singlet4.{basis_kind}.m{m}", (m,))
+
+
+@lru_cache(maxsize=None)
+def singlet_group_pair(basis_kind: str, n: int, k: int) -> CorrelatorPair:
+    """Pair comparing a 01/10 pattern on one party pair, flipped at party k,
+    multiplied by the symmetric 01+10 pattern on the complementary pair.
+
+    Every setting shares the same read-only tables, as for the flip pairs.
+    """
+    return _qubit_pair(basis_kind, _singlet_group_tables(n, k), f"singlet4.{basis_kind}.n{n}k{k}", (k,))
 
 
 def singlet_correlators(basis_kind: str) -> list[CorrelatorPair]:

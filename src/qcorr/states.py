@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,26 +12,17 @@ QUBIT4 = PartyStructure((2, 2, 2, 2))
 QUDIT4X3 = PartyStructure((4, 4, 4))
 
 
-@dataclass(frozen=True)
-class GhzParams:
-    """Angles of the tunable four-qubit GHZ family: theta in (0, pi/2), phi in [0, pi/2)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta < math.pi / 2:
-            raise ValueError(f"theta={self.theta} outside (0, pi/2)")
-        if not 0.0 <= self.phi < math.pi / 2:
-            raise ValueError(f"phi={self.phi} outside [0, pi/2)")
-
-
 def ghz4(theta: float, phi: float) -> PureState:
-    """cos(theta)|0000> + e^{i phi} sin(theta)|1111> on four qubits."""
-    params = GhzParams(float(theta), float(phi))
+    """cos(theta)|0000> + e^{i phi} sin(theta)|1111> on four qubits, for
+    theta in (0, pi/2) and phi in [0, pi/2)."""
+    theta, phi = float(theta), float(phi)
+    if not 0.0 < theta < math.pi / 2:
+        raise ValueError(f"theta={theta} outside (0, pi/2)")
+    if not 0.0 <= phi < math.pi / 2:
+        raise ValueError(f"phi={phi} outside [0, pi/2)")
     amps = np.zeros(16, dtype=np.complex128)
-    amps[0] = math.cos(params.theta)
-    amps[15] = np.exp(1j * params.phi) * math.sin(params.theta)
+    amps[0] = math.cos(theta)
+    amps[15] = np.exp(1j * phi) * math.sin(theta)
     return PureState(amps, QUBIT4)
 
 

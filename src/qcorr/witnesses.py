@@ -231,7 +231,13 @@ class _CutRun(NamedTuple):
 
 
 def _seesaw_cut(
-    tensor: np.ndarray, cut: tuple[int, ...], cut_index: int, restarts: int, iters: int, seed: int
+    tensor: np.ndarray,
+    cut: tuple[int, ...],
+    cut_index: int,
+    restarts: int,
+    iters: int,
+    seed: int,
+    second: float,
 ) -> _CutRun:
     """Alternating top-eigenvector updates for every restart of one cut at once.
 
@@ -250,9 +256,10 @@ def _seesaw_cut(
     count and flag as the alternation would give it and its value within
     `CERTIFY_TOL` of the one it would store.  The check runs once: a restart
     it does not close by then runs to the stop test.  The proof needs M's
-    second eigenvalue l2 only as an upper bound, so the cut first computes
-    `_second_bound` of the D x D operator with one `eigvalsh` (l2(C) plus the
-    Hermitian defect and a round-off pad; Cauchy interlacing).  A row whose
+    second eigenvalue l2 only as an upper bound: `second`, the operator's
+    `_second_bound` (l2(C) plus the Hermitian defect and a round-off pad;
+    Cauchy interlacing), which holds for every cut, so the caller computes it
+    once per search with one `eigvalsh` of the D x D operator.  A row whose
     value clears that bound by enough is certified without an eigensolve of
     its own, and only the others reach `_certify`'s batched `eigvalsh`.  The
     bound accepts only rows that pass that eigensolve's test for M's exact
@@ -269,7 +276,6 @@ def _seesaw_cut(
     op_for_a = contracted.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, dim_a * dim_a)
     op_for_b = contracted.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b)
     c_norm = math.sqrt(np.vdot(tensor, tensor).real)
-    second = _second_bound(tensor.reshape(dim_a * dim_b, dim_a * dim_b))
 
     starts = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
     vec_a = np.empty((restarts, dim_a), dtype=complex)
@@ -323,7 +329,7 @@ def biseparable_max(
     differ by at most `CERTIFY_TOL` from those the extra alternation would
     store.  For a restart whose value clears op's second eigenvalue by
     enough, the spectral gap that bound needs comes from Cauchy interlacing
-    and one eigensolve of `op` per cut, not from an eigensolve of its own;
+    and one eigensolve of `op` per search, not from an eigensolve of its own;
     for C_phi every restart clears it.  The same restarts close either way,
     so the result does not change.  Among the restarts within
     `SEESAW_TIE_TOL` of the best value, the lowest (cut index, restart) wins
@@ -337,9 +343,10 @@ def biseparable_max(
         raise ValueError(f"seesaw needs at least one iteration, got {iters}")
     structure = op.structure
     tensor = op.matrix.reshape(structure.dims + structure.dims)
+    second = _second_bound(op.matrix)
     cuts = bipartitions(structure.n_parties)
     runs = [
-        _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
+        _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed, second)
         for cut_index, cut in enumerate(cuts)
     ]
     values, counts, converged, vecs_a, vecs_b, certified = zip(*runs)

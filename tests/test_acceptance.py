@@ -51,6 +51,8 @@ from qcorr.witnesses import (
     biseparable_max,
 )
 
+from oracles import basis_projector
+
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
@@ -201,7 +203,7 @@ def test_criterion_09_property_suites():
             ok = ok and abs(total - 1.0) <= 1e-12
     for kind, dim in (("z", 2), ("x", 2), ("y", 2), ("z", 4), ("fourier", 4)):
         basis = LocalBasis(kind, dim)
-        total = sum(basis.projector(level) for level in range(dim))
+        total = sum(basis_projector(basis, level) for level in range(dim))
         ok = ok and np.max(np.abs(total - np.eye(dim))) <= 1e-12
     _verdict(
         "09 property suites",

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_bench_reference import workloads
 
+from qcorr import core
 from qcorr.cli import COMMANDS, main
 
 
@@ -52,6 +53,22 @@ def test_ghz4x3_command(capsys):
     assert payload["results"]["lms_count"] == 2
     assert payload["results"]["family_member_count"] == 216
     assert all(check["pass"] for check in payload["checks"])
+
+
+@pytest.mark.parametrize("command, settings", [("singlet", 3), ("ghz4x3", 2)])
+def test_command_reads_each_settings_distribution_once(capsys, monkeypatch, command, settings):
+    # 24 singlet pairs in 3 settings and 54 four-level families in 2
+    calls = []
+    probabilities = core.outcome_probabilities
+
+    def count(state, unitaries):
+        calls.append(state)
+        return probabilities(state, unitaries)
+
+    monkeypatch.setattr(core, "outcome_probabilities", count)
+    code, _ = _run(capsys, [command, "--format", "json"])
+    assert code == 0
+    assert len(calls) == settings
 
 
 def test_bell_d2(capsys):

@@ -2,9 +2,12 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import (
     DERANGEMENTS_4,
@@ -49,6 +52,8 @@ from qcorr.correlators import (
 )
 from qcorr.states import QUBIT4, QUDIT4X3
 
+from oracles import basis_exchange, basis_projector, basis_vector
+
 GHZ_ANGLES = ((math.pi / 4, math.pi / 6), (math.pi / 4.9, 0.0), (math.pi / 3.7, math.pi / 9))
 
 
@@ -68,17 +73,17 @@ def _basis_state(structure, index):
 
 
 def test_local_projector_z():
-    assert np.allclose(LocalBasis("z", 2).projector(0), np.diag([1.0, 0.0]))
+    assert np.allclose(basis_projector(LocalBasis("z", 2), 0), np.diag([1.0, 0.0]))
 
 
 def test_local_projector_x():
-    assert np.allclose(LocalBasis("x", 2).projector(0), np.full((2, 2), 0.5))
+    assert np.allclose(basis_projector(LocalBasis("x", 2), 0), np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("kind,dim", [("z", 2), ("x", 2), ("y", 2), ("z", 4), ("fourier", 4)])
 def test_projector_completeness(kind, dim):
     basis = LocalBasis(kind, dim)
-    total = sum(basis.projector(level) for level in range(dim))
+    total = sum(basis_projector(basis, level) for level in range(dim))
     assert np.allclose(total, np.eye(dim), atol=1e-12)
 
 
@@ -86,19 +91,16 @@ def test_local_basis_refuses_non_integral_dimension():
     for kind in ("z", "fourier"):
         with pytest.raises(ValueError, match="integer"):
             LocalBasis(kind, 2.5)
-    assert LocalBasis("z", np.int64(3)).vector(2).shape == (3,)
+    assert basis_vector(LocalBasis("z", np.int64(3)), 2).shape == (3,)
 
 
 def test_exchange_swaps_projectors():
     for kind in ("z", "x", "y"):
         basis = LocalBasis(kind, 2)
-        flip = basis.exchange()
-        assert np.allclose(flip @ basis.projector(0) @ flip.conj().T, basis.projector(1), atol=1e-12)
-
-
-def test_level_out_of_range():
-    with pytest.raises(ValueError):
-        LocalBasis("z", 2).projector(2)
+        flip = basis_exchange(basis)
+        assert np.allclose(
+            flip @ basis_projector(basis, 0) @ flip.conj().T, basis_projector(basis, 1), atol=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,8 @@ def _projector_sum(kind, structure, value):
     basis = LocalBasis(kind, structure.dims[0])
     total = np.zeros((structure.dim, structure.dim), dtype=complex)
     for levels in itertools.product(range(basis.dimension), repeat=structure.n_parties):
-        total += value(levels) * functools.reduce(np.kron, [basis.projector(level) for level in levels])
+        projectors = [basis_projector(basis, level) for level in levels]
+        total += value(levels) * functools.reduce(np.kron, projectors)
     return total
 
 
@@ -256,13 +259,15 @@ def test_combined_operator_equals_member_sum_and_closed_form(name):
     assert np.max(np.abs(op.matrix - closed_form())) <= 1e-12
 
 
-#: The memoised record constructors and four-level member tables.
+#: The memoised record constructors and member tables.
 _MEMOISED = (
     correlators.ghz4_party_z,
     correlators.ghz4_pair_z,
     correlators.ghz4_party_x,
     correlators.singlet_flip_pair,
     correlators.singlet_group_pair,
+    correlators._singlet_flip_tables,
+    correlators._singlet_group_tables,
     correlators.ghz4x3_correlators,
     correlators._ghz4x3_table,
 )
@@ -517,7 +522,7 @@ def test_product_of_members_never_all_positive_manually():
 def _basis_product_states(structure, basis):
     """Every product of `basis` vectors over the parties of `structure`."""
     for levels in itertools.product(range(basis.dimension), repeat=structure.n_parties):
-        amps = functools.reduce(np.kron, [basis.vector(level) for level in levels])
+        amps = functools.reduce(np.kron, [basis_vector(basis, level) for level in levels])
         yield PureState(amps, structure)
 
 
@@ -735,6 +740,100 @@ def test_table_expectations_equal_dense_expectations():
                     assert prop1_test(record, state) == bool(signs[0] * signs[1] > 0)
             checked += len(dense)
     assert checked == 70 + 216
+
+
+def _dense_expectation(record, table, state):
+    """<state| U diag(table) U^dagger |state>, with U the Kronecker product of
+    the setting's basis matrix over the parties."""
+    unitary = functools.reduce(np.kron, [record.setting._vectors] * table.ndim)
+    op = (unitary * table.reshape(-1)) @ unitary.conj().T
+    if isinstance(state, PureState):
+        return np.vdot(state.amplitudes, op @ state.amplitudes).real
+    return np.trace(state.matrix @ op).real  # a density matrix or white-noise mixture
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_member_expectations_equal_dense_expectations(seed):
+    rng = np.random.default_rng(seed)
+    pairs = ghz4_z_pairs() + [p for kind in "zxy" for p in singlet_correlators(kind)] + ghz4_x_pairs()
+    for records, structure in ((pairs, QUBIT4), (all_ghz4x3_families(), QUDIT4X3)):
+        for state in _random_states(structure, rng):
+            values = correlators.member_expectations(records, state)
+            assert len(values) == len(records)
+            for record, got in zip(records, values):
+                reference = [_dense_expectation(record, table, state) for table in record.tables]
+                assert np.max(np.abs(got - reference)) <= 1e-12, record.label
+                # the shared distribution gives each record its own values, bit for bit
+                assert np.array_equal(got, record.expectations(state)), record.label
+
+
+def test_member_expectations_read_one_distribution_per_setting(monkeypatch):
+    bases = []
+    probabilities = core.outcome_probabilities
+
+    def count(state, unitaries):
+        bases.append(unitaries[0])
+        return probabilities(state, unitaries)
+
+    monkeypatch.setattr(core, "outcome_probabilities", count)
+    pairs = [p for kind in "zxy" for p in singlet_correlators(kind)] + ghz4_z_pairs()
+    correlators.member_expectations(pairs, singlet4())
+    qubit_bases = (correlators._Z2, correlators._X2, correlators._Y2)
+    assert [id(u) for u in bases] == [id(b._vectors) for b in qubit_bases]
+    bases.clear()
+    correlators.member_expectations(all_ghz4x3_families(), ghz_4x3())
+    assert [id(u) for u in bases] == [id(b._vectors) for b in (correlators._Z4, correlators._F4)]
+
+
+def test_singlet_settings_share_their_tables():
+    # the tables depend on the flip party (and group), not on the setting
+    z, x, y = (singlet_correlators(kind) for kind in "zxy")
+    distinct = {id(t) for pairs in (z, x, y) for pair in pairs for t in pair.tables}
+    assert len(distinct) == 16
+    for pz, px, py in zip(z, x, y):
+        assert [p.setting.kind for p in (pz, px, py)] == ["z", "x", "y"]
+        for tz, tx, ty in zip(pz.tables, px.tables, py.tables):
+            assert tz is tx and tz is ty
+            assert not tz.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
+        lambda shape: st.tuples(
+            st.just(tuple(shape)),
+            st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)),
+            st.integers(-9, 9),
+            st.sets(st.integers(0, len(shape) - 1), min_size=1).map(sorted),
+            st.booleans(),
+        )
+    )
+)
+def test_moved_equals_roll(case):
+    shape, bits, shift, axes, single = case
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    axes = axes[0] if single else tuple(axes)
+    table = mask.astype(np.int64)
+    assert np.array_equal(correlators._moved(mask, shift, axes), table - np.roll(table, shift, axes))
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        LocalBasis("z", 2),
+        LocalBasis("x", 2),
+        LocalBasis("y", 2),
+        LocalBasis("z", 4),
+        LocalBasis("fourier", 4),
+        LocalBasis("fourier", 3, Fraction(1, 3)),
+    ],
+    ids=lambda b: f"{b.kind}{b.dimension}",
+)
+@pytest.mark.parametrize("parties", [1, 2, 3, 4])
+def test_unitary_equals_kron_chain(basis, parties):
+    unitary = correlators._unitary.__wrapped__(basis, parties)
+    assert np.array_equal(unitary, functools.reduce(np.kron, [basis._vectors] * parties))
+    assert not unitary.flags.writeable
 
 
 def test_outcome_distribution_rejects_a_mismatched_state():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qcorr import (
-    GhzParams,
     build_C_ghz4x3,
     build_C_phi,
     build_C_psi,
@@ -43,13 +42,13 @@ def test_ghz4_normalized_for_random_params():
 
 
 def test_ghz_params_ranges():
-    with pytest.raises(ValueError):
-        GhzParams(0.0, 0.0)
-    with pytest.raises(ValueError):
-        GhzParams(math.pi / 2, 0.0)
-    with pytest.raises(ValueError):
-        GhzParams(math.pi / 4, math.pi / 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^theta=0.0 outside \(0, pi/2\)$"):
+        ghz4(0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^theta=1.5707963267948966 outside \(0, pi/2\)$"):
+        ghz4(math.pi / 2, 0.0)
+    with pytest.raises(ValueError, match=r"^phi=1.5707963267948966 outside \[0, pi/2\)$"):
+        ghz4(math.pi / 4, math.pi / 2)
+    with pytest.raises(ValueError, match=r"^phi=-0.1 outside \[0, pi/2\)$"):
         ghz4(math.pi / 4, -0.1)
 
 

@@ -319,9 +319,10 @@ def test_batched_seesaw_matches_scalar_loop(make_op, restarts):
     op = make_op()
     seed, iters = 1234, 500
     tensor = op.matrix.reshape(op.structure.dims * 2)
+    second = _second_bound(op.matrix)
     for cut_index, cut in enumerate(bipartitions(op.structure.n_parties)):
         ref = _scalar_seesaw(op, cut_index, cut, restarts, iters, seed)
-        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
+        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed, second)
         assert np.max(np.abs(values - ref[0])) <= 1e-9
         assert np.array_equal(counts, ref[1])
         assert np.array_equal(converged, ref[2])
@@ -437,8 +438,8 @@ def test_certificate_closes_every_phi_restart(monkeypatch):
         assert result.certified == 1400
         assert list(result.iteration_histogram) == [0, 0, 1400]
         # lambda_2(C_phi) = 3 and every restart reaches 7: interlacing closes
-        # them all, leaving one eigensolve of the operator per cut
-        assert shapes == [(16, 16)] * len(bipartitions(4))
+        # them all, leaving one eigensolve of the operator for the whole search
+        assert shapes == [(16, 16)]
 
 
 def _planted(dims, perm, vec_b, rng):
@@ -515,8 +516,9 @@ def test_certified_seesaw_matches_scalar_loop(dims, tilt, op_seed, seed, restart
     if tilt is not None:
         op = _locally_diagonal(structure, rng) + tilt * op
     tensor = op.matrix.reshape(dims * 2)
+    second = _second_bound(op.matrix)
     for cut_index, cut in enumerate(bipartitions(len(dims))):
-        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed)
+        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed, second)
         ref_values, ref_counts, ref_converged = _scalar_seesaw(op, cut_index, cut, restarts, 100, seed)
         same = (counts == ref_counts) & (converged == ref_converged)
         assert np.max(np.abs(values - ref_values)[same], initial=0.0) <= 1e-10
@@ -540,6 +542,7 @@ SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 1)
 def test_seed_states_equal_seed_sequence(monkeypatch, seed, cut_index, restarts):
     op = _random_hermitian(PartyStructure((2, 2, 2, 2)), np.random.default_rng(8))
     cut = bipartitions(4)[cut_index]
+    second = _second_bound(op.matrix)
     default_rng = np.random.default_rng
     states = []
 
@@ -549,7 +552,7 @@ def test_seed_states_equal_seed_sequence(monkeypatch, seed, cut_index, restarts)
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", record)
-    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed)
+    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed, second)
     # one generator per cut, whatever the restart count, seeded by the cut's SeedSequence
     assert len(states) == 1
     assert states[0] == np.random.PCG64(np.random.SeedSequence([seed, cut_index])).state
@@ -562,6 +565,7 @@ def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, 
     op = _random_hermitian(PartyStructure((2, 2, 2, 2)), np.random.default_rng(8))
     cut = bipartitions(4)[cut_index]
     dim_b = 16 // 2 ** len(cut)
+    second = _second_bound(op.matrix)
     norm = np.linalg.norm
     seen = []
 
@@ -570,7 +574,7 @@ def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, 
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", record)
-    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed)
+    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed, second)
     rows = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
     # the one vector normalised is side b's start; side a is never drawn
     assert len(seen) == 1
@@ -584,9 +588,10 @@ def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, 
 def test_seesaw_restarts_do_not_depend_on_their_number(make_op):
     op = make_op()
     tensor = op.matrix.reshape(op.structure.dims * 2)
+    second = _second_bound(op.matrix)
     for cut_index, cut in enumerate(bipartitions(op.structure.n_parties)):
-        few = _seesaw_cut(tensor, cut, cut_index, 20, 500, 1234)
-        many = _seesaw_cut(tensor, cut, cut_index, 57, 500, 1234)
+        few = _seesaw_cut(tensor, cut, cut_index, 20, 500, 1234, second)
+        many = _seesaw_cut(tensor, cut, cut_index, 57, 500, 1234, second)
         # same starts; the stacked matmul's round-off depends on the stack height
         assert np.max(np.abs(few[0] - many[0][:20])) <= 1e-9
         assert np.array_equal(few[1], many[1][:20])
