@@ -80,14 +80,6 @@ def setting_basis(ms: MeasurementSetting) -> np.ndarray:
     return np.exp(phases) / math.sqrt(d)
 
 
-def setting_vector(ms: MeasurementSetting, l: int) -> np.ndarray:
-    """Unit eigenvector l of the observable: column l of `setting_basis`."""
-    d = ms.dimension
-    if not 0 <= int(l) < d:
-        raise ValueError(f"outcome {l} outside 0..{d - 1}")
-    return setting_basis(ms)[:, int(l)]
-
-
 def outcome_table(state, s1: MeasurementSetting, s2: MeasurementSetting) -> np.ndarray:
     """Joint outcome probabilities P[v1, v2] of one setting pair
     (`core.outcome_probabilities` with the two setting bases)."""
@@ -119,14 +111,6 @@ def _correlators(state, i: int, j: int) -> np.ndarray:
     plus, minus = RESIDUES[(i, j)]
     m = np.arange(d)
     return table[(plus - m) % d, m] - table[(minus - m) % d, m]
-
-
-def correlator_m(state, i: int, j: int, m: int) -> float:
-    """Single correlator: difference of two joint probabilities at outcome v2 = m."""
-    d = state.structure.dims[0]
-    if not 0 <= int(m) < d:
-        raise ValueError(f"index {m} outside 0..{d - 1}")
-    return float(_correlators(state, i, j)[int(m)])
 
 
 def correlation(state, i: int, j: int) -> tuple[float, int]:
@@ -169,9 +153,6 @@ class LhvAssignment:
             value = getattr(self, name)
             if not 0 <= value < d:
                 raise ValueError(f"{name}={value} outside 0..{d - 1}")
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v11, self.v21, self.v12, self.v22)
 
 
 def lhv_value(a: LhvAssignment, d: int) -> int:
@@ -234,12 +215,6 @@ def lhv_max(d: int) -> tuple[int, list[LhvAssignment]]:
 def noise_threshold(d: int) -> float:
     """White-noise fraction below which the functional still exceeds the local bound."""
     return 1.0 - 2.0 / analytic_value(d)
-
-
-def projector_witness_threshold(d: int) -> float:
-    """Noise tolerance of the projector witness (1/d)1 - |psi_d><psi_d|."""
-    d = local_dimension(d)
-    return d / (d + 1)
 
 
 def chsh_reduction_check() -> bool:

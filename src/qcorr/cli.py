@@ -27,9 +27,8 @@ from .correlators import (
     count_prop2_violations,
     ghz4_x_pairs,
     ghz4_z_pairs,
+    margin_sign,
     member_expectations,
-    prop1_test,
-    prop2_test,
     singlet_correlators,
 )
 from .report import Report, approx_check, bound_check, exact_check
@@ -201,19 +200,18 @@ def run_bell(args) -> Report:
 
 def run_proptest(args) -> Report:
     report = Report("proptest", parameters={"trials": args.trials}, seed=args.seed)
-    pairs = ghz4_z_pairs() + ghz4_x_pairs()
-    for kind in ("z", "x", "y"):
-        pairs.extend(singlet_correlators(kind))
+    ghz_pairs = ghz4_z_pairs() + ghz4_x_pairs()
+    singlet_pairs = [pair for kind in ("z", "x", "y") for pair in singlet_correlators(kind)]
+    pairs = ghz_pairs + singlet_pairs
     families = all_ghz4x3_families()
 
-    ghz_state = ghz4(math.pi / 4, 0.0)
-    singlet_state = singlet4()
-    ghz4x3_state = ghz_4x3()
-    positives = all(
-        prop1_test(pair, ghz_state if pair.label.startswith("ghz4.") else singlet_state)
-        for pair in pairs
-    )
-    positives = positives and all(prop2_test(f, ghz4x3_state) for f in families)
+    # The sign tests of `prop1_test` and `prop2_test`, reading each target
+    # state's records through one `member_expectations` call.
+    pair_values = member_expectations(ghz_pairs, ghz4(math.pi / 4, 0.0))
+    pair_values += member_expectations(singlet_pairs, singlet4())
+    family_values = member_expectations(families, ghz_4x3())
+    positives = all(signs[0] * signs[1] > 0 for signs in map(margin_sign, pair_values))
+    positives = positives and all(np.all(margin_sign(values) > 0) for values in family_values)
 
     violations1 = sum(
         count_prop1_violations(pair, args.trials, args.seed + i) for i, pair in enumerate(pairs)

@@ -25,7 +25,13 @@ outcome distribution in the setting (`core.outcome_probabilities` with the
 setting's basis on every party); `member_expectations` reads P once per
 distinct setting for a whole list of records.  So correlator records hold
 their setting, outcome tables, label and cut only, and no dense member is ever
-built; only the combined operators are dense.
+built; only the combined operators are dense, and they are exact.  Each
+setting's operator is built from the basis's Gaussian-integer form (vectors
+times sqrt(s), s = 1 for z, 2 for x and y, 4 for the four-level Fourier
+basis) in integer steps and one division by a power of two, so C_phi,
+C_psi and C_ghz4x3 carry no round-off and their zero entries are exact
+zeros: C_phi equals 8(P_0000 + P_1111) - 1 + 4 sigma_x^{(x)4} entry for
+entry, and 16 C_psi and 64 C_ghz4x3 are Gaussian-integer matrices.
 
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
@@ -36,6 +42,7 @@ positive throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -178,33 +185,63 @@ _BITS = np.indices(QUBIT4.dims)
 _LEVELS = np.indices(QUDIT4X3.dims)
 
 
-@lru_cache(maxsize=32)
-def _unitary(basis: LocalBasis, parties: int) -> np.ndarray:
-    """`basis` on each of `parties` parties, as one read-only matrix.
+def _power(vectors: np.ndarray, parties: int) -> np.ndarray:
+    """`vectors` on each of `parties` parties, as one matrix.
 
     Entry [s, t] is the product of the parties' entries [s_k, t_k], multiplied
     left to right as `reduce(np.kron, ...)` would, from one broadcast view per
     party (rows on axis k, columns on axis parties + k).
     """
-    vectors = basis._vectors
     d = vectors.shape[0]
     factors = []
     for k in range(parties):
         shape = [1] * (2 * parties)
         shape[k] = shape[parties + k] = d
         factors.append(vectors.reshape(shape))
-    return _frozen(reduce(np.multiply, factors).reshape(d**parties, d**parties))
+    return reduce(np.multiply, factors).reshape(d**parties, d**parties)
+
+
+@lru_cache(maxsize=32)
+def _unitary(basis: LocalBasis, parties: int) -> np.ndarray:
+    """`basis` on each of `parties` parties, as one read-only matrix (`_power`)."""
+    return _frozen(_power(basis._vectors, parties))
+
+
+@lru_cache(maxsize=None)
+def _integer_form(basis: LocalBasis) -> tuple[np.ndarray, int]:
+    """(V, s) with V = vectors * sqrt(s) a Gaussian-integer matrix: s = 1 for
+    z and s = d otherwise (2 for x and y, 4 for the four-level Fourier basis).
+
+    A basis whose scaled vectors are not within `core.STRUCTURAL_TOL` of
+    Gaussian integers (Fourier bases of most dimensions and offsets) raises
+    `ValueError`.
+    """
+    vectors = basis._vectors
+    d = vectors.shape[0]
+    scale = 1 if basis.kind == "z" else d
+    scaled = vectors * math.sqrt(scale)
+    form = np.rint(scaled)  # rounds real and imaginary parts
+    if np.max(np.abs(form - scaled)) > core.STRUCTURAL_TOL:
+        raise ValueError(f"{basis.kind} basis of dimension {d} has no Gaussian-integer form")
+    return _frozen(form), scale
 
 
 def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
-    """U diag(table) U^dagger, where U is `basis` on every party.
+    """U diag(table) U^dagger, where U is `basis` on every party, exactly.
 
     This is the signed sum of basis-projector products that the integer
     outcome table counts: entry table[s] weighs the product state of outcome
-    string s.
+    string s.  It is computed as (W diag(table) W^H) / s^n from the basis's
+    Gaussian-integer form (`_integer_form`, W = V on each of the n parties):
+    every intermediate is a small Gaussian integer, held exactly in floats,
+    and the division is by a power of two for every basis used here, so the
+    result carries no round-off and its zero entries are exact zeros.
     """
-    unitary = _unitary(basis, table.ndim)
-    return HermitianOperator((unitary * table.reshape(-1)) @ unitary.conj().T, PartyStructure(table.shape))
+    form, scale = _integer_form(basis)
+    power = _power(form, table.ndim)
+    matrix = (power * table.reshape(-1)) @ power.conj().T
+    matrix /= scale**table.ndim
+    return HermitianOperator(matrix, PartyStructure(table.shape))
 
 
 def _string(shape: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:

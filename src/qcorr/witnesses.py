@@ -217,6 +217,52 @@ def _second_bound(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat)[-2]) + math.sqrt(np.vdot(defect, defect).real) + pad
 
 
+def _blocks(linked: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of every matrix with nonzero pattern within
+    `linked` (dim x dim, True where an entry may be nonzero), as a
+    (blocks, m) index array.
+
+    The blocks are the connected components of `linked`, ordered by their
+    lowest index, each listed ascending.  When the components differ in size
+    (or there is only one), the whole side is one block, arange(dim).
+    """
+    dim = len(linked)
+    linked = linked | linked.T | np.eye(dim, dtype=bool)
+    labels = np.arange(dim)
+    while True:  # each index takes the lowest label among its neighbours
+        spread = np.where(linked, labels, dim).min(axis=1)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    sizes = np.bincount(labels)
+    sizes = sizes[sizes > 0]
+    if sizes.min() != sizes.max():
+        return np.arange(dim)[None, :]
+    return labels.argsort(kind="stable").reshape(sizes.size, -1)
+
+
+def _top_pairs(mats: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of each Hermitian matrix of the
+    (rows, dim, dim) stack `mats`, each block diagonal under `blocks` (see
+    `_blocks`).
+
+    One `eigh` solves the (rows, blocks, m, m) stack of diagonal blocks; each
+    row keeps the block with the largest top eigenvalue (the lowest block on
+    a tie), and its eigenvector is scattered back into a dim vector that is
+    zero off the block.  A single block is the whole matrix, solved as it
+    stands.
+    """
+    if len(blocks) == 1:
+        vals, vecs = np.linalg.eigh(mats)
+        return vals[:, -1], vecs[:, :, -1]
+    rows = np.arange(len(mats))
+    vals, vecs = np.linalg.eigh(mats[:, blocks[:, :, None], blocks[:, None, :]])
+    best = vals[:, :, -1].argmax(axis=1)
+    top = np.zeros(mats.shape[:2], dtype=complex)
+    top[rows[:, None], blocks[best]] = vecs[rows, best, :, -1]
+    return vals[rows, best, -1], top
+
+
 class _CutRun(NamedTuple):
     """One cut's restarts: per restart the final value, the alternation count,
     whether it converged and the two side vectors; `certified` counts the
@@ -246,10 +292,20 @@ def _seesaw_cut(
     side b from row r of `default_rng([seed, cut_index]).standard_normal((restarts,
     2 * dim_b))`, real parts then imaginary parts, so a row does not depend on
     `restarts`.  Side a needs no start, since the first half-step overwrites
-    it.  Each half-step is one matmul of the stacked outer products conj(v)⊗v against the operator,
-    permuted once here, and one batched eigh over the rows still active.  A
-    row stops when its value moves by less than `SEESAW_STOP_TOL` or after
-    `iters` alternations.
+    it.  Each half-step is one matmul of the stacked outer products conj(v)⊗v
+    against the operator, permuted once here, and one batched eigh over the
+    rows still active.  A row stops when its value moves by less than
+    `SEESAW_STOP_TOL` or after `iters` alternations.
+
+    Each side's matrices share the exact zero pattern of `tensor`: entry
+    (i, k) of side a's matrix is zero for every side-b vector when every
+    <i j|op|k l> is.  The connected components of that pattern, found once
+    per side (`_blocks`), split the side into equal diagonal blocks, and the
+    eigh runs on the (rows, blocks, m, m) stack of blocks (`_top_pairs`).  An
+    exactly built operator has such zeros: C_phi's sides split into 2 x 2
+    blocks on every cut and C_ghz4x3's 16-dimensional sides into four 4 x 4
+    blocks.  A side without zeros, or with components of unequal sizes
+    (every side of C_psi), is one block and is solved as a whole.
 
     At alternation 2, a row that `_certify` proves cannot move by more than
     `CERTIFY_TOL` stops before the alternation's eigensolves, with the same
@@ -276,6 +332,9 @@ def _seesaw_cut(
     op_for_a = contracted.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, dim_a * dim_a)
     op_for_b = contracted.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b)
     c_norm = math.sqrt(np.vdot(tensor, tensor).real)
+    linked = contracted != 0
+    blocks_a = _blocks(linked.any(axis=(1, 3)))
+    blocks_b = _blocks(linked.any(axis=(0, 2)))
 
     starts = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
     vec_a = np.empty((restarts, dim_a), dtype=complex)
@@ -298,13 +357,10 @@ def _seesaw_cut(
             if active.size == 0:
                 break
             mats_a = mats_a[~closed]
-        _, vecs = np.linalg.eigh(mats_a)
-        side_a = vecs[:, :, -1]
+        side_a = _top_pairs(mats_a, blocks_a)[1]
         outer_a = (side_a.conj()[:, :, None] * side_a[:, None, :]).reshape(-1, dim_a * dim_a)
-        vals, vecs = np.linalg.eigh((outer_a @ op_for_b).reshape(-1, dim_b, dim_b))
-        new_values = vals[:, -1]
+        new_values, vec_b[active] = _top_pairs((outer_a @ op_for_b).reshape(-1, dim_b, dim_b), blocks_b)
         vec_a[active] = side_a
-        vec_b[active] = vecs[:, :, -1]
         done = np.abs(new_values - values[active]) < SEESAW_STOP_TOL
         values[active] = new_values
         counts[active] = step
@@ -321,7 +377,9 @@ def biseparable_max(
     """Lower bound on max <a x b|op|a x b> over all bipartitions, by alternating
     top-eigenvector updates of the operator contracted against the other side.
 
-    Each cut runs all its restarts as one stack (see `_seesaw_cut`).  A restart
+    Each cut runs all its restarts as one stack (see `_seesaw_cut`), and each
+    side's eigensolves run block by block where the exact zeros of `op`
+    make that side's matrices block diagonal.  A restart
     stops when an alternation moves its value by less than `SEESAW_STOP_TOL`,
     or, at alternation 2 only, before that alternation when a Davis-Kahan
     residual bound (`_certify`) proves it cannot move the value by more than

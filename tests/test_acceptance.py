@@ -26,7 +26,6 @@ from qcorr import (
     noise_threshold,
     noise_tolerance,
     projector_witness,
-    projector_witness_threshold,
     quantum_value,
     schmidt_max_sq,
     singlet4,
@@ -51,7 +50,7 @@ from qcorr.witnesses import (
     biseparable_max,
 )
 
-from oracles import basis_projector
+from oracles import basis_projector, projector_witness_threshold
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -160,7 +159,9 @@ def test_criterion_07_lhv_bound():
 def test_criterion_08_noise_thresholds():
     ok = abs(noise_threshold(10**6) - 0.30604) <= 1e-5
     for d in range(2, 11):
-        ok = ok and projector_witness_threshold(d) == d / (d + 1)
+        state = max_entangled_qudit(d)
+        witness = make_witness(projector_witness(state).alpha_p, state.projector())
+        ok = ok and abs(noise_tolerance(witness, state) - projector_witness_threshold(d)) <= 1e-12
     _verdict("08 noise thresholds", ok, f"limit {noise_threshold(10**6):.6f}")
 
 

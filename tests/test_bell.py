@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 from itertools import product
 
 import numpy as np
@@ -13,16 +14,16 @@ from qcorr import (
     analytic_value,
     bell_report,
     chsh_reduction_check,
-    correlator_m,
     joint_prob,
     lhv_max,
     lhv_value,
     max_entangled_qudit,
     mix_white_noise,
+    make_witness,
     noise_threshold,
-    projector_witness_threshold,
+    noise_tolerance,
+    projector_witness,
     quantum_value,
-    setting_vector,
 )
 from qcorr.bell import (
     ENUMERATION_GUARD,
@@ -31,8 +32,11 @@ from qcorr.bell import (
     BellReport,
     correlation,
     lhv_residue_table,
+    setting_basis,
 )
 from qcorr.core import DensityMatrix, PartyStructure, PureState
+
+from oracles import correlator_m, projector_witness_threshold, setting_vector
 
 
 def closed_form_correlator(d: int) -> float:
@@ -49,10 +53,10 @@ def test_setting_vector_d2_offset0():
 def test_dimensions_must_be_integral():
     with pytest.raises(ValueError, match="integer"):
         MeasurementSetting(1, 1, 2.5)
-    for fn in (analytic_value, projector_witness_threshold, lhv_residue_table):
+    for fn in (analytic_value, lhv_residue_table):
         with pytest.raises(ValueError, match="integer"):
             fn(3.5)
-    assert setting_vector(MeasurementSetting(1, 1, np.int64(3)), 2).shape == (3,)
+    assert setting_basis(MeasurementSetting(1, 1, np.int64(3))).shape == (3, 3)
 
 
 def test_setting_offsets():
@@ -223,7 +227,7 @@ def test_lhv_max_is_two(d):
     assert ties
     for a in ties:
         assert lhv_value(a, d) == 2
-    ordered = [a.as_tuple() for a in ties]
+    ordered = [astuple(a) for a in ties]
     assert ordered == sorted(ordered)
 
 
@@ -232,7 +236,7 @@ def test_lhv_max_ties_are_every_maximizer(d):
     best, ties = lhv_max(d)
     every = [a for a in product(range(d), repeat=4) if lhv_value(LhvAssignment(*a), d) == 2]
     assert best == 2
-    assert [a.as_tuple() for a in ties] == every
+    assert [astuple(a) for a in ties] == every
 
 
 def test_lhv_max_guard():
@@ -250,11 +254,11 @@ def test_noise_threshold_values():
 
 
 def test_projector_witness_threshold():
-    assert projector_witness_threshold(2) == 2 / 3
-    assert projector_witness_threshold(10) == 10 / 11
+    # The library's noise tolerance of (1/d)1 - |psi_d><psi_d| on psi_d.
     for d in range(2, 12):
-        assert projector_witness_threshold(d) == d / (d + 1)
-    assert projector_witness_threshold(10**9) > 1 - 2e-9
+        state = max_entangled_qudit(d)
+        witness = make_witness(projector_witness(state).alpha_p, state.projector())
+        assert abs(noise_tolerance(witness, state) - projector_witness_threshold(d)) <= 1e-12
 
 
 def test_chsh_reduction():
@@ -306,11 +310,11 @@ def test_residue_search_matches_broadcast_oracle(d):
     best, every = broadcast_lhv_max(d)
     found, ties = lhv_max(d)
     assert found == best
-    assert [a.as_tuple() for a in ties] == every
+    assert [astuple(a) for a in ties] == every
     rep = bell_report(d)
     assert rep.lhv_max == best
     assert rep.lhv_maximizer_count == len(every) == d * (6 * d - 8)
-    assert [a.as_tuple() for a in rep.maximizing_assignments] == every
+    assert [astuple(a) for a in rep.maximizing_assignments] == every
 
 
 @st.composite

@@ -55,9 +55,13 @@ def test_ghz4x3_command(capsys):
     assert all(check["pass"] for check in payload["checks"])
 
 
-@pytest.mark.parametrize("command, settings", [("singlet", 3), ("ghz4x3", 2)])
+@pytest.mark.parametrize(
+    "command, settings", [("singlet", 3), ("ghz4x3", 2), ("proptest --trials 1", 7)]
+)
 def test_command_reads_each_settings_distribution_once(capsys, monkeypatch, command, settings):
-    # 24 singlet pairs in 3 settings and 54 four-level families in 2
+    # 24 singlet pairs in 3 settings and 54 four-level families in 2; proptest
+    # reads the 11 GHZ pairs in 2 settings, the 24 singlet pairs in 3 and the
+    # 54 families in 2 (its random suites read no distribution)
     calls = []
     probabilities = core.outcome_probabilities
 
@@ -66,7 +70,7 @@ def test_command_reads_each_settings_distribution_once(capsys, monkeypatch, comm
         return probabilities(state, unitaries)
 
     monkeypatch.setattr(core, "outcome_probabilities", count)
-    code, _ = _run(capsys, [command, "--format", "json"])
+    code, _ = _run(capsys, [*command.split(), "--format", "json"])
     assert code == 0
     assert len(calls) == settings
 

@@ -836,6 +836,57 @@ def test_unitary_equals_kron_chain(basis, parties):
     assert not unitary.flags.writeable
 
 
+def _gaussian_integer(mat: np.ndarray) -> bool:
+    return np.array_equal(mat, np.round(mat.real) + 1j * np.round(mat.imag))
+
+
+def test_combined_operators_are_exact():
+    # C_phi is 8(P_0000 + P_1111) - 1 + 4 sigma_x^(x)4 entry for entry, so
+    # 7 - C_phi is 4 times the Toth-Guehne two-setting GHZ stabilizer witness
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ghz = np.zeros(16)
+    ghz[[0, 15]] = 1.0
+    closed = 8 * np.diag(ghz) - np.eye(16) + 4 * functools.reduce(np.kron, [sx] * 4)
+    assert np.array_equal(build_C_phi().matrix, closed)
+    assert np.count_nonzero(build_C_phi().matrix == 0) == 224
+    assert _gaussian_integer(16 * build_C_psi().matrix)
+    assert _gaussian_integer(64 * build_C_ghz4x3().matrix)
+
+
+@pytest.mark.parametrize(
+    "basis, scale",
+    [
+        (LocalBasis("z", 2), 1),
+        (LocalBasis("x", 2), 2),
+        (LocalBasis("y", 2), 2),
+        (LocalBasis("z", 4), 1),
+        (LocalBasis("fourier", 4), 4),
+        (LocalBasis("fourier", 2, Fraction(1, 2)), 2),
+    ],
+    ids=lambda b: f"{b.kind}{b.dimension}" if isinstance(b, LocalBasis) else None,
+)
+@pytest.mark.parametrize("parties", [1, 2, 3])
+def test_operator_is_exact_and_equals_the_float_product(basis, scale, parties):
+    # oracle: U diag(t) U^dagger in floats, from the basis's own vectors
+    rng = np.random.default_rng(parties)
+    table = rng.integers(-40, 41, size=(basis.dimension,) * parties)
+    unitary = functools.reduce(np.kron, [basis._vectors] * parties)
+    dense = correlators._operator(basis, table).matrix
+    assert np.max(np.abs(dense - (unitary * table.reshape(-1)) @ unitary.conj().T)) <= 1e-12
+    assert _gaussian_integer(scale**parties * dense)
+    assert np.array_equal(dense, dense.conj().T)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [LocalBasis("fourier", 3), LocalBasis("fourier", 4, Fraction(1, 4))],
+    ids=["fourier3", "fourier4-offset"],
+)
+def test_operator_refuses_a_basis_without_integer_form(basis):
+    with pytest.raises(ValueError, match="no Gaussian-integer form"):
+        correlators._operator(basis, np.ones((basis.dimension,) * 2, dtype=np.int64))
+
+
 def test_outcome_distribution_rejects_a_mismatched_state():
     with pytest.raises(ValueError, match="do not match"):
         ghz4_party_z(1).expectations(ghz_4x3())

@@ -442,6 +442,95 @@ def test_certificate_closes_every_phi_restart(monkeypatch):
         assert shapes == [(16, 16)]
 
 
+@pytest.mark.parametrize(
+    "build, block_sizes",
+    [
+        # every side of C_phi splits into 2 x 2 blocks of complementary strings
+        (build_C_phi, {2: 2, 4: 2, 8: 2}),
+        # C_ghz4x3's 16-dimensional sides split into four 4 x 4 blocks
+        (build_C_ghz4x3, {4: 4, 16: 4}),
+        # C_psi does not split: each side is one block
+        (build_C_psi, {2: 2, 4: 4, 8: 8}),
+    ],
+    ids=["C_phi", "C_ghz4x3", "C_psi"],
+)
+def test_seesaw_blocks_per_cut(monkeypatch, build, block_sizes):
+    found = []
+    blocks = witnesses._blocks
+
+    def record(linked):
+        found.append(blocks(linked))
+        return found[-1]
+
+    monkeypatch.setattr(witnesses, "_blocks", record)
+    op = build()
+    biseparable_max(op, restarts=1, iters=1)
+    cuts = bipartitions(op.structure.n_parties)
+    assert len(found) == 2 * len(cuts)
+    for side in found:
+        dim = side.size
+        assert side.shape == (dim // block_sizes[dim], block_sizes[dim])
+        assert np.array_equal(np.sort(side, axis=None), np.arange(dim))
+
+
+def test_blocks_take_equal_components_only():
+    # components {0, 2} and {1, 3}: two blocks, each ascending, lowest first
+    linked = np.zeros((4, 4), dtype=bool)
+    linked[0, 2] = linked[3, 1] = True
+    assert witnesses._blocks(linked).tolist() == [[0, 2], [1, 3]]
+    # components {0, 1, 2} and {3}: unequal, so one block
+    linked[0, 1] = True
+    assert witnesses._blocks(linked).tolist() == [[0, 1, 2, 3]]
+    # a chain joins everything; no link at all leaves 1 x 1 blocks
+    assert witnesses._blocks(np.eye(4, k=1, dtype=bool)).tolist() == [[0, 1, 2, 3]]
+    assert witnesses._blocks(np.zeros((3, 3), dtype=bool)).tolist() == [[0], [1], [2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_solve_matches_the_full_eigensolve(n_blocks, size, rows, seed):
+    # Hermitian stacks that are block diagonal under a random permutation
+    rng = np.random.default_rng(seed)
+    dim = n_blocks * size
+    planted = np.zeros((rows, dim, dim), dtype=complex)
+    for k in range(n_blocks):
+        part = slice(k * size, (k + 1) * size)
+        raw = rng.standard_normal((rows, size, size)) + 1j * rng.standard_normal((rows, size, size))
+        planted[:, part, part] = raw + raw.conj().transpose(0, 2, 1)
+    perm = rng.permutation(dim)
+    mats = np.empty_like(planted)
+    mats[:, perm[:, None], perm[None, :]] = planted
+    blocks = witnesses._blocks(np.any(mats != 0, axis=0))
+    expected = {frozenset(perm[k * size:(k + 1) * size]) for k in range(n_blocks)}
+    assert blocks.shape == (n_blocks, size)
+    assert {frozenset(block) for block in blocks.tolist()} == expected
+    values, vecs = witnesses._top_pairs(mats, blocks)
+    norms = np.linalg.norm(mats, ord=2, axis=(1, 2))
+    assert np.all(np.abs(values - np.linalg.eigvalsh(mats)[:, -1]) <= 1e-12 * norms)
+    resid = np.einsum("rij,rj->ri", mats, vecs) - values[:, None] * vecs
+    assert np.all(np.linalg.norm(resid, axis=1) <= 1e-12 * norms)
+    assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_phi_seesaw_solves_no_eigenproblem_beyond_2x2(monkeypatch):
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def record(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    biseparable_max(build_C_phi(), restarts=200, seed=1234)
+    assert shapes
+    assert all(shape[-2:] == (2, 2) for shape in shapes)
+
+
 def _planted(dims, perm, vec_b, rng):
     """Hermitian matrix on `dims` whose top two eigenvectors are x1 (x) b and
     x2 (x) b, with side a the parties `perm` lists first.  Its compression by
