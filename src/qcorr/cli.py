@@ -25,10 +25,11 @@ from .correlators import (
     build_C_psi,
     count_prop1_violations,
     count_prop2_violations,
+    family_positive,
     ghz4_x_pairs,
     ghz4_z_pairs,
-    margin_sign,
     member_expectations,
+    pair_positive,
     singlet_correlators,
 )
 from .report import Report, approx_check, bound_check, exact_check
@@ -210,8 +211,7 @@ def run_proptest(args) -> Report:
     pair_values = member_expectations(ghz_pairs, ghz4(math.pi / 4, 0.0))
     pair_values += member_expectations(singlet_pairs, singlet4())
     family_values = member_expectations(families, ghz_4x3())
-    positives = all(signs[0] * signs[1] > 0 for signs in map(margin_sign, pair_values))
-    positives = positives and all(np.all(margin_sign(values) > 0) for values in family_values)
+    positives = all(map(pair_positive, pair_values)) and all(map(family_positive, family_values))
 
     violations1 = sum(
         count_prop1_violations(pair, args.trials, args.seed + i) for i, pair in enumerate(pairs)

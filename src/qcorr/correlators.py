@@ -519,15 +519,25 @@ def margin_sign(values) -> np.ndarray:
     return (values > SIGN_MARGIN).astype(np.int8) - (values < -SIGN_MARGIN).astype(np.int8)
 
 
+def pair_positive(values) -> bool:
+    """True iff the two values share a sign beyond SIGN_MARGIN."""
+    signs = margin_sign(values)
+    return bool(signs[0] * signs[1] > 0)
+
+
+def family_positive(values) -> bool:
+    """True iff every value exceeds SIGN_MARGIN."""
+    return bool(np.all(margin_sign(values) > 0))
+
+
 def prop1_test(pair: CorrelatorPair, state) -> bool:
     """True iff the two expectation values share a sign beyond SIGN_MARGIN."""
-    signs = margin_sign(pair.expectations(state))
-    return bool(signs[0] * signs[1] > 0)
+    return pair_positive(pair.expectations(state))
 
 
 def prop2_test(family: CorrelatorFamily, state) -> bool:
     """True iff every member expectation exceeds SIGN_MARGIN."""
-    return bool(np.all(margin_sign(family.expectations(state)) > 0))
+    return family_positive(family.expectations(state))
 
 
 def _side_vectors(dim_a: int, dim_b: int, trials: int, rng: np.random.Generator):

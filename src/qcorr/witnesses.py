@@ -249,12 +249,8 @@ def _top_pairs(mats: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.nda
     One `eigh` solves the (rows, blocks, m, m) stack of diagonal blocks; each
     row keeps the block with the largest top eigenvalue (the lowest block on
     a tie), and its eigenvector is scattered back into a dim vector that is
-    zero off the block.  A single block is the whole matrix, solved as it
-    stands.
+    zero off the block.  A single block is the whole matrix.
     """
-    if len(blocks) == 1:
-        vals, vecs = np.linalg.eigh(mats)
-        return vals[:, -1], vecs[:, :, -1]
     rows = np.arange(len(mats))
     vals, vecs = np.linalg.eigh(mats[:, blocks[:, :, None], blocks[:, None, :]])
     best = vals[:, :, -1].argmax(axis=1)

@@ -46,7 +46,9 @@ from qcorr import core, correlators
 from qcorr.correlators import (
     count_prop1_violations,
     count_prop2_violations,
+    family_positive,
     margin_sign,
+    pair_positive,
     singlet_flip_pair,
     singlet_group_pair,
 )
@@ -568,6 +570,13 @@ def test_sign_margin_boundary(monkeypatch, scale, counted):
 def test_margin_sign():
     values = [3.0, SIGN_MARGIN * 1.01, SIGN_MARGIN, 0.0, -SIGN_MARGIN, -SIGN_MARGIN * 1.01, -2.0]
     assert margin_sign(values).tolist() == [1, 1, 0, 0, 0, -1, -1]
+    above = SIGN_MARGIN * 1.01
+    assert pair_positive([above, 2.0]) and pair_positive([-above, -2.0])
+    assert not pair_positive([above, -above])
+    assert not pair_positive([SIGN_MARGIN, 2.0])
+    assert family_positive([above, 1.0, 2.0])
+    assert not family_positive([above, SIGN_MARGIN, 2.0])
+    assert not family_positive([-2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
