@@ -125,7 +125,7 @@ def quantum_value(state, d: int | None = None) -> float:
     dims = state.structure.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError(f"expected a two-party d x d state, got structure {dims}")
-    if d is not None and int(d) != dims[0]:
+    if d is not None and local_dimension(d) != dims[0]:
         raise ValueError(f"state has local dimension {dims[0]}, not {d}")
     return sum(correlation(state, i, j)[0] for i, j in SETTING_PAIRS)
 
@@ -200,7 +200,7 @@ def lhv_residue_table(d: int) -> np.ndarray:
 def lhv_max(d: int) -> tuple[int, list[LhvAssignment]]:
     """Exhaustive maximum over all d^4 deterministic assignments, with every
     maximizer in lexicographic (v11, v21, v12, v22) order."""
-    d = int(d)
+    d = local_dimension(d)
     values = lhv_residue_table(d)
     best = int(values.max())
     triples = np.nonzero(values == best)
@@ -264,13 +264,6 @@ class BellReport:
                 f"local bound reached by {self.lhv_maximizer_count} assignments, "
                 f"expected d(6d - 8) = {expected}"
             )
-
-    @property
-    def maximizing_assignments(self) -> tuple[LhvAssignment, ...] | None:
-        """Every maximizer of the local search, rebuilt by `lhv_max` on each read."""
-        if self.lhv_max is None:
-            return None
-        return tuple(lhv_max(self.d)[1])
 
 
 def bell_report(d: int, include_lhv: bool = True) -> BellReport:

@@ -1,14 +1,14 @@
 """Correlator-operator families and the combined operators built from them.
 
-Three families are provided:
+Two kinds of record are provided:
 
-* one-versus-rest and pair-versus-pair correlator pairs for the tunable
-  four-qubit GHZ states, in the z and x measurement settings;
+* correlator records of a GHZ state of n parties with d levels, GHZ(n, d),
+  in the z and a discrete-Fourier setting (x for d = 2), from one rule
+  (`_ghz_records`), for the paper's tunable four-qubit GHZ states (pairs)
+  and four-level tripartite GHZ state (four-member families indexed by the
+  nine fixed-point-free permutations of {0,1,2,3});
 * flip-conjugated correlator pairs for the four-qubit singlet state in the
-  z, x and y settings;
-* four-member correlator families for the four-level tripartite GHZ state,
-  indexed by the nine fixed-point-free permutations of {0,1,2,3}, in the
-  z setting and in a discrete-Fourier setting.
+  z, x and y settings.
 
 Every correlator is an integer table t over the outcome strings of one local
 setting, i.e. the operator U diag(t) U^dagger with U the setting's basis on
@@ -54,12 +54,15 @@ from .core import HermitianOperator, PartyStructure, PureState
 from .core import _frozen, cut_axes, join_sides, unit_rows
 from .states import QUBIT4, QUDIT4X3
 
-#: The nine fixed-point-free permutations of {0,1,2,3}, lexicographically
-#: ordered; index j-1 holds the images (s_0, s_1, s_2, s_3).  The plain cyclic
-#: shift k -> k+1 sits at j=2 and the shift by two at j=5.
-DERANGEMENTS_4: tuple[tuple[int, ...], ...] = tuple(
-    p for p in itertools.permutations(range(4)) if all(p[i] != i for i in range(4))
-)
+
+def _derangements(d: int) -> tuple[tuple[int, ...], ...]:
+    """The fixed-point-free permutations of range(d), lexicographically ordered."""
+    return tuple(p for p in itertools.permutations(range(d)) if all(p[i] != i for i in range(d)))
+
+
+#: Index j-1 holds the images (s_0, s_1, s_2, s_3) of the j-th derangement of
+#: {0,1,2,3}: the cyclic shift k -> k+1 sits at j=2, the shift by two at j=5.
+DERANGEMENTS_4 = _derangements(4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +102,6 @@ _Z4 = LocalBasis("z", 4)
 _F4 = LocalBasis("fourier", 4)
 
 _QUBIT_BASES = {"z": _Z2, "x": _X2, "y": _Y2}
-_QUDIT4_BASES = {"z": _Z4, "f": _F4}
 
 
 def _owned_int64(table: np.ndarray) -> np.ndarray:
@@ -179,10 +181,9 @@ class CorrelatorFamily(_OutcomeTables):
     cut: tuple[int, ...]
 
 
-#: Outcome strings as index grids: `_BITS[p - 1]` holds party p's outcome at
-#: every four-qubit string, `_LEVELS[p - 1]` at every three-party four-level one.
+#: Four-qubit outcome strings as an index grid: `_BITS[p - 1]` holds party
+#: p's outcome at every string.
 _BITS = np.indices(QUBIT4.dims)
-_LEVELS = np.indices(QUDIT4X3.dims)
 
 
 def _power(vectors: np.ndarray, parties: int) -> np.ndarray:
@@ -289,64 +290,116 @@ def _qubit_pair(kind: str, tables, label: str, cut: tuple[int, ...]) -> Correlat
 
 
 # ---------------------------------------------------------------------------
-# Tunable four-qubit GHZ family
+# Generalized GHZ states GHZ(n, d): n parties of d levels
 
-
-def _ghz4_z_tables(cut: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """0000 and 1111, each minus itself with the parties of `cut` flipped."""
-    axes = tuple(p - 1 for p in cut)
-    return tuple(_moved(_string(QUBIT4.dims, (j,) * 4), 1, axes) for j in (0, 1))
-
-
-@lru_cache(maxsize=None)
-def ghz4_party_z(n: int) -> CorrelatorPair:
-    """z-setting pair testing correlation between party n and the other three."""
-    cut_axes(QUBIT4.dims, (n,))
-    return _qubit_pair("z", _ghz4_z_tables((n,)), f"ghz4.z.n{n}", (n,))
+#: The paper's two GHZ subjects by (parties n, levels d): record label prefix,
+#: z setting, Fourier setting (the x basis for two levels) and its letter.
+_GHZ_SUBJECTS = {(4, 2): ("ghz4", _Z2, _X2, "x"), (3, 4): ("ghz4x3", _Z4, _F4, "f")}
 
 
 @lru_cache(maxsize=None)
-def ghz4_pair_z(n: int, m: int) -> CorrelatorPair:
-    """z-setting pair testing correlation between the group {n, m} and the other two."""
-    cut = tuple(sorted((n, m)))
-    cut_axes(QUBIT4.dims, cut)
-    return _qubit_pair("z", _ghz4_z_tables(cut), f"ghz4.z.n{n}m{m}", cut)
+def _ghz_table(setting: LocalBasis, n: int, cut: tuple[int, ...], k: int, image: int) -> np.ndarray:
+    """Member k of a GHZ(n, d) record: in z the string k^n, in Fourier the
+    strings with party cut[0] at level k and level sum 0 mod d, minus them with
+    the parties of `cut` moved to `image`.  Memoised read-only: the 216
+    members of the 54 four-level families take 72 values."""
+    shape = (setting.dimension,) * n
+    if setting.kind == "z":
+        mask = _string(shape, (k,) * n)
+    else:
+        grid = _grid(shape)
+        mask = (grid[cut[0] - 1] == k) & (sum(grid) % setting.dimension == 0)
+    return _frozen(_moved(mask, image - k, tuple(p - 1 for p in cut)))
 
 
 @lru_cache(maxsize=None)
-def ghz4_party_x(n: int) -> CorrelatorPair:
-    """x-setting pair for party n: the even-weight strings with party n at 0
-    (resp. 1), minus them with party n flipped."""
-    cut_axes(QUBIT4.dims, (n,))
-    even = _BITS.sum(axis=0) % 2 == 0
-    tables = tuple(_moved(even & (_BITS[n - 1] == j), 1, n - 1) for j in (0, 1))
-    return _qubit_pair("x", tables, f"ghz4.x.n{n}", (n,))
+def _ghz_records(n: int, d: int) -> tuple[CorrelatorPair | CorrelatorFamily, ...]:
+    """Every record of GHZ(n, d): by setting, cut, then derangement s of the
+    levels, with member k moving level k to s_k (`_ghz_table`).
+
+    z has one record per bipartition, named by its smaller side (party 1's on
+    a tie), by size, then lexicographically; Fourier one per single party.
+    Labels are `<prefix>.<letter>.n<cut joined by m>`, plus `.j<j>` when d has
+    more than one derangement.  Two-level records are pairs.
+    """
+    prefix, z, fourier, letter = _GHZ_SUBJECTS[n, d]
+    parties = range(1, n + 1)
+    sides = (c for r in range(1, n // 2 + 1) for c in itertools.combinations(parties, r))
+    z_cuts = [c for c in sides if 2 * len(c) < n or 1 in c]
+    derangements = _derangements(d)
+    record = CorrelatorPair if d == 2 else CorrelatorFamily
+    return tuple(
+        record(
+            setting,
+            tuple(_ghz_table(setting, n, cut, k, image) for k, image in enumerate(s)),
+            label=f"{prefix}.{kind}.n{'m'.join(map(str, cut))}" + (f".j{j}" if len(derangements) > 1 else ""),
+            cut=cut,
+        )
+        for setting, kind, cuts in ((z, "z", z_cuts), (fourier, letter, [(p,) for p in parties]))
+        for cut in cuts
+        for j, s in enumerate(derangements, 1)
+    )
 
 
 def ghz4_z_pairs() -> list[CorrelatorPair]:
-    """The 4 + 3 z-setting pairs entering the combined GHZ operator."""
-    return [ghz4_party_z(n) for n in (1, 2, 3, 4)] + [ghz4_pair_z(1, m) for m in (2, 3, 4)]
+    """The 4 + 3 z-setting GHZ pairs: each party, then party 1 with each other."""
+    return [record for record in _ghz_records(4, 2) if record.setting is _Z2]
 
 
 def ghz4_x_pairs() -> list[CorrelatorPair]:
-    return [ghz4_party_x(n) for n in (1, 2, 3, 4)]
+    """The four x-setting GHZ pairs, one per party."""
+    return [record for record in _ghz_records(4, 2) if record.setting is _X2]
+
+
+def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
+    """The four-level family of party n in the z ("z") or Fourier ("f")
+    setting for derangement `j` in 1..9 (DERANGEMENTS_4 order)."""
+    if basis_kind not in ("z", "f"):
+        raise ValueError(f"basis kind must be z or f, got {basis_kind!r}")
+    cut_axes(QUDIT4X3.dims, (n,))
+    if not 1 <= j <= 9:
+        raise ValueError(f"permutation index {j} outside 1..9")
+    # the records run by setting, then party, then j
+    return _ghz_records(3, 4)[27 * ("z", "f").index(basis_kind) + 9 * (n - 1) + j - 1]
+
+
+def all_ghz4x3_families() -> list[CorrelatorFamily]:
+    """The 54 families: both settings, all parties, all nine derangements.
+    Member k depends on the derangement only through s_k, so their 216 member
+    tables are 72 memoised read-only tables."""
+    return list(_ghz_records(3, 4))
+
+
+def _ghz_operator(name: str, n: int, d: int, z_weight: float, closed_forms) -> HermitianOperator:
+    """`z_weight` times the z operator plus the Fourier one of `_ghz_records(n,
+    d)`.  The member tables are summed per setting and checked exactly against
+    `closed_forms` (z, Fourier) on every build; the weight scales the dense z
+    operator, so both tables stay integer."""
+    _, z, fourier, _ = _GHZ_SUBJECTS[n, d]
+    weighted = ((1, record) for record in _ghz_records(n, d))
+    z_sum, fourier_sum = _summed_tables(name, weighted, dict(zip((z, fourier), closed_forms)))
+    return z_weight * _operator(z, z_sum) + _operator(fourier, fourier_sum)
 
 
 @lru_cache(maxsize=1)
 def build_C_phi() -> HermitianOperator:
-    """Sum of all GHZ correlator members, one dense product per setting.
+    """Sum of all four-qubit GHZ members, whose tables sum to 8([0000] + [1111])
+    - 1 in z, i.e. 8(P_0000 + P_1111) - 1, and to 4(-1)^{|s|} in x, i.e.
+    4 sigma_x^{(x)4}."""
+    closed_forms = 8 * np.all(_BITS == _BITS[0], axis=0) - 1, 4 * (-1) ** _BITS.sum(axis=0)
+    return _ghz_operator("C_phi", 4, 2, 1, closed_forms)
 
-    The member tables of `ghz4_z_pairs` and `ghz4_x_pairs` sum to
-    8([0000] + [1111]) - 1 in z, i.e. 8(P_0000 + P_1111) - 1, and to
-    4(-1)^{|s|} in x, i.e. 4 sigma_x^{(x)4}; both identities are checked
-    exactly on every build.
-    """
-    z, x = _summed_tables(
-        "C_phi",
-        ((1, pair) for pair in ghz4_z_pairs() + ghz4_x_pairs()),
-        {_Z2: 8 * np.all(_BITS == _BITS[0], axis=0) - 1, _X2: 4 * (-1) ** _BITS.sum(axis=0)},
-    )
-    return _operator(_Z2, z) + _operator(_X2, x)
+
+@lru_cache(maxsize=1)
+def build_C_ghz4x3() -> HermitianOperator:
+    """1.5 times the z members of the four-level GHZ families plus their
+    Fourier members.  The tables sum to 27 where all three levels agree, -3
+    where exactly two do and 0 otherwise in z, and to 36 [s1+s2+s3 = 0 mod 4]
+    - 9 in Fourier."""
+    levels = np.indices(QUDIT4X3.dims)
+    agreeing = sum(levels[a] == levels[b] for a, b in ((0, 1), (0, 2), (1, 2)))
+    closed_forms = np.where(agreeing == 3, 27, -3 * (agreeing == 1)), 36 * (levels.sum(axis=0) % 4 == 0) - 9
+    return _ghz_operator("C_ghz4x3", 3, 4, 1.5, closed_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -421,82 +474,6 @@ def build_C_psi() -> HermitianOperator:
     pairs = [(5 if i < 4 else 1, p) for kind in "zxy" for i, p in enumerate(singlet_correlators(kind))]
     z, x, y = _summed_tables("C_psi", pairs, dict.fromkeys((_Z2, _X2, _Y2), closed))
     return _operator(_Z2, z) + _operator(_X2, x) + _operator(_Y2, y)
-
-
-# ---------------------------------------------------------------------------
-# Four-level tripartite GHZ
-
-
-@lru_cache(maxsize=128)
-def _ghz4x3_table(basis_kind: str, n: int, k: int, image: int) -> np.ndarray:
-    """Member k of a party-n family: party n's level k moved to `image`, on the
-    string kkk (z) or on the strings whose levels sum to 0 mod 4 (Fourier).
-
-    Memoised read-only: the 216 members of the 54 families take 72 values.
-    """
-    if basis_kind == "z":
-        mask = _string(QUDIT4X3.dims, (k,) * 3)
-    else:
-        mask = (_LEVELS[n - 1] == k) & (_LEVELS.sum(axis=0) % 4 == 0)
-    return _frozen(_moved(mask, image - k, n - 1))
-
-
-@lru_cache(maxsize=None)
-def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
-    """Four-member correlator family for party n against the rest.
-
-    `j` in 1..9 picks a fixed-point-free permutation s of the levels
-    (lexicographic order, see DERANGEMENTS_4).  In the z setting member k is
-    (k - s_k) on party n times level-k projectors on the others; in the
-    Fourier setting the other two parties carry the level-sum-zero pair sum.
-    """
-    if basis_kind not in _QUDIT4_BASES:
-        raise ValueError(f"basis kind must be z or f, got {basis_kind!r}")
-    cut_axes(QUDIT4X3.dims, (n,))
-    if not 1 <= j <= 9:
-        raise ValueError(f"permutation index {j} outside 1..9")
-    shifts = DERANGEMENTS_4[j - 1]
-    return CorrelatorFamily(
-        _QUDIT4_BASES[basis_kind],
-        tuple(_ghz4x3_table(basis_kind, n, k, shifts[k]) for k in range(4)),
-        label=f"ghz4x3.{basis_kind}.n{n}.j{j}",
-        cut=(n,),
-    )
-
-
-def all_ghz4x3_families() -> list[CorrelatorFamily]:
-    """The 54 families: both settings, all parties, all nine permutations.
-
-    Member k depends on the permutation only through s_k, so the 216 member
-    tables take 72 distinct values, each one memoised read-only table.
-    """
-    return [
-        ghz4x3_correlators(kind, n, j)
-        for kind in ("z", "f")
-        for n in (1, 2, 3)
-        for j in range(1, 10)
-    ]
-
-
-@lru_cache(maxsize=1)
-def build_C_ghz4x3() -> HermitianOperator:
-    """Weighted sum over `all_ghz4x3_families`: z members x1.5, Fourier members x1.
-
-    The member tables of each setting are summed and checked exactly on every
-    build: in z, 27 where all three levels agree, -3 where exactly two agree
-    and 0 otherwise; in Fourier, 36 [s1+s2+s3 = 0 mod 4] - 9.  The 1.5 is
-    applied to the dense z operator, so both tables stay integer.
-    """
-    agreeing = sum(_LEVELS[a] == _LEVELS[b] for a, b in ((0, 1), (0, 2), (1, 2)))
-    z, f = _summed_tables(
-        "C_ghz4x3",
-        ((1, family) for family in all_ghz4x3_families()),
-        {
-            _Z4: np.where(agreeing == 3, 27, -3 * (agreeing == 1)),
-            _F4: 36 * (_LEVELS.sum(axis=0) % 4 == 0) - 9,
-        },
-    )
-    return 1.5 * _operator(_Z4, z) + _operator(_F4, f)
 
 
 # ---------------------------------------------------------------------------

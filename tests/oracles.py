@@ -1,18 +1,22 @@
-"""Dense single-party oracles of a `LocalBasis`, and oracles of the Bell
-functional's single correlators and settings.
+"""Dense single-party oracles of a `LocalBasis`, the GHZ records' member
+tables string by string, and oracles of the Bell functional's single
+correlators and settings.
 
 The library reads a basis only as its matrix of column vectors; tests build
 these dense objects from it to check the outcome tables against projector sums.
-The Bell oracles read one setting vector, one correlator or the projector
-witness's noise tolerance, which the library only needs as whole tables and
-sums.
+The GHZ oracle spells out the paper's member definitions, which the library
+generates from one rule.  The Bell oracles read one setting vector, one
+correlator or the projector witness's noise tolerance, which the library only
+needs as whole tables and sums.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from qcorr.bell import RESIDUES, MeasurementSetting, joint_prob, setting_basis
+from qcorr.correlators import DERANGEMENTS_4
 
 
 def basis_vector(basis, level: int) -> np.ndarray:
@@ -30,6 +34,49 @@ def basis_exchange(basis) -> np.ndarray:
     """Unitary swapping the two vectors of a dimension-2 basis."""
     v0, v1 = basis_vector(basis, 0), basis_vector(basis, 1)
     return np.outer(v0, v1.conj()) + np.outer(v1, v0.conj())
+
+
+def _signed(strings, shape, cut, shift: int) -> np.ndarray:
+    """+1 on each of `strings`, -1 on each of them with the level of every
+    party of `cut` moved up by `shift` (mod the local dimension)."""
+    table = np.zeros(shape, dtype=np.int64)
+    for string in strings:
+        table[string] += 1
+        table[tuple((x + shift) % shape[0] if p in cut else x for p, x in enumerate(string, 1))] -= 1
+    return table
+
+
+def ghz_record_oracle(label: str):
+    """(setting kind, setting dimension, cut, member tables) of the GHZ record
+    `label`, from the paper's member definitions, string by string.
+
+    * `ghz4.z.n<cut>`: 0000 and 1111, each minus itself with the parties of
+      the cut (party n, or the pair n, m) flipped.
+    * `ghz4.x.n<n>`: the even-weight strings with party n at 0 (resp. 1),
+      minus them with party n flipped.
+    * `ghz4x3.z.n<n>.j<j>`, s the j-th derangement of {0,1,2,3}: member k is
+      kkk minus kkk with party n moved by s_k - k.
+    * `ghz4x3.f.n<n>.j<j>`: member k is the strings with party n at level k
+      and level sum 0 mod 4, minus them with party n moved to s_k.
+    """
+    subject, letter, rest = label.split(".", 2)
+    cut_text, _, j = rest.partition(".j")
+    cut = tuple(int(p) for p in cut_text[1:].split("m"))
+    if subject == "ghz4":
+        shape = (2,) * 4
+        if letter == "z":
+            return "z", 2, cut, [_signed([(b,) * 4], shape, cut, 1) for b in (0, 1)]
+        even = [x for x in itertools.product((0, 1), repeat=4) if sum(x) % 2 == 0]
+        return "x", 2, cut, [_signed([x for x in even if x[cut[0] - 1] == b], shape, cut, 1) for b in (0, 1)]
+    (n,), s = cut, DERANGEMENTS_4[int(j) - 1]
+    shape = (4,) * 3
+    if letter == "z":
+        return "z", 4, cut, [_signed([(k,) * 3], shape, cut, s[k] - k) for k in range(4)]
+    strings = list(itertools.product(range(4), repeat=3))
+    tables = [
+        _signed([x for x in strings if x[n - 1] == k and sum(x) % 4 == 0], shape, cut, s[k] - k) for k in range(4)
+    ]
+    return "fourier", 4, cut, tables
 
 
 def setting_vector(ms: MeasurementSetting, l: int) -> np.ndarray:

@@ -26,9 +26,6 @@ from qcorr import (
     combine_bipartite,
     expectation,
     ghz4,
-    ghz4_pair_z,
-    ghz4_party_x,
-    ghz4_party_z,
     ghz4_x_pairs,
     ghz4_z_pairs,
     ghz4x3_correlators,
@@ -54,7 +51,7 @@ from qcorr.correlators import (
 )
 from qcorr.states import QUBIT4, QUDIT4X3
 
-from oracles import basis_exchange, basis_projector, basis_vector
+from oracles import basis_exchange, basis_projector, basis_vector, ghz_record_oracle
 
 GHZ_ANGLES = ((math.pi / 4, math.pi / 6), (math.pi / 4.9, 0.0), (math.pi / 3.7, math.pi / 9))
 
@@ -62,6 +59,11 @@ GHZ_ANGLES = ((math.pi / 4, math.pi / 6), (math.pi / 4.9, 0.0), (math.pi / 3.7, 
 def _dense(record):
     """Each member of `record` as its dense operator U diag(t) U^dagger."""
     return tuple(correlators._operator(record.setting, table) for table in record.tables)
+
+
+def _ghz(label):
+    """The GHZ record named `label`."""
+    return next(r for r in ghz4_z_pairs() + ghz4_x_pairs() + all_ghz4x3_families() if r.label == label)
 
 
 def _basis_state(structure, index):
@@ -106,12 +108,42 @@ def test_exchange_swaps_projectors():
 
 
 # ---------------------------------------------------------------------------
-# tunable four-qubit GHZ family
+# GHZ records of the four-qubit and four-level subjects
+
+
+def test_ghz_records_are_the_listed_labels_in_order():
+    z, x, families = ghz4_z_pairs(), ghz4_x_pairs(), all_ghz4x3_families()
+    assert [p.label for p in z] == [f"ghz4.z.n{cut}" for cut in ("1", "2", "3", "4", "1m2", "1m3", "1m4")]
+    assert [p.label for p in x] == [f"ghz4.x.n{n}" for n in (1, 2, 3, 4)]
+    assert [f.label for f in families] == [
+        f"ghz4x3.{kind}.n{n}.j{j}" for kind in "zf" for n in (1, 2, 3) for j in range(1, 10)
+    ]
+    assert all(type(p) is CorrelatorPair for p in z + x)
+    assert all(type(f) is CorrelatorFamily for f in families)
+    assert correlators._ghz_records(4, 2) == tuple(z + x)
+    assert correlators._ghz_records(3, 4) == tuple(families)
+
+
+def test_ghz_records_match_the_paper_member_definitions():
+    settings_by_kind = {
+        ("z", 2): correlators._Z2,
+        ("x", 2): correlators._X2,
+        ("z", 4): correlators._Z4,
+        ("fourier", 4): correlators._F4,
+    }
+    for record in ghz4_z_pairs() + ghz4_x_pairs() + all_ghz4x3_families():
+        kind, dimension, cut, tables = ghz_record_oracle(record.label)
+        assert record.setting is settings_by_kind[kind, dimension], record.label
+        assert record.cut == cut, record.label
+        assert len(record.tables) == len(tables), record.label
+        for got, expected in zip(record.tables, tables):
+            assert got.dtype == np.int64 and not got.flags.writeable, record.label
+            assert np.array_equal(got, expected), record.label
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ghz4_party_z_expectations(n):
-    c0, c1 = _dense(ghz4_party_z(n))
+    c0, c1 = _dense(_ghz(f"ghz4.z.n{n}"))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
         assert abs(expectation(c0, state) - math.cos(theta) ** 2) < 1e-12
@@ -122,16 +154,16 @@ def test_ghz4_party_z_matrix():
     expected = np.zeros((16, 16))
     expected[0, 0] = 1.0
     expected[8, 8] = -1.0
-    assert np.allclose(_dense(ghz4_party_z(1))[0].matrix, expected)
+    assert np.allclose(_dense(_ghz("ghz4.z.n1"))[0].matrix, expected)
 
 
 def test_ghz4_party_z_on_all_ones():
-    assert expectation(_dense(ghz4_party_z(2))[0], _basis_state(QUBIT4, 15)) == 0.0
+    assert expectation(_dense(_ghz("ghz4.z.n2"))[0], _basis_state(QUBIT4, 15)) == 0.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_ghz4_pair_z_expectations(m):
-    c0, c1 = _dense(ghz4_pair_z(1, m))
+    c0, c1 = _dense(_ghz(f"ghz4.z.n1m{m}"))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
         assert abs(expectation(c0, state) - math.cos(theta) ** 2) < 1e-12
@@ -139,18 +171,9 @@ def test_ghz4_pair_z_expectations(m):
     assert expectation(c0, _basis_state(QUBIT4, 0b0011)) == 0.0
 
 
-def test_ghz4_pair_z_rejects_equal_parties():
-    with pytest.raises(ValueError):
-        ghz4_pair_z(2, 2)
-    with pytest.raises(ValueError):
-        ghz4_party_z(5)
-    with pytest.raises(ValueError):
-        ghz4_party_x(0)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ghz4_party_x_expectations(n):
-    c0, c1 = _dense(ghz4_party_x(n))
+    c0, c1 = _dense(_ghz(f"ghz4.x.n{n}"))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
         expected = math.sin(2 * theta) * math.cos(phi) / 2
@@ -164,13 +187,13 @@ def test_ghz4_party_x_vanishes_at_quarter_phase():
     amps[0] = math.cos(math.pi / 4)
     amps[15] = 1j * math.sin(math.pi / 4)
     state = PureState(amps, QUBIT4)
-    c0, c1 = _dense(ghz4_party_x(1))
+    c0, c1 = _dense(_ghz("ghz4.x.n1"))
     assert abs(expectation(c0, state)) < 1e-12
     assert abs(expectation(c1, state)) < 1e-12
 
 
 def test_ghz4_party_z_sign_rule_on_products():
-    pair = ghz4_party_z(1)
+    pair = _ghz("ghz4.z.n1")
     c0, c1 = _dense(pair)
     rng = np.random.default_rng(101)
     for _ in range(500):
@@ -263,15 +286,12 @@ def test_combined_operator_equals_member_sum_and_closed_form(name):
 
 #: The memoised record constructors and member tables.
 _MEMOISED = (
-    correlators.ghz4_party_z,
-    correlators.ghz4_pair_z,
-    correlators.ghz4_party_x,
+    correlators._ghz_records,
+    correlators._ghz_table,
     correlators.singlet_flip_pair,
     correlators.singlet_group_pair,
     correlators._singlet_flip_tables,
     correlators._singlet_group_tables,
-    correlators.ghz4x3_correlators,
-    correlators._ghz4x3_table,
 )
 
 
@@ -290,7 +310,7 @@ def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name
         return table
 
     monkeypatch.setattr(correlators, "_moved", off_by_one)
-    # Records and four-level member tables are memoised: build from fresh,
+    # Records and member tables are memoised: build from fresh,
     # corrupted ones, and keep those out of the caches for later tests.
     _clear_memos()
     try:
@@ -301,7 +321,7 @@ def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name
 
 
 #: Each combined operator's record-list function, as the builder reads it.
-_RECORD_LISTS = {"C_phi": "ghz4_z_pairs", "C_psi": "singlet_correlators", "C_ghz4x3": "all_ghz4x3_families"}
+_RECORD_LISTS = {"C_phi": "_ghz_records", "C_psi": "singlet_correlators", "C_ghz4x3": "_ghz_records"}
 
 
 @pytest.mark.parametrize("name", sorted(COMBINED))
@@ -314,17 +334,14 @@ def test_combined_operator_is_summed_from_its_records(monkeypatch, name):
 
 def test_combined_operator_reuses_memoised_records():
     all_ghz4x3_families()
-    misses = correlators.ghz4x3_correlators.cache_info().misses
+    misses = correlators._ghz_records.cache_info().misses
     build_C_ghz4x3.__wrapped__()
-    assert correlators.ghz4x3_correlators.cache_info().misses == misses
+    assert correlators._ghz_records.cache_info().misses == misses
 
 
 @pytest.mark.parametrize(
     "case",
     [
-        (ghz4_party_z, 5),
-        (ghz4_pair_z, 2, 2),
-        (ghz4_party_x, 0),
         (singlet_flip_pair, "z", 5),
         (ghz4x3_correlators, "z", 4, 1),
         (ghz4x3_correlators, "f", 4, 1),
@@ -478,7 +495,7 @@ def test_build_C_ghz4x3_values():
 
 
 def test_prop1_examples():
-    pair = ghz4_party_z(1)
+    pair = _ghz("ghz4.z.n1")
     assert prop1_test(pair, ghz4(math.pi / 4, 0.0))
     assert not prop1_test(pair, _basis_state(QUBIT4, 0))
 
@@ -678,7 +695,7 @@ def test_batch_sampler_rows_are_successive_draws(structure, cut):
 def test_batch_runs_the_scalar_checks(monkeypatch):
     # Table values are real by construction; the imaginary-residue check
     # stays on dense `expectation`.
-    family, pair = ghz4x3_correlators("f", 1, 2), ghz4_party_z(1)
+    family, pair = ghz4x3_correlators("f", 1, 2), _ghz("ghz4.z.n1")
     state = random_product_state(QUDIT4X3, family.cut, np.random.default_rng(1))
     monkeypatch.setattr(core, "IMAG_TOL", -1.0)
     with pytest.raises(ValueError, match="imaginary residue"):
@@ -898,9 +915,9 @@ def test_operator_refuses_a_basis_without_integer_form(basis):
 
 def test_outcome_distribution_rejects_a_mismatched_state():
     with pytest.raises(ValueError, match="do not match"):
-        ghz4_party_z(1).expectations(ghz_4x3())
+        _ghz("ghz4.z.n1").expectations(ghz_4x3())
     with pytest.raises(ValueError, match="party structures"):
-        ghz4_party_z(1).expectations(PureState([1.0, 0, 0, 0], PartyStructure((2, 2))))
+        _ghz("ghz4.z.n1").expectations(PureState([1.0, 0, 0, 0], PartyStructure((2, 2))))
 
 
 _Z2 = LocalBasis("z", 2)
@@ -953,23 +970,24 @@ def test_one_cut_rule_takes_numpy_integers(taker):
 
 
 def test_ghz4x3_tables_are_memoised_read_only():
-    correlators.ghz4x3_correlators.cache_clear()
-    correlators._ghz4x3_table.cache_clear()
+    correlators._ghz_records.cache_clear()
+    correlators._ghz_table.cache_clear()
     all_ghz4x3_families()
     build_C_ghz4x3.__wrapped__()
-    info = correlators._ghz4x3_table.cache_info()
+    info = correlators._ghz_table.cache_info()
     assert (info.misses, info.currsize) == (72, 72)
-    assert not correlators._ghz4x3_table("f", 2, 1, 3).flags.writeable
+    assert not correlators._ghz_table(correlators._F4, 3, (2,), 1, 3).flags.writeable
 
 
 def test_families_hold_the_memoised_tables_themselves():
-    correlators.ghz4x3_correlators.cache_clear()
-    correlators._ghz4x3_table.cache_clear()
+    correlators._ghz_records.cache_clear()
+    correlators._ghz_table.cache_clear()
     families = all_ghz4x3_families()
     assert len({id(t) for f in families for t in f.tables}) == 72
     shifts = correlators.DERANGEMENTS_4[0]
     family = ghz4x3_correlators("f", 2, 1)
-    assert all(t is correlators._ghz4x3_table("f", 2, k, shifts[k]) for k, t in enumerate(family.tables))
+    tables = [correlators._ghz_table(correlators._F4, 3, (2,), k, shifts[k]) for k in range(4)]
+    assert all(t is table for t, table in zip(family.tables, tables))
 
 
 def test_records_keep_read_only_integer_tables():
