@@ -18,6 +18,7 @@ refused past `ENUMERATION_GUARD`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -94,12 +95,18 @@ def outcome_table(state, s1: MeasurementSetting, s2: MeasurementSetting) -> np.n
 
 
 def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v2: int) -> float:
-    """Probability of outcomes (v1, v2) under the two settings."""
+    """Probability of outcomes (v1, v2) under the two settings.  Each outcome
+    is an integer (Python or numpy, via `operator.index`, so 0.7 and "1" are
+    refused rather than truncated or parsed) in 0..d-1."""
+    try:
+        v1, v2 = operator.index(v1), operator.index(v2)
+    except TypeError:
+        raise ValueError(f"outcomes must be integers, got {(v1, v2)!r}") from None
     table = outcome_table(state, s1, s2)
     d = table.shape[0]
-    if not (0 <= int(v1) < d and 0 <= int(v2) < d):
+    if not (0 <= v1 < d and 0 <= v2 < d):
         raise ValueError(f"outcomes {(v1, v2)} outside 0..{d - 1}")
-    return float(table[int(v1), int(v2)])
+    return float(table[v1, v2])
 
 
 def _correlators(state, i: int, j: int) -> np.ndarray:

@@ -178,9 +178,6 @@ class HermitianOperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> HermitianOperator:
-        return HermitianOperator(-self.matrix, self.structure)
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 

@@ -1,37 +1,35 @@
 """Correlator-operator families and the combined operators built from them.
 
-Two kinds of record are provided:
-
-* correlator records of a GHZ state of n parties with d levels, GHZ(n, d),
-  in the z and a discrete-Fourier setting (x for d = 2), from one rule
-  (`_ghz_records`), for the paper's tunable four-qubit GHZ states (pairs)
-  and four-level tripartite GHZ state (four-member families indexed by the
-  nine fixed-point-free permutations of {0,1,2,3});
-* flip-conjugated correlator pairs for the four-qubit singlet state in the
-  z, x and y settings.
-
 Every correlator is an integer table t over the outcome strings of one local
 setting, i.e. the operator U diag(t) U^dagger with U the setting's basis on
-every party.  Each member counts a set of strings minus the same set with the
-cut party's outcome moved; each combined operator sums the member tables of
-its own records exactly per setting and checks each sum against its closed
-form.  Records are immutable, so their constructors are memoised; a
-constructor raises on an invalid argument before its cache stores anything,
-so each cache holds at most its subject's records.  Member tables are
-memoised read-only arrays keyed by what they depend on, so records that
-differ only in setting (the singlet's z, x and y pairs) share one set of
-tables.  A correlator's expectation is sum_s t[s] P(s), with P the state's
-outcome distribution in the setting (`core.outcome_probabilities` with the
-setting's basis on every party); `member_expectations` reads P once per
-distinct setting for a whole list of records.  So correlator records hold
-their setting, outcome tables, label and cut only, and no dense member is ever
-built; only the combined operators are dense, and they are exact.  Each
+every party.  All records come from one rule (`_member`): member k is the
+strings of a named support whose split party is at level k, minus the same
+strings with the parties of the record's cut moved to s_k, for a derangement
+s of the levels.  The records are those of a GHZ state of n parties with d
+levels, GHZ(n, d), split by cut[0] (`_ghz_records`: z on the strings with
+all levels equal, a discrete-Fourier setting, x for d = 2, on those with
+level sum 0 mod d), for the paper's tunable four-qubit GHZ states (pairs)
+and four-level tripartite GHZ state (four-member families indexed by the
+nine fixed-point-free permutations of {0,1,2,3}); and the four-qubit
+singlet's pairs in z, x and y (`_singlet_records`: flip pairs on 0011/1100
+split by party 1, group pairs on b1 != b2 and b3 != b4 split by party 1 or
+3).  Records are immutable and memoised, and a constructor raises on an
+invalid argument before its cache stores anything.  Member tables are
+memoised read-only arrays keyed without the setting: the singlet's 24 pairs
+hold 16 and the 54 four-level families 72.
+
+A correlator's expectation is sum_s t[s] P(s), with P the state's outcome
+distribution in the setting; `member_expectations` reads P once per distinct
+setting for a list of records, and no dense member is ever built.  One
+builder (`_combined`) makes C_phi, C_psi and C_ghz4x3 from data: integer
+record weights, each setting's closed-form table, checked exactly against
+the summed member tables on every build, and each setting's scale.  A
 setting's operator is built from the basis's Gaussian-integer form (vectors
 times sqrt(s), s = 1 for z, 2 for x and y, 4 for the four-level Fourier
-basis) in integer steps and one division by a power of two, so C_phi,
-C_psi and C_ghz4x3 carry no round-off and their zero entries are exact
-zeros: C_phi equals 8(P_0000 + P_1111) - 1 + 4 sigma_x^{(x)4} entry for
-entry, and 16 C_psi and 64 C_ghz4x3 are Gaussian-integer matrices.
+basis) in integer steps and one division by a power of two, so the combined
+operators carry no round-off: C_phi equals 8(P_0000 + P_1111) - 1 + 4
+sigma_x^{(x)4} entry for entry, and 16 C_psi and 64 C_ghz4x3 are
+Gaussian-integer matrices.
 
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
@@ -181,11 +179,6 @@ class CorrelatorFamily(_OutcomeTables):
     cut: tuple[int, ...]
 
 
-#: Four-qubit outcome strings as an index grid: `_BITS[p - 1]` holds party
-#: p's outcome at every string.
-_BITS = np.indices(QUBIT4.dims)
-
-
 def _power(vectors: np.ndarray, parties: int) -> np.ndarray:
     """`vectors` on each of `parties` parties, as one matrix.
 
@@ -245,25 +238,16 @@ def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
     return HermitianOperator(matrix, PartyStructure(table.shape))
 
 
-def _string(shape: tuple[int, ...], levels: tuple[int, ...]) -> np.ndarray:
-    """Mask of the single outcome string `levels`."""
-    mask = np.zeros(shape, dtype=bool)
-    mask[levels] = True
-    return mask
-
-
 @lru_cache(maxsize=None)
 def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Sparse index grids of `shape`: entry k holds axis k's index."""
     return np.indices(shape, sparse=True)
 
 
-def _moved(mask: np.ndarray, shift: int, axes) -> np.ndarray:
+def _moved(mask: np.ndarray, shift: int, axes: tuple[int, ...]) -> np.ndarray:
     """The strings of `mask` minus the same strings with the outcome of every
-    party on `axes` (an axis or a tuple of axes) moved up by `shift`
-    (cyclically), as an integer table."""
+    party on `axes` moved up by `shift` (cyclically), as an integer table."""
     mask = mask.astype(np.int64)
-    axes = (axes,) if isinstance(axes, int) else axes
     index = tuple(
         (grid - shift) % n if k in axes else grid
         for k, (grid, n) in enumerate(zip(_grid(mask.shape), mask.shape))
@@ -271,22 +255,52 @@ def _moved(mask: np.ndarray, shift: int, axes) -> np.ndarray:
     return mask - mask[index]
 
 
-def _summed_tables(name: str, weighted, closed_forms: dict) -> list[np.ndarray]:
-    """The member tables of the (weight, record) pairs of `weighted`, summed
-    exactly per setting and checked against `closed_forms` ({setting: closed
-    table}); one table per setting, in the order of `closed_forms`."""
-    sums = dict.fromkeys(closed_forms, 0)
-    for weight, record in weighted:
+#: The supports of the members: named sets of outcome strings, as masks over
+#: the sparse index grids g of a shape with d levels per party.
+_SUPPORTS = {
+    "all levels equal": lambda g, d: reduce(np.logical_and, [x == g[0] for x in g]),
+    "level sum 0 mod d": lambda g, d: sum(g) % d == 0,
+    "0011/1100": lambda g, d: (g[0] == g[1]) & (g[2] == g[3]) & (g[0] != g[2]),
+    "b1!=b2 and b3!=b4": lambda g, d: (g[0] != g[1]) & (g[2] != g[3]),
+}
+
+
+@lru_cache(maxsize=None)
+def _support(shape: tuple[int, ...], support: str) -> np.ndarray:
+    """Mask of the strings of `support` (`_SUPPORTS`) over `shape`; memoised read-only."""
+    return _frozen(_SUPPORTS[support](_grid(shape), shape[0]))
+
+
+@lru_cache(maxsize=None)
+def _member(shape, support: str, split: int, cut: tuple[int, ...], k: int, image: int) -> np.ndarray:
+    """Member k of a record: the strings of `support` whose party `split` is at
+    level k, minus the same strings with the parties of `cut` moved to
+    `image`.  Memoised read-only; the key holds no setting, so records that
+    differ only in setting share their tables."""
+    mask = _support(shape, support) & (_grid(shape)[split - 1] == k)
+    return _frozen(_moved(mask, image - k, tuple(p - 1 for p in cut)))
+
+
+def _members(shape, support: str, split: int, cut, s: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The `_member` tables of one record, member k moving level k to s_k."""
+    return tuple(_member(shape, support, split, cut, k, image) for k, image in enumerate(s))
+
+
+def _combined(name: str, records, weights, forms: dict) -> HermitianOperator:
+    """Sum over the settings of `forms` ({setting: (scale, closed table)}) of
+    scale times the `_operator` of the setting's table: the member tables of
+    its `records`, record i weighted by weights[i % len(weights)], summed
+    exactly and checked against the closed table on every build."""
+    sums = dict.fromkeys(forms, 0)
+    for weight, record in zip(itertools.cycle(weights), records):
         sums[record.setting] = sums[record.setting] + weight * sum(record.tables)
-    for setting, closed in closed_forms.items():
+    matrices = []
+    for setting, (scale, closed) in forms.items():
         if not np.array_equal(sums[setting], closed):
             miss = np.max(np.abs(sums[setting] - closed))
             raise ArithmeticError(f"{name} {setting.kind} table misses its closed form by {miss}")
-    return list(sums.values())
-
-
-def _qubit_pair(kind: str, tables, label: str, cut: tuple[int, ...]) -> CorrelatorPair:
-    return CorrelatorPair(_QUBIT_BASES[kind], tables, label=label, cut=cut)
+        matrices.append(scale * _operator(setting, sums[setting]).matrix)
+    return HermitianOperator(reduce(np.add, matrices), PartyStructure(closed.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +312,10 @@ _GHZ_SUBJECTS = {(4, 2): ("ghz4", _Z2, _X2, "x"), (3, 4): ("ghz4x3", _Z4, _F4, "
 
 
 @lru_cache(maxsize=None)
-def _ghz_table(setting: LocalBasis, n: int, cut: tuple[int, ...], k: int, image: int) -> np.ndarray:
-    """Member k of a GHZ(n, d) record: in z the string k^n, in Fourier the
-    strings with party cut[0] at level k and level sum 0 mod d, minus them with
-    the parties of `cut` moved to `image`.  Memoised read-only: the 216
-    members of the 54 four-level families take 72 values."""
-    shape = (setting.dimension,) * n
-    if setting.kind == "z":
-        mask = _string(shape, (k,) * n)
-    else:
-        grid = _grid(shape)
-        mask = (grid[cut[0] - 1] == k) & (sum(grid) % setting.dimension == 0)
-    return _frozen(_moved(mask, image - k, tuple(p - 1 for p in cut)))
-
-
-@lru_cache(maxsize=None)
 def _ghz_records(n: int, d: int) -> tuple[CorrelatorPair | CorrelatorFamily, ...]:
     """Every record of GHZ(n, d): by setting, cut, then derangement s of the
-    levels, with member k moving level k to s_k (`_ghz_table`).
+    levels, split by party cut[0] (`_members`): in z the support is the
+    strings with all levels equal, in Fourier those with level sum 0 mod d.
 
     z has one record per bipartition, named by its smaller side (party 1's on
     a tie), by size, then lexicographically; Fourier one per single party.
@@ -331,11 +331,14 @@ def _ghz_records(n: int, d: int) -> tuple[CorrelatorPair | CorrelatorFamily, ...
     return tuple(
         record(
             setting,
-            tuple(_ghz_table(setting, n, cut, k, image) for k, image in enumerate(s)),
+            _members((d,) * n, support, cut[0], cut, s),
             label=f"{prefix}.{kind}.n{'m'.join(map(str, cut))}" + (f".j{j}" if len(derangements) > 1 else ""),
             cut=cut,
         )
-        for setting, kind, cuts in ((z, "z", z_cuts), (fourier, letter, [(p,) for p in parties]))
+        for setting, kind, support, cuts in (
+            (z, "z", "all levels equal", z_cuts),
+            (fourier, letter, "level sum 0 mod d", [(p,) for p in parties]),
+        )
         for cut in cuts
         for j, s in enumerate(derangements, 1)
     )
@@ -370,24 +373,14 @@ def all_ghz4x3_families() -> list[CorrelatorFamily]:
     return list(_ghz_records(3, 4))
 
 
-def _ghz_operator(name: str, n: int, d: int, z_weight: float, closed_forms) -> HermitianOperator:
-    """`z_weight` times the z operator plus the Fourier one of `_ghz_records(n,
-    d)`.  The member tables are summed per setting and checked exactly against
-    `closed_forms` (z, Fourier) on every build; the weight scales the dense z
-    operator, so both tables stay integer."""
-    _, z, fourier, _ = _GHZ_SUBJECTS[n, d]
-    weighted = ((1, record) for record in _ghz_records(n, d))
-    z_sum, fourier_sum = _summed_tables(name, weighted, dict(zip((z, fourier), closed_forms)))
-    return z_weight * _operator(z, z_sum) + _operator(fourier, fourier_sum)
-
-
 @lru_cache(maxsize=1)
 def build_C_phi() -> HermitianOperator:
     """Sum of all four-qubit GHZ members, whose tables sum to 8([0000] + [1111])
     - 1 in z, i.e. 8(P_0000 + P_1111) - 1, and to 4(-1)^{|s|} in x, i.e.
     4 sigma_x^{(x)4}."""
-    closed_forms = 8 * np.all(_BITS == _BITS[0], axis=0) - 1, 4 * (-1) ** _BITS.sum(axis=0)
-    return _ghz_operator("C_phi", 4, 2, 1, closed_forms)
+    bits = _grid(QUBIT4.dims)
+    forms = {_Z2: (1, 8 * np.isin(sum(bits), (0, 4)) - 1), _X2: (1, 4 * (-1) ** sum(bits))}
+    return _combined("C_phi", _ghz_records(4, 2), (1,), forms)
 
 
 @lru_cache(maxsize=1)
@@ -396,84 +389,55 @@ def build_C_ghz4x3() -> HermitianOperator:
     Fourier members.  The tables sum to 27 where all three levels agree, -3
     where exactly two do and 0 otherwise in z, and to 36 [s1+s2+s3 = 0 mod 4]
     - 9 in Fourier."""
-    levels = np.indices(QUDIT4X3.dims)
+    levels = _grid(QUDIT4X3.dims)
     agreeing = sum(levels[a] == levels[b] for a, b in ((0, 1), (0, 2), (1, 2)))
-    closed_forms = np.where(agreeing == 3, 27, -3 * (agreeing == 1)), 36 * (levels.sum(axis=0) % 4 == 0) - 9
-    return _ghz_operator("C_ghz4x3", 3, 4, 1.5, closed_forms)
+    forms = {_Z4: (1.5, np.where(agreeing == 3, 27, -3 * (agreeing == 1)))}
+    forms[_F4] = (1, 36 * (sum(levels) % 4 == 0) - 9)
+    return _combined("C_ghz4x3", _ghz_records(3, 4), (1,), forms)
 
 
 # ---------------------------------------------------------------------------
 # Four-qubit singlet
 
-#: (group, flip party) of the four group pairs of each setting.
-_SINGLET_GROUPS = ((0, 1), (0, 2), (1, 3), (1, 4))
+#: The pairs of each setting: label suffix, support, split party and cut (the
+#: flipped party).  Flip pair m flips party m; group pair (n, k) splits 01/10
+#: on party pair n (1, 2 or 3, 4) by its first party and flips party k.
+_SINGLET_PAIRS = tuple((f"m{m}", "0011/1100", 1, (m,)) for m in (1, 2, 3, 4)) + tuple(
+    (f"n{n}k{k}", "b1!=b2 and b3!=b4", 1 + 2 * n, (k,)) for n, k in ((0, 1), (0, 2), (1, 3), (1, 4))
+)
 
 
 @lru_cache(maxsize=None)
-def _singlet_flip_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """0011 and 1100, each minus itself flipped at party m; memoised read-only."""
-    return tuple(_frozen(_moved(_string(QUBIT4.dims, (j, j, 1 - j, 1 - j)), 1, m - 1)) for j in (0, 1))
-
-
-@lru_cache(maxsize=None)
-def _singlet_group_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """01 and 10 on group n's party pair times 01+10 on the other pair, each
-    minus itself flipped at party k; memoised read-only."""
-    if n not in (0, 1):
-        raise ValueError(f"group index must be 0 or 1, got {n}")
-    a, b, c, e = (1, 2, 3, 4) if n == 0 else (3, 4, 1, 2)
-    if k not in (a, b):
-        raise ValueError(f"flip party {k} must be one of the group parties {(a, b)}")
-    rest = _BITS[c - 1] != _BITS[e - 1]
-    return tuple(
-        _frozen(_moved(rest & (_BITS[a - 1] == j) & (_BITS[b - 1] == 1 - j), 1, k - 1)) for j in (0, 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def singlet_flip_pair(basis_kind: str, m: int) -> CorrelatorPair:
-    """Pair comparing the 0011/1100 patterns with the same patterns flipped at party m.
-
+def _singlet_records() -> tuple[CorrelatorPair, ...]:
+    """The 24 singlet pairs: `_SINGLET_PAIRS` in z, x, then y, each flipping
+    its party by (1, 0), the only derangement of two levels (`_members`).
     For the x and y settings the flip exchanges the two local basis vectors,
-    so every setting shares the z tables: the same read-only arrays.
-    """
-    cut_axes(QUBIT4.dims, (m,))
-    return _qubit_pair(basis_kind, _singlet_flip_tables(m), f"singlet4.{basis_kind}.m{m}", (m,))
-
-
-@lru_cache(maxsize=None)
-def singlet_group_pair(basis_kind: str, n: int, k: int) -> CorrelatorPair:
-    """Pair comparing a 01/10 pattern on one party pair, flipped at party k,
-    multiplied by the symmetric 01+10 pattern on the complementary pair.
-
-    Every setting shares the same read-only tables, as for the flip pairs.
-    """
-    return _qubit_pair(basis_kind, _singlet_group_tables(n, k), f"singlet4.{basis_kind}.n{n}k{k}", (k,))
+    so every setting shares the z tables: the same read-only arrays."""
+    return tuple(
+        CorrelatorPair(basis, _members((2,) * 4, support, split, cut, (1, 0)), f"singlet4.{kind}.{name}", cut)
+        for kind, basis in _QUBIT_BASES.items()
+        for name, support, split, cut in _SINGLET_PAIRS
+    )
 
 
 def singlet_correlators(basis_kind: str) -> list[CorrelatorPair]:
     """All eight correlator pairs of one setting: four flip pairs, four group pairs."""
     if basis_kind not in _QUBIT_BASES:
         raise ValueError(f"basis kind must be one of z/x/y, got {basis_kind!r}")
-    pairs = [singlet_flip_pair(basis_kind, m) for m in (1, 2, 3, 4)]
-    return pairs + [singlet_group_pair(basis_kind, n, k) for n, k in _SINGLET_GROUPS]
+    return [record for record in _singlet_records() if record.setting is _QUBIT_BASES[basis_kind]]
 
 
 @lru_cache(maxsize=1)
 def build_C_psi() -> HermitianOperator:
-    """Weighted sum over the three settings of `singlet_correlators`: flip
-    pairs (the first four of each setting) x5, group pairs x1.
-
-    The settings share one table, checked exactly on every build: 20 on
-    0011/1100, 4 on the other weight-2 strings, -7 on odd weight, 0 on
-    0000/1111.
-    """
-    weight = _BITS.sum(axis=0)
-    two = np.where(_BITS[0] == _BITS[1], 20, 4)
+    """Weighted sum of the singlet pairs in z, x and y: flip pairs (the first
+    four of each setting) x5, group pairs x1.  The settings share one table,
+    checked exactly on every build: 20 on 0011/1100, 4 on the other weight-2
+    strings, -7 on odd weight, 0 on 0000/1111."""
+    bits = _grid(QUBIT4.dims)
+    weight, two = sum(bits), np.where(bits[0] == bits[1], 20, 4)
     closed = np.where(weight % 2 == 1, -7, np.where(weight == 2, two, 0))
-    pairs = [(5 if i < 4 else 1, p) for kind in "zxy" for i, p in enumerate(singlet_correlators(kind))]
-    z, x, y = _summed_tables("C_psi", pairs, dict.fromkeys((_Z2, _X2, _Y2), closed))
-    return _operator(_Z2, z) + _operator(_X2, x) + _operator(_Y2, y)
+    forms = dict.fromkeys((_Z2, _X2, _Y2), (1, closed))
+    return _combined("C_psi", _singlet_records(), (5,) * 4 + (1,) * 4, forms)
 
 
 # ---------------------------------------------------------------------------

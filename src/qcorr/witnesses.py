@@ -71,9 +71,6 @@ class ProjectorWitness:
     def operator(self) -> HermitianOperator:
         return self.alpha_p * identity(self.target.structure) - self.target.projector()
 
-    def value(self, state) -> float:
-        return self.alpha_p - expectation(self.target.projector(), state)
-
 
 @dataclass(frozen=True)
 class DominanceCertificate:

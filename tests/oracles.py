@@ -1,11 +1,11 @@
-"""Dense single-party oracles of a `LocalBasis`, the GHZ records' member
-tables string by string, and oracles of the Bell functional's single
+"""Dense single-party oracles of a `LocalBasis`, the GHZ and singlet records'
+member tables string by string, and oracles of the Bell functional's single
 correlators and settings.
 
 The library reads a basis only as its matrix of column vectors; tests build
 these dense objects from it to check the outcome tables against projector sums.
-The GHZ oracle spells out the paper's member definitions, which the library
-generates from one rule.  The Bell oracles read one setting vector, one
+The GHZ and singlet oracles spell out the paper's member definitions, which
+the library generates from one rule.  The Bell oracles read one setting vector, one
 correlator or the projector witness's noise tolerance, which the library only
 needs as whole tables and sums.
 """
@@ -77,6 +77,30 @@ def ghz_record_oracle(label: str):
         _signed([x for x in strings if x[n - 1] == k and sum(x) % 4 == 0], shape, cut, s[k] - k) for k in range(4)
     ]
     return "fourier", 4, cut, tables
+
+
+def singlet_record_oracle(label: str):
+    """(setting kind, cut, member tables) of the singlet record `label`, from
+    the paper's member definitions, string by string.
+
+    * `singlet4.<kind>.m<m>`: 0011 and 1100, each minus itself with party m
+      flipped.
+    * `singlet4.<kind>.n<n>k<k>`: 01 and 10 on party pair n (parties 1, 2 for
+      n = 0, parties 3, 4 for n = 1) times 01+10 on the other pair, each
+      minus itself with party k flipped.
+    """
+    _, kind, name = label.split(".")
+    shape = (2,) * 4
+    if name.startswith("m"):
+        cut = (int(name[1:]),)
+        return kind, cut, [_signed([string], shape, cut, 1) for string in ((0, 0, 1, 1), (1, 1, 0, 0))]
+    n, k = (int(x) for x in name[1:].split("k"))
+    cut = (k,)
+    tables = []
+    for pattern in ((0, 1), (1, 0)):
+        strings = [pattern + other if n == 0 else other + pattern for other in ((0, 1), (1, 0))]
+        tables.append(_signed(strings, shape, cut, 1))
+    return kind, cut, tables
 
 
 def setting_vector(ms: MeasurementSetting, l: int) -> np.ndarray:

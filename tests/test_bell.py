@@ -115,6 +115,19 @@ def test_joint_prob_uniform_on_maximally_mixed():
             assert abs(joint_prob(rho, s1, s2, v1, v2) - 1.0 / d**2) < 1e-12
 
 
+@pytest.mark.parametrize("outcome, refused", [(0.7, True), ("1", True), (np.int64(1), False)], ids=repr)
+def test_joint_prob_reads_integer_outcomes_only(outcome, refused):
+    # At d = 3, int() read 0.7 as outcome 0 and "1" as outcome 1.
+    state = max_entangled_qudit(3)
+    s1, s2 = MeasurementSetting(1, 1, 3), MeasurementSetting(2, 2, 3)
+    for v1, v2 in ((outcome, 0), (0, outcome)):
+        if refused:
+            with pytest.raises(ValueError, match="integers"):
+                joint_prob(state, s1, s2, v1, v2)
+        else:
+            assert joint_prob(state, s1, s2, v1, v2) == joint_prob(state, s1, s2, int(v1), int(v2))
+
+
 def test_joint_prob_party_order_enforced():
     d = 2
     state = max_entangled_qudit(d)

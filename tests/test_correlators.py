@@ -46,12 +46,10 @@ from qcorr.correlators import (
     family_positive,
     margin_sign,
     pair_positive,
-    singlet_flip_pair,
-    singlet_group_pair,
 )
 from qcorr.states import QUBIT4, QUDIT4X3
 
-from oracles import basis_exchange, basis_projector, basis_vector, ghz_record_oracle
+from oracles import basis_exchange, basis_projector, basis_vector, ghz_record_oracle, singlet_record_oracle
 
 GHZ_ANGLES = ((math.pi / 4, math.pi / 6), (math.pi / 4.9, 0.0), (math.pi / 3.7, math.pi / 9))
 
@@ -287,11 +285,9 @@ def test_combined_operator_equals_member_sum_and_closed_form(name):
 #: The memoised record constructors and member tables.
 _MEMOISED = (
     correlators._ghz_records,
-    correlators._ghz_table,
-    correlators.singlet_flip_pair,
-    correlators.singlet_group_pair,
-    correlators._singlet_flip_tables,
-    correlators._singlet_group_tables,
+    correlators._singlet_records,
+    correlators._member,
+    correlators._support,
 )
 
 
@@ -321,7 +317,7 @@ def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name
 
 
 #: Each combined operator's record-list function, as the builder reads it.
-_RECORD_LISTS = {"C_phi": "_ghz_records", "C_psi": "singlet_correlators", "C_ghz4x3": "_ghz_records"}
+_RECORD_LISTS = {"C_phi": "_ghz_records", "C_psi": "_singlet_records", "C_ghz4x3": "_ghz_records"}
 
 
 @pytest.mark.parametrize("name", sorted(COMBINED))
@@ -342,7 +338,6 @@ def test_combined_operator_reuses_memoised_records():
 @pytest.mark.parametrize(
     "case",
     [
-        (singlet_flip_pair, "z", 5),
         (ghz4x3_correlators, "z", 4, 1),
         (ghz4x3_correlators, "f", 4, 1),
     ],
@@ -387,7 +382,34 @@ def test_singlet_flip_pair_matrix():
     expected = np.zeros((16, 16))
     expected[0b0011, 0b0011] = 1.0
     expected[0b1011, 0b1011] = -1.0
-    assert np.allclose(_dense(singlet_flip_pair("z", 1))[0].matrix, expected)
+    assert np.allclose(_dense(singlet_correlators("z")[0])[0].matrix, expected)
+
+
+#: The singlet's pair labels of one setting, in the order `cli.run_singlet`
+#: reads them: the four flip pairs (`values[:4]`), then the four group pairs.
+SINGLET_NAMES = ("m1", "m2", "m3", "m4", "n0k1", "n0k2", "n1k3", "n1k4")
+
+
+def test_singlet_records_are_the_listed_labels_in_order():
+    for kind in "zxy":
+        assert [p.label for p in singlet_correlators(kind)] == [f"singlet4.{kind}.{name}" for name in SINGLET_NAMES]
+    records = correlators._singlet_records()
+    assert [p.label for p in records] == [f"singlet4.{kind}.{name}" for kind in "zxy" for name in SINGLET_NAMES]
+    assert records == tuple(p for kind in "zxy" for p in singlet_correlators(kind))
+    assert all(type(p) is CorrelatorPair for p in records)
+
+
+def test_singlet_records_match_the_paper_member_definitions():
+    records = correlators._singlet_records()
+    for record in records:
+        kind, cut, tables = singlet_record_oracle(record.label)
+        assert record.setting is correlators._QUBIT_BASES[kind], record.label
+        assert record.cut == cut, record.label
+        assert len(record.tables) == len(tables), record.label
+        for got, expected in zip(record.tables, tables):
+            assert got.dtype == np.int64 and not got.flags.writeable, record.label
+            assert np.array_equal(got, expected), record.label
+    assert len({id(t) for p in records for t in p.tables}) == 16
 
 
 def test_singlet_sign_rule_on_products():
@@ -830,15 +852,13 @@ def test_singlet_settings_share_their_tables():
             st.just(tuple(shape)),
             st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)),
             st.integers(-9, 9),
-            st.sets(st.integers(0, len(shape) - 1), min_size=1).map(sorted),
-            st.booleans(),
+            st.sets(st.integers(0, len(shape) - 1), min_size=1).map(lambda axes: tuple(sorted(axes))),
         )
     )
 )
 def test_moved_equals_roll(case):
-    shape, bits, shift, axes, single = case
+    shape, bits, shift, axes = case
     mask = np.array(bits, dtype=bool).reshape(shape)
-    axes = axes[0] if single else tuple(axes)
     table = mask.astype(np.int64)
     assert np.array_equal(correlators._moved(mask, shift, axes), table - np.roll(table, shift, axes))
 
@@ -970,23 +990,24 @@ def test_one_cut_rule_takes_numpy_integers(taker):
 
 
 def test_ghz4x3_tables_are_memoised_read_only():
-    correlators._ghz_records.cache_clear()
-    correlators._ghz_table.cache_clear()
+    _clear_memos()
     all_ghz4x3_families()
     build_C_ghz4x3.__wrapped__()
-    info = correlators._ghz_table.cache_info()
+    info = correlators._member.cache_info()
     assert (info.misses, info.currsize) == (72, 72)
-    assert not correlators._ghz_table(correlators._F4, 3, (2,), 1, 3).flags.writeable
+    # one support mask per setting, shared by its 36 member tables
+    assert correlators._support.cache_info().currsize == 2
+    member = correlators._member((4, 4, 4), "level sum 0 mod d", 2, (2,), 1, 3)
+    assert not member.flags.writeable and correlators._member.cache_info().currsize == 72
 
 
 def test_families_hold_the_memoised_tables_themselves():
-    correlators._ghz_records.cache_clear()
-    correlators._ghz_table.cache_clear()
+    _clear_memos()
     families = all_ghz4x3_families()
     assert len({id(t) for f in families for t in f.tables}) == 72
     shifts = correlators.DERANGEMENTS_4[0]
     family = ghz4x3_correlators("f", 2, 1)
-    tables = [correlators._ghz_table(correlators._F4, 3, (2,), k, shifts[k]) for k in range(4)]
+    tables = [correlators._member((4, 4, 4), "level sum 0 mod d", 2, (2,), k, shifts[k]) for k in range(4)]
     assert all(t is table for t, table in zip(family.tables, tables))
 
 
