@@ -92,8 +92,7 @@ class SeesawResult:
     `capped` the number stopped by the iteration cap rather than convergence,
     `at_best` the number within `SEESAW_TIE_TOL` of the best value, and
     `certified` the number closed by the fixed-point certificate of
-    `_certify` instead of a last alternation, whether the interlacing bound
-    or an eigensolve proved it; the count is the same either way.
+    `_certify` instead of a last alternation.
     """
 
     value: float
@@ -160,39 +159,22 @@ def _certify(
 
     Row i holds a Hermitian matrix M (side a contracted against the current
     side b), the unit vector a from the last alternation and the stored value
-    v.  With r = ||Ma - va|| and M's top eigenvalues l1 >= l2, the row is
-    certified when |l1 - v| <= r, delta = l1 - l2 - 2r > 0 and
-    2 c_norm r / delta <= CERTIFY_TOL, where c_norm = ||C||_F bounds the
-    operator norm of the searched operator C.  Then a is the top eigenvector
-    up to an angle theta with sin(theta) <= r / delta (Davis-Kahan), so the
-    vector the eigensolve would return changes the side-b value by at most
-    2 ||C|| sin(theta).  r carries a round-off allowance of 4 dim eps c_norm,
-    which covers the computed residual and eigenvalues.
-
-    `second` bounds l2 from above for every row (see `_second_bound`); pass
-    `math.inf` when no bound is known.  M has an eigenvalue within r of v, so
-    once v - r > `second` that eigenvalue is l1, and delta >= v - second - 3r.
-    A row with 2 c_norm r <= CERTIFY_TOL (v - second - 3r) therefore meets
-    all three conditions without an eigensolve.  The rule certifies only
-    rows that meet the conditions for M's exact eigenvalues, so it closes
-    the rows `eigvalsh` would close, up to that eigensolve's own round-off at
-    the edge of the test.  Of the other rows, only those with
-    r <= CERTIFY_TOL, which the last condition implies, reach `eigvalsh`.
+    v; `second` bounds M's second eigenvalue l2 from above for every row (see
+    `_second_bound`), and c_norm = ||C||_F bounds the operator norm of the
+    searched operator C.  With r = ||Ma - va||, plus a round-off allowance of
+    4 dim eps c_norm, M has an eigenvalue within r of v; once v - r > `second`
+    that eigenvalue is the top one, l1, and the gap l1 - l2 - 2r is at least
+    delta = v - second - 3r.  A row is certified when
+    2 c_norm r <= CERTIFY_TOL delta: then a is the top eigenvector up to an
+    angle theta with sin(theta) <= r / delta (Davis-Kahan), so the vector the
+    eigensolve would return changes the side-b value by at most
+    2 ||C|| sin(theta) <= `CERTIFY_TOL`.
     """
     dim = mats.shape[-1]
     resid = (mats @ vecs[:, :, None])[:, :, 0] - values[:, None] * vecs
     resid = np.sqrt((resid.real**2 + resid.imag**2).sum(axis=1))
     resid += 4 * dim * np.finfo(float).eps * c_norm
-    certified = 2 * c_norm * resid <= CERTIFY_TOL * (values - second - 3 * resid)
-    rows = np.flatnonzero(~certified & (resid <= CERTIFY_TOL))
-    if rows.size:
-        top = np.linalg.eigvalsh(mats[rows])
-        r = resid[rows]
-        gap = top[:, -1] - top[:, -2] - 2 * r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            drift = 2 * c_norm * r / gap
-        certified[rows] = (np.abs(top[:, -1] - values[rows]) <= r) & (gap > 0) & (drift <= CERTIFY_TOL)
-    return certified
+    return 2 * c_norm * resid <= CERTIFY_TOL * (values - second - 3 * resid)
 
 
 def _second_bound(mat: np.ndarray) -> float:
@@ -304,16 +286,10 @@ def _seesaw_cut(
     `CERTIFY_TOL` stops before the alternation's eigensolves, with the same
     count and flag as the alternation would give it and its value within
     `CERTIFY_TOL` of the one it would store.  The check runs once: a restart
-    it does not close by then runs to the stop test.  The proof needs M's
-    second eigenvalue l2 only as an upper bound: `second`, the operator's
-    `_second_bound` (l2(C) plus the Hermitian defect and a round-off pad;
-    Cauchy interlacing), which holds for every cut, so the caller computes it
-    once per search with one `eigvalsh` of the D x D operator.  A row whose
-    value clears that bound by enough is certified without an eigensolve of
-    its own, and only the others reach `_certify`'s batched `eigvalsh`.  The
-    bound accepts only rows that pass that eigensolve's test for M's exact
-    eigenvalues, so the same rows close, with the same counts, values and
-    vectors, barring the eigensolve's round-off at the edge of its test.
+    it does not close by then runs to the stop test.  The proof bounds M's
+    second eigenvalue by `second`, the operator's `_second_bound` (Cauchy
+    interlacing), which holds for every cut, so the caller computes it once
+    per search with one `eigvalsh` of the D x D operator.
     """
     dims = tensor.shape[:tensor.ndim // 2]
     order, dim_a = cut_axes(dims, cut)
@@ -372,20 +348,18 @@ def biseparable_max(
 
     Each cut runs all its restarts as one stack (see `_seesaw_cut`), and each
     side's eigensolves run block by block where the exact zeros of `op`
-    make that side's matrices block diagonal.  A restart
-    stops when an alternation moves its value by less than `SEESAW_STOP_TOL`,
-    or, at alternation 2 only, before that alternation when a Davis-Kahan
-    residual bound (`_certify`) proves it cannot move the value by more than
+    make that side's matrices block diagonal.  A restart stops when an
+    alternation moves its value by less than `SEESAW_STOP_TOL`, or, at
+    alternation 2 only, before that alternation when a Davis-Kahan residual
+    bound (`_certify`) proves it cannot move the value by more than
     `CERTIFY_TOL`; counts and flags are the same either way, and values
     differ by at most `CERTIFY_TOL` from those the extra alternation would
-    store.  For a restart whose value clears op's second eigenvalue by
-    enough, the spectral gap that bound needs comes from Cauchy interlacing
-    and one eigensolve of `op` per search, not from an eigensolve of its own;
-    for C_phi every restart clears it.  The same restarts close either way,
-    so the result does not change.  Among the restarts within
-    `SEESAW_TIE_TOL` of the best value, the lowest (cut index, restart) wins
-    and its own value and state are reported, so round-off in `op` does not
-    reorder near-equal maxima.  Deterministic for a fixed seed;
+    store.  The spectral gap that bound needs comes from Cauchy interlacing
+    and one eigensolve of `op` per search; for C_phi every restart clears
+    it.  Among the restarts within `SEESAW_TIE_TOL` of the best value, the
+    lowest (cut index, restart) wins and its own value and state are
+    reported, so round-off in `op` does not reorder near-equal maxima.
+    Deterministic for a fixed seed;
     the returned value never exceeds the global maximum eigenvalue of `op`.
     """
     if restarts < 1:

@@ -32,6 +32,14 @@ def test_table1_json(capsys):
     assert len(payload["checks"]) == 9
 
 
+def test_table1_counts_the_settings_of_its_records(capsys, monkeypatch):
+    from qcorr import cli
+
+    monkeypatch.setattr(cli, "ghz4_x_pairs", lambda: [])
+    code, out = _run(capsys, ["table1", "--restarts", "1", "--format", "json"])
+    assert json.loads(out)["results"]["lms_count"] == 1
+
+
 def test_table2_text(capsys):
     code, out = _run(capsys, ["table2"])
     assert code == 0
@@ -233,6 +241,14 @@ def test_proptest_rejects_empty_suites(capsys):
 def test_bad_tolerances_are_usage_errors(capsys, argv, flag):
     assert main(argv) == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_negative_seed_is_a_usage_error(capsys, command):
+    assert main([command, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qcorr {command} ")
+    assert "argument --seed: expected a non-negative integer, got '-1'" in err
 
 
 @pytest.mark.parametrize(
