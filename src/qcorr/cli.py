@@ -2,12 +2,15 @@
 
 Exit status: 0 all checks pass, 1 at least one check failed, 2 usage error,
 3 numerical failure (eigensolver breakdown, non-firing witness, ...) or out
-of memory (a dimension or restart count too large to allocate).
+of memory (a dimension or restart count too large to allocate).  A reader
+that closes stdout before the report is written (`qcorr table2 | head -c 1`)
+does not change the status.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -412,7 +415,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.render(args.format))
+    text = report.render(args.format)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout; the flush at interpreter exit must not raise again
+        sys.stdout = open(os.devnull, "w")
     return 0 if report.passed else 1
 
 

@@ -225,17 +225,38 @@ def _top_pairs(mats: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.nda
     (rows, dim, dim) stack `mats`, each block diagonal under `blocks` (see
     `_blocks`).
 
-    One `eigh` solves the (rows, blocks, m, m) stack of diagonal blocks; each
-    row keeps the block with the largest top eigenvalue (the lowest block on
-    a tie), and its eigenvector is scattered back into a dim vector that is
-    zero off the block.  A single block is the whole matrix.
+    Each row keeps the block with the largest top eigenvalue (the lowest
+    block on a tie), and its eigenvector is scattered back into a dim vector
+    that is zero off the block.  A single block is the whole matrix.  Every
+    solve reads the lower triangle only, as `eigh` does.  Blocks 2 wide are
+    solved in closed form: with a, d the diagonal and b the lower entry, the
+    top eigenvalue is (a + d)/2 + hypot((a - d)/2, |b|), and its vector is
+    (lam - d, b) when a >= d, else (conj(b), lam - a), neither of which
+    cancels; a zero vector (a = d, b = 0) becomes (1, 0).  Any other block
+    size goes through one `eigh` of the (rows, blocks, m, m) stack.
     """
     rows = np.arange(len(mats))
-    vals, vecs = np.linalg.eigh(mats[:, blocks[:, :, None], blocks[:, None, :]])
-    best = vals[:, :, -1].argmax(axis=1)
     top = np.zeros(mats.shape[:2], dtype=complex)
-    top[rows[:, None], blocks[best]] = vecs[rows, best, :, -1]
-    return vals[rows, best, -1], top
+    if blocks.shape[1] != 2:
+        vals, vecs = np.linalg.eigh(mats[:, blocks[:, :, None], blocks[:, None, :]])
+        best = vals[:, :, -1].argmax(axis=1)
+        top[rows[:, None], blocks[best]] = vecs[rows, best, :, -1]
+        return vals[rows, best, -1], top
+    lo, hi = blocks.T
+    diag_a, diag_d = mats[:, lo, lo].real, mats[:, hi, hi].real
+    lower = mats[:, hi, lo]
+    vals = (diag_a + diag_d) / 2 + np.hypot((diag_a - diag_d) / 2, np.abs(lower))
+    best = vals.argmax(axis=1)
+    a, d, b, lam = (part[rows, best] for part in (diag_a, diag_d, lower, vals))
+    upper = a >= d
+    v_lo = np.where(upper, lam - d, b.conj())
+    v_hi = np.where(upper, b, lam - a)
+    norm = np.hypot(np.abs(v_lo), np.abs(v_hi))
+    flat = norm == 0
+    v_lo[flat], norm[flat] = 1, 1
+    top[rows, lo[best]] = v_lo / norm
+    top[rows, hi[best]] = v_hi / norm
+    return lam, top
 
 
 class _CutRun(NamedTuple):
@@ -268,19 +289,20 @@ def _seesaw_cut(
     2 * dim_b))`, real parts then imaginary parts, so a row does not depend on
     `restarts`.  Side a needs no start, since the first half-step overwrites
     it.  Each half-step is one matmul of the stacked outer products conj(v)⊗v
-    against the operator, permuted once here, and one batched eigh over the
-    rows still active.  A row stops when its value moves by less than
-    `SEESAW_STOP_TOL` or after `iters` alternations.
+    against the operator, permuted once here, and one batched top eigensolve
+    over the rows still active (`_top_pairs`).  A row stops when its value
+    moves by less than `SEESAW_STOP_TOL` or after `iters` alternations.
 
     Each side's matrices share the exact zero pattern of `tensor`: entry
     (i, k) of side a's matrix is zero for every side-b vector when every
     <i j|op|k l> is.  The connected components of that pattern, found once
-    per side (`_blocks`), split the side into equal diagonal blocks, and the
-    eigh runs on the (rows, blocks, m, m) stack of blocks (`_top_pairs`).  An
-    exactly built operator has such zeros: C_phi's sides split into 2 x 2
-    blocks on every cut and C_ghz4x3's 16-dimensional sides into four 4 x 4
-    blocks.  A side without zeros, or with components of unequal sizes
-    (every side of C_psi), is one block and is solved as a whole.
+    per side (`_blocks`), split the side into equal diagonal blocks, solved
+    in closed form when 2 wide and by one `eigh` of the (rows, blocks, m, m)
+    stack otherwise.  An exactly built operator has such zeros: C_phi's sides
+    split into 2 x 2 blocks on every cut, so its search calls no `eigh`, and
+    C_ghz4x3's 16-dimensional sides into four 4 x 4 blocks.  A side without
+    zeros, or with components of unequal sizes (every side of C_psi), is one
+    block and is solved as a whole, in closed form when it is 2-dimensional.
 
     At alternation 2, a row that `_certify` proves cannot move by more than
     `CERTIFY_TOL` stops before the alternation's eigensolves, with the same
@@ -348,8 +370,10 @@ def biseparable_max(
 
     Each cut runs all its restarts as one stack (see `_seesaw_cut`), and each
     side's eigensolves run block by block where the exact zeros of `op`
-    make that side's matrices block diagonal.  A restart stops when an
-    alternation moves its value by less than `SEESAW_STOP_TOL`, or, at
+    make that side's matrices block diagonal; 2 x 2 blocks are solved in
+    closed form, so C_phi's search makes no eigensolver call beyond the one
+    `eigvalsh` of `op` below.  A restart stops when an alternation moves its
+    value by less than `SEESAW_STOP_TOL`, or, at
     alternation 2 only, before that alternation when a Davis-Kahan residual
     bound (`_certify`) proves it cannot move the value by more than
     `CERTIFY_TOL`; counts and flags are the same either way, and values

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -181,6 +182,49 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_keeps_the_exit_status(unbuffered):
+    # the read end is closed before the child starts, so its write must fail:
+    # buffered, at the flush; unbuffered, inside `print`
+    import qcorr
+
+    src = str(Path(qcorr.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qcorr.cli", "table2", "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, text=True, cwd=src, env=env,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 0
+    assert done.stderr == ""
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("passing", [True, False], ids=["pass", "fail"])
+def test_closed_stdout_returns_the_report_status(monkeypatch, passing):
+    import qcorr.cli as cli
+
+    if not passing:
+        broken = tuple((row[0] + 1.0,) + row[1:] for row in cli.GHZ4_WITNESS_GRID)
+        monkeypatch.setattr(cli, "GHZ4_WITNESS_GRID", broken)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["table2"])
+    # main left stdout pointing at the null device; close it before it is restored
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert code == (0 if passing else 1)
 
 
 def test_bell_invariant_miss_is_numerical_failure(capsys, monkeypatch):

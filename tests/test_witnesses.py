@@ -517,18 +517,100 @@ def test_block_solve_matches_the_full_eigensolve(n_blocks, size, rows, seed):
     assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-def test_phi_seesaw_solves_no_eigenproblem_beyond_2x2(monkeypatch):
-    eigh = np.linalg.eigh
-    shapes = []
+def test_phi_seesaw_calls_no_eigh(monkeypatch):
+    op = build_C_phi()
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solve = getattr(np.linalg, name)
 
-    def record(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        def record(a, *args, _name=name, _solve=solve, **kwargs):
+            calls[_name] += 1
+            return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", record)
-    biseparable_max(build_C_phi(), restarts=200, seed=1234)
-    assert shapes
-    assert all(shape[-2:] == (2, 2) for shape in shapes)
+        monkeypatch.setattr(np.linalg, name, record)
+    for seed in (1, 1234, 2024):
+        calls.update(eigh=0, eigvalsh=0)
+        biseparable_max(op, restarts=200, seed=seed)
+        # every side splits into 2 x 2 blocks, solved in closed form; the one
+        # eigvalsh is `_second_bound`'s
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+
+
+def _two_wide(sub, layout):
+    """(rows, dim, dim) stack holding the (rows, blocks, 2, 2) stack `sub` as
+    its diagonal blocks, block k on the indices `layout[k]`."""
+    rows, n_blocks = sub.shape[:2]
+    mats = np.zeros((rows, 2 * n_blocks, 2 * n_blocks), dtype=complex)
+    for k, (lo, hi) in enumerate(layout):
+        mats[:, [[lo], [hi]], [[lo, hi]]] = sub[:, k]
+    return mats
+
+
+def _check_top_pairs(mats, values, vecs, expected):
+    norms = np.linalg.norm(mats, ord=2, axis=(1, 2))
+    assert np.all(np.abs(values - expected) <= 1e-12 * norms)
+    # scaled first, so the norm of a residual near 1e200 cannot overflow
+    resid = (np.einsum("rij,rj->ri", mats, vecs) - values[:, None] * vecs) / norms[:, None]
+    assert np.all(np.linalg.norm(resid, axis=1) <= 1e-12)
+    assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.sampled_from(["random", "b=0, a>d", "b=0, a<d", "b=0, a=d", "a=d"]),
+    st.sampled_from([1e-200, 1e-150, 1.0, 1e150, 1e200]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_two_wide_blocks_match_eigh(n_blocks, rows, kind, scale, junk_upper, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows, n_blocks)
+    a, d = rng.standard_normal(shape), rng.standard_normal(shape)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind.startswith("b=0"):
+        b[:] = 0
+    if kind.endswith("a>d"):
+        a = d + np.abs(a)
+    elif kind.endswith("a<d"):
+        a = d - np.abs(a)
+    elif kind.endswith("a=d"):
+        a = d.copy()
+    sub = np.empty(shape + (2, 2), dtype=complex)
+    sub[..., 0, 0], sub[..., 1, 1] = a, d
+    sub[..., 1, 0], sub[..., 0, 1] = b, b.conj()
+    sub *= scale
+    read = sub.copy()
+    if junk_upper:
+        # eigh reads the lower triangle and the real part of the diagonal only
+        noise = rng.standard_normal(shape + (3,)) * scale
+        read[..., 0, 1] = noise[..., 0] + 1j * noise[..., 1]
+        read[..., 1, 1] += 1j * noise[..., 2]
+    layout = np.sort(rng.permutation(2 * n_blocks).reshape(n_blocks, 2), axis=1)
+    layout = layout[layout[:, 0].argsort()]
+    values, vecs = witnesses._top_pairs(_two_wide(read, layout), layout)
+    expected = np.linalg.eigh(read)[0][..., -1].max(axis=1)
+    _check_top_pairs(_two_wide(sub, layout), values, vecs, expected)
+
+
+def test_two_wide_ties_take_the_lowest_block():
+    # four blocks whose top eigenvalue is exactly 3, with their top vectors
+    blocks = [
+        (np.diag([3.0, 1.0]), [1, 0]),
+        (np.array([[2.0, 1.0], [1.0, 2.0]]), [1, 1]),
+        (np.diag([1.0, 3.0]), [0, 1]),
+        (np.diag([3.0, 3.0]), [1, 0]),
+    ]
+    layout = np.arange(8).reshape(4, 2)
+    for shift in range(4):
+        order = blocks[shift:] + blocks[:shift]
+        mats = _two_wide(np.stack([m for m, _ in order])[None].astype(complex), layout)
+        values, vecs = witnesses._top_pairs(mats, layout)
+        expected = np.zeros(8)
+        expected[:2] = np.array(order[0][1]) / np.linalg.norm(order[0][1])
+        assert values.tolist() == [3.0]
+        assert np.allclose(np.abs(vecs[0]), expected, rtol=0, atol=1e-15)
 
 
 def _planted(dims, perm, vec_b, rng):
