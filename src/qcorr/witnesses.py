@@ -26,12 +26,9 @@ DOMINANCE_TOL_SCALE = 1e-8
 #: Seesaw restarts whose values lie within this of the best value tie; the
 #: lowest (cut index, restart) among them is reported.
 SEESAW_TIE_TOL = 1e-9
-#: A seesaw restart stops once an alternation moves its value by less than this.
+#: A seesaw restart stops once side a's top value, for the stored side b, is
+#: within this of the stored value.
 SEESAW_STOP_TOL = 1e-10
-#: A restart is closed without its next alternation when that alternation
-#: provably cannot move its value by more than this, a tenth of the stop test;
-#: the rest of the margin absorbs the round-off of the two skipped eigensolves.
-CERTIFY_TOL = 1e-11
 
 
 class WitnessNeverFiresError(ValueError):
@@ -88,11 +85,10 @@ class SeesawResult:
     it, and how the restarts converged.
 
     `cut_values` holds the best value per cut in `bipartitions` order,
-    `iteration_histogram[k]` the number of restarts that ran k alternations,
-    `capped` the number stopped by the iteration cap rather than convergence,
-    `at_best` the number within `SEESAW_TIE_TOL` of the best value, and
-    `certified` the number closed by the fixed-point certificate of
-    `_certify` instead of a last alternation.
+    `iteration_histogram[k]` the number of restarts that stopped in
+    alternation k (by the stop test or the iteration cap), `capped` the
+    number stopped by the cap rather than the stop test, and `at_best` the
+    number within `SEESAW_TIE_TOL` of the best value.
     """
 
     value: float
@@ -103,7 +99,6 @@ class SeesawResult:
     iteration_histogram: np.ndarray
     capped: int
     at_best: int
-    certified: int
 
 
 def make_witness(alpha: float, c_op: HermitianOperator) -> Witness:
@@ -149,51 +144,6 @@ def noise_tolerance(w: Witness, target: PureState) -> float:
     if denom <= 0.0:
         raise ArithmeticError("maximally mixed state outperforms the target; no finite tolerance")
     return float((c_target - w.alpha) / denom)
-
-
-def _certify(
-    mats: np.ndarray, vecs: np.ndarray, values: np.ndarray, c_norm: float, second: float
-) -> np.ndarray:
-    """Mask of the rows whose next alternation provably cannot move their value
-    by more than `CERTIFY_TOL`.
-
-    Row i holds a Hermitian matrix M (side a contracted against the current
-    side b), the unit vector a from the last alternation and the stored value
-    v; `second` bounds M's second eigenvalue l2 from above for every row (see
-    `_second_bound`), and c_norm = ||C||_F bounds the operator norm of the
-    searched operator C.  With r = ||Ma - va||, plus a round-off allowance of
-    4 dim eps c_norm, M has an eigenvalue within r of v; once v - r > `second`
-    that eigenvalue is the top one, l1, and the gap l1 - l2 - 2r is at least
-    delta = v - second - 3r.  A row is certified when
-    2 c_norm r <= CERTIFY_TOL delta: then a is the top eigenvector up to an
-    angle theta with sin(theta) <= r / delta (Davis-Kahan), so the vector the
-    eigensolve would return changes the side-b value by at most
-    2 ||C|| sin(theta) <= `CERTIFY_TOL`.
-    """
-    dim = mats.shape[-1]
-    resid = (mats @ vecs[:, :, None])[:, :, 0] - values[:, None] * vecs
-    resid = np.sqrt((resid.real**2 + resid.imag**2).sum(axis=1))
-    resid += 4 * dim * np.finfo(float).eps * c_norm
-    return 2 * c_norm * resid <= CERTIFY_TOL * (values - second - 3 * resid)
-
-
-def _second_bound(mat: np.ndarray) -> float:
-    """Upper bound on the second eigenvalue of every matrix the seesaw
-    contracts out of the D x D operator `mat`, for any cut and side.
-
-    Side a's matrix M is the compression (1_a x b)^H C (1_a x b) of C by an
-    isometry, so Cauchy interlacing gives l2(M) <= l2(C); the same holds for
-    side b.  To the computed l2(C) the bound adds the Hermitian defect
-    ||C - C^H||_F, since the eigensolves of C and M read one triangle each,
-    and a round-off pad of 4 D^2 eps ||C||_F.  The pad covers the backward
-    error of C's `eigvalsh`, the matmul that builds M (each entry sums at
-    most D^2/4 products, an error of about (D^2/4 + 1) eps ||C||_F in
-    Frobenius norm) and the rounding of b's norm.
-    """
-    dim = mat.shape[0]
-    defect = mat - mat.conj().T
-    pad = 4 * dim * dim * np.finfo(float).eps * math.sqrt(np.vdot(mat, mat).real)
-    return float(np.linalg.eigvalsh(mat)[-2]) + math.sqrt(np.vdot(defect, defect).real) + pad
 
 
 def _blocks(linked: np.ndarray) -> np.ndarray:
@@ -260,16 +210,15 @@ def _top_pairs(mats: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class _CutRun(NamedTuple):
-    """One cut's restarts: per restart the final value, the alternation count,
-    whether it converged and the two side vectors; `certified` counts the
-    restarts `_certify` closed."""
+    """One cut's restarts: per restart the value and the two side vectors of
+    its last full alternation, the alternation it stopped in and whether the
+    stop test (rather than the iteration cap) stopped it."""
 
     values: np.ndarray
     counts: np.ndarray
     converged: np.ndarray
     vec_a: np.ndarray
     vec_b: np.ndarray
-    certified: int
 
 
 def _seesaw_cut(
@@ -279,7 +228,6 @@ def _seesaw_cut(
     restarts: int,
     iters: int,
     seed: int,
-    second: float,
 ) -> _CutRun:
     """Alternating top-eigenvector updates for every restart of one cut at once.
 
@@ -290,8 +238,16 @@ def _seesaw_cut(
     `restarts`.  Side a needs no start, since the first half-step overwrites
     it.  Each half-step is one matmul of the stacked outer products conj(v)⊗v
     against the operator, permuted once here, and one batched top eigensolve
-    over the rows still active (`_top_pairs`).  A row stops when its value
-    moves by less than `SEESAW_STOP_TOL` or after `iters` alternations.
+    over the rows still active (`_top_pairs`).
+
+    A row stops in alternation k when side a's top value, solved for the
+    stored b, is within `SEESAW_STOP_TOL` of the stored value: the
+    stored b is already side b's top vector for the stored a, so the stored
+    pair is then a mutual fixed point to that tolerance.  It keeps the value
+    and vectors of alternation k - 1, a state that attains that value, and
+    skips side b's solve.  The stored value starts at -inf, so every row runs
+    one full alternation; a row still active after `iters` alternations is
+    capped.
 
     Each side's matrices share the exact zero pattern of `tensor`: entry
     (i, k) of side a's matrix is zero for every side-b vector when every
@@ -303,15 +259,6 @@ def _seesaw_cut(
     C_ghz4x3's 16-dimensional sides into four 4 x 4 blocks.  A side without
     zeros, or with components of unequal sizes (every side of C_psi), is one
     block and is solved as a whole, in closed form when it is 2-dimensional.
-
-    At alternation 2, a row that `_certify` proves cannot move by more than
-    `CERTIFY_TOL` stops before the alternation's eigensolves, with the same
-    count and flag as the alternation would give it and its value within
-    `CERTIFY_TOL` of the one it would store.  The check runs once: a restart
-    it does not close by then runs to the stop test.  The proof bounds M's
-    second eigenvalue by `second`, the operator's `_second_bound` (Cauchy
-    interlacing), which holds for every cut, so the caller computes it once
-    per search with one `eigvalsh` of the D x D operator.
     """
     dims = tensor.shape[:tensor.ndim // 2]
     order, dim_a = cut_axes(dims, cut)
@@ -322,7 +269,6 @@ def _seesaw_cut(
     )
     op_for_a = contracted.transpose(1, 3, 0, 2).reshape(dim_b * dim_b, dim_a * dim_a)
     op_for_b = contracted.transpose(0, 2, 1, 3).reshape(dim_a * dim_a, dim_b * dim_b)
-    c_norm = math.sqrt(np.vdot(tensor, tensor).real)
     linked = contracted != 0
     blocks_a = _blocks(linked.any(axis=(1, 3)))
     blocks_b = _blocks(linked.any(axis=(0, 2)))
@@ -333,33 +279,22 @@ def _seesaw_cut(
     values = np.full(restarts, -math.inf)
     counts = np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
-    certified = 0
     active = np.arange(restarts)
     for step in range(1, iters + 1):
         side_b = vec_b[active]
         outer_b = (side_b.conj()[:, :, None] * side_b[:, None, :]).reshape(-1, dim_b * dim_b)
         mats_a = (outer_b @ op_for_a).reshape(-1, dim_a, dim_a)
-        if step == 2:
-            closed = _certify(mats_a, vec_a[active], values[active], c_norm, second)
-            counts[active[closed]] = step
-            converged[active[closed]] = True
-            certified = int(np.count_nonzero(closed))
-            active = active[~closed]
-            if active.size == 0:
-                break
-            mats_a = mats_a[~closed]
-        side_a = _top_pairs(mats_a, blocks_a)[1]
-        outer_a = (side_a.conj()[:, :, None] * side_a[:, None, :]).reshape(-1, dim_a * dim_a)
-        new_values, vec_b[active] = _top_pairs((outer_a @ op_for_b).reshape(-1, dim_b, dim_b), blocks_b)
-        vec_a[active] = side_a
-        done = np.abs(new_values - values[active]) < SEESAW_STOP_TOL
-        values[active] = new_values
+        top_a, side_a = _top_pairs(mats_a, blocks_a)
+        done = np.abs(top_a - values[active]) < SEESAW_STOP_TOL
         counts[active] = step
         converged[active[done]] = True
-        active = active[~done]
+        active, side_a = active[~done], side_a[~done]
         if active.size == 0:
             break
-    return _CutRun(values, counts, converged, vec_a, vec_b, certified)
+        outer_a = (side_a.conj()[:, :, None] * side_a[:, None, :]).reshape(-1, dim_a * dim_a)
+        values[active], vec_b[active] = _top_pairs((outer_a @ op_for_b).reshape(-1, dim_b, dim_b), blocks_b)
+        vec_a[active] = side_a
+    return _CutRun(values, counts, converged, vec_a, vec_b)
 
 
 def biseparable_max(
@@ -371,20 +306,14 @@ def biseparable_max(
     Each cut runs all its restarts as one stack (see `_seesaw_cut`), and each
     side's eigensolves run block by block where the exact zeros of `op`
     make that side's matrices block diagonal; 2 x 2 blocks are solved in
-    closed form, so C_phi's search makes no eigensolver call beyond the one
-    `eigvalsh` of `op` below.  A restart stops when an alternation moves its
-    value by less than `SEESAW_STOP_TOL`, or, at
-    alternation 2 only, before that alternation when a Davis-Kahan residual
-    bound (`_certify`) proves it cannot move the value by more than
-    `CERTIFY_TOL`; counts and flags are the same either way, and values
-    differ by at most `CERTIFY_TOL` from those the extra alternation would
-    store.  The spectral gap that bound needs comes from Cauchy interlacing
-    and one eigensolve of `op` per search; for C_phi every restart clears
-    it.  Among the restarts within `SEESAW_TIE_TOL` of the best value, the
-    lowest (cut index, restart) wins and its own value and state are
-    reported, so round-off in `op` does not reorder near-equal maxima.
-    Deterministic for a fixed seed;
-    the returned value never exceeds the global maximum eigenvalue of `op`.
+    closed form, so C_phi's search calls no eigensolver at all.  A restart
+    stops in the alternation whose side-a solve moves its value by less than
+    `SEESAW_STOP_TOL`, keeping the value and state of the alternation
+    before, or after `iters` alternations.  Among the restarts within
+    `SEESAW_TIE_TOL` of the best value, the lowest (cut index, restart) wins
+    and its own value and state are reported, so round-off in `op` does not
+    reorder near-equal maxima.  Deterministic for a fixed seed; the returned
+    value never exceeds the global maximum eigenvalue of `op`.
     """
     if restarts < 1:
         raise ValueError(f"seesaw needs at least one restart, got {restarts}")
@@ -392,13 +321,12 @@ def biseparable_max(
         raise ValueError(f"seesaw needs at least one iteration, got {iters}")
     structure = op.structure
     tensor = op.matrix.reshape(structure.dims + structure.dims)
-    second = _second_bound(op.matrix)
     cuts = bipartitions(structure.n_parties)
     runs = [
-        _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed, second)
+        _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
         for cut_index, cut in enumerate(cuts)
     ]
-    values, counts, converged, vecs_a, vecs_b, certified = zip(*runs)
+    values, counts, converged, vecs_a, vecs_b = zip(*runs)
     values = np.stack(values)
     within = values >= values.max() - SEESAW_TIE_TOL
     cut_index, restart = (int(k) for k in np.argwhere(within)[0])
@@ -414,7 +342,6 @@ def biseparable_max(
         iteration_histogram=np.bincount(np.concatenate(counts)),
         capped=int(np.count_nonzero(~np.concatenate(converged))),
         at_best=int(np.count_nonzero(within)),
-        certified=sum(certified),
     )
 
 

@@ -32,21 +32,17 @@ from qcorr import (
     verify_dominance,
 )
 from qcorr import witnesses
-from qcorr.core import unit_rows
 from qcorr.witnesses import (
     GHZ4_CASES,
     GHZ4_WITNESS_GRID,
     GHZ4X3_ALPHA,
     GHZ4X3_GAMMA,
-    CERTIFY_TOL,
     SEESAW_STOP_TOL,
     SEESAW_TIE_TOL,
     SINGLET_ALPHA,
     SINGLET_GAMMA,
     ProjectorWitness,
     WitnessNeverFiresError,
-    _certify,
-    _second_bound,
     _seesaw_cut,
     biseparable_max,
 )
@@ -249,13 +245,20 @@ def test_seesaw_deterministic():
 
 
 def test_seesaw_state_attains_value():
-    op = build_C_ghz4x3()
-    result = biseparable_max(op, restarts=20, seed=9)
-    assert abs(expectation(op, result.state) - result.value) < 1e-8
+    # a restart that stops keeps the value and state of its last full
+    # alternation, so the reported state attains the reported value
+    for build in (build_C_phi, build_C_psi, build_C_ghz4x3):
+        op = build()
+        for seed in (1, 9, 1234, 2024):
+            result = biseparable_max(op, restarts=20, seed=seed)
+            assert abs(expectation(op, result.state) - result.value) <= 1e-12 * spectral_norm(op)
 
 
 def _scalar_seesaw(op, cut_index, cut, restarts, iters, seed):
-    """Reference: one restart at a time, einsum contraction and single eigh."""
+    """Reference: one restart at a time, einsum contraction and a full eigh
+    per half-step.  Per restart: the value of its last full alternation, the
+    alternation it stopped in, whether the stop test stopped it, and the
+    side-a move |top value of side a - stored value| in that alternation."""
     dims = op.structure.dims
     n = len(dims)
     tensor = op.matrix.reshape(dims + dims)
@@ -268,7 +271,7 @@ def _scalar_seesaw(op, cut_index, cut, restarts, iters, seed):
         dim_a, dim_b, dim_a, dim_b
     )
     starts = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
-    values, counts, converged = [], [], []
+    values, counts, converged, moves = [], [], [], []
     for restart in range(restarts):
         vec_b = starts[restart, :dim_b] + 1j * starts[restart, dim_b:]
         vec_b /= np.linalg.norm(vec_b)
@@ -278,18 +281,20 @@ def _scalar_seesaw(op, cut_index, cut, restarts, iters, seed):
         for _ in range(iters):
             count += 1
             mat_a = np.einsum("ijkl,j,l->ik", contracted, vec_b.conj(), vec_b)
-            vec_a = np.linalg.eigh(mat_a)[1][:, -1]
-            mat_b = np.einsum("ijkl,i,k->jl", contracted, vec_a.conj(), vec_a)
-            vals, vecs = np.linalg.eigh(mat_b)
-            new_value, vec_b = vals[-1], vecs[:, -1]
-            done = abs(new_value - value) < 1e-10
-            value = new_value
+            vals, vecs = np.linalg.eigh(mat_a)
+            move = abs(vals[-1] - value)
+            done = move < 1e-10
             if done:
                 break
+            vec_a = vecs[:, -1]
+            mat_b = np.einsum("ijkl,i,k->jl", contracted, vec_a.conj(), vec_a)
+            vals, vecs = np.linalg.eigh(mat_b)
+            value, vec_b = vals[-1], vecs[:, -1]
         values.append(value)
         counts.append(count)
         converged.append(done)
-    return np.array(values), np.array(counts), np.array(converged)
+        moves.append(move)
+    return np.array(values), np.array(counts), np.array(converged), np.array(moves)
 
 
 def _random_hermitian(structure, rng):
@@ -319,10 +324,9 @@ def test_batched_seesaw_matches_scalar_loop(make_op, restarts):
     op = make_op()
     seed, iters = 1234, 500
     tensor = op.matrix.reshape(op.structure.dims * 2)
-    second = _second_bound(op.matrix)
     for cut_index, cut in enumerate(bipartitions(op.structure.n_parties)):
         ref = _scalar_seesaw(op, cut_index, cut, restarts, iters, seed)
-        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed, second)
+        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
         assert np.max(np.abs(values - ref[0])) <= 1e-9
         assert np.array_equal(counts, ref[1])
         assert np.array_equal(converged, ref[2])
@@ -367,79 +371,6 @@ def test_seesaw_iteration_cap():
     result = biseparable_max(build_C_psi(), restarts=5, iters=1, seed=1234)
     assert result.capped == 5 * len(bipartitions(4))
     assert list(result.iteration_histogram) == [0, result.capped]
-
-
-def _unitary(rng, dim):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q
-
-
-def _certify_one(mat, vec, value, second):
-    return _certify(mat[None], vec[None], np.array([value]), float(np.linalg.norm(mat)), second)
-
-
-def test_certify_accepts_top_eigenvector_by_interlacing_alone(monkeypatch):
-    u = _unitary(np.random.default_rng(5), 3)
-    mat = (u * [5.0, 1.0, 0.0]) @ u.conj().T
-    # a matrix is its own compression, so its bound holds for it
-    second = _second_bound(mat)
-    assert 1.0 <= second <= 1.0 + 1e-12
-
-    def eigvalsh(a, *args, **kwargs):
-        raise AssertionError(f"eigvalsh called on shape {np.shape(a)}")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    assert _certify_one(mat, u[:, 0], 5.0, second).tolist() == [True]
-
-
-def test_certify_refuses_second_eigenvector():
-    # an exact eigenpair, residual zero, but not the top one
-    mat = np.diag([5.0, 1.0, 0.0]).astype(complex)
-    for second in (math.inf, 1.0):
-        assert _certify_one(mat, np.eye(3, dtype=complex)[1], 1.0, second).tolist() == [False]
-
-
-def test_certify_refuses_degenerate_top():
-    mat = np.diag([5.0, 5.0, 0.0]).astype(complex)
-    assert _certify_one(mat, np.eye(3, dtype=complex)[0], 5.0, _second_bound(mat)).tolist() == [False]
-
-
-def test_certify_refuses_residual_above_bound():
-    # gap 0.1: a tilt of 1e-11 leaves r ~ 1e-12 <= CERTIFY_TOL, but the
-    # bound 2 ||C|| r / delta is ~1.4e-10; untilted, the row is certified
-    mat = np.diag([5.0, 4.9, 0.0]).astype(complex)
-    c_norm = float(np.linalg.norm(mat))
-    vecs = np.array([[1.0, 1e-11, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    values = np.einsum("ri,ij,rj->r", vecs.conj(), mat, vecs).real
-    r = np.linalg.norm(np.einsum("ij,rj->ri", mat, vecs) - values[:, None] * vecs, axis=1)
-    assert r[0] <= CERTIFY_TOL < 2 * c_norm * r[0] / (0.1 - 2 * r[0])
-    second = _second_bound(mat)
-    assert _certify(np.stack([mat, mat]), vecs, values, c_norm, second).tolist() == [False, True]
-
-
-def test_certificate_closes_every_phi_restart(monkeypatch):
-    eigvalsh = np.linalg.eigvalsh
-    shapes = []
-
-    def record(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", record)
-    for seed in (1, 1234, 2024):
-        for build in (build_C_phi, build_C_psi, build_C_ghz4x3):
-            op = build()
-            shapes.clear()
-            result = biseparable_max(op, restarts=200, seed=seed)
-            # the certificate solves no eigenproblem: one eigensolve of the
-            # operator (`_second_bound`) serves the whole search
-            assert shapes == [(op.structure.dim,) * 2]
-            if build is build_C_phi:
-                # lambda_2(C_phi) = 3 and every restart reaches 7, so
-                # interlacing closes them all
-                assert result.certified == 1400
-                assert list(result.iteration_histogram) == [0, 0, 1400]
 
 
 @pytest.mark.parametrize(
@@ -530,10 +461,12 @@ def test_phi_seesaw_calls_no_eigh(monkeypatch):
         monkeypatch.setattr(np.linalg, name, record)
     for seed in (1, 1234, 2024):
         calls.update(eigh=0, eigvalsh=0)
-        biseparable_max(op, restarts=200, seed=seed)
-        # every side splits into 2 x 2 blocks, solved in closed form; the one
-        # eigvalsh is `_second_bound`'s
-        assert calls == {"eigh": 0, "eigvalsh": 1}
+        result = biseparable_max(op, restarts=200, seed=seed)
+        # every side splits into 2 x 2 blocks, solved in closed form
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+        # every restart reaches 7 in alternation 1, and the side-a solve of
+        # alternation 2 stops it
+        assert list(result.iteration_histogram) == [0, 0, 1400]
 
 
 def _two_wide(sub, layout):
@@ -613,58 +546,15 @@ def test_two_wide_ties_take_the_lowest_block():
         assert np.allclose(np.abs(vecs[0]), expected, rtol=0, atol=1e-15)
 
 
-def _planted(dims, perm, vec_b, rng):
-    """Hermitian matrix on `dims` whose top two eigenvectors are x1 (x) b and
-    x2 (x) b, with side a the parties `perm` lists first.  Its compression by
-    1_a (x) b has x1 and x2 as eigenvectors with C's top two eigenvalues, so
-    interlacing holds with equality: l2(M) = l2(C)."""
-    dim = math.prod(dims)
-    top = np.kron(_unitary(rng, dim // vec_b.size)[:, :2], vec_b[:, None])
-    rest = rng.standard_normal((dim, dim - 2)) + 1j * rng.standard_normal((dim, dim - 2))
-    basis = np.linalg.qr(np.hstack([top, rest]))[0]
-    spectrum = np.concatenate([[2.0, 1.0 + rng.random()], -rng.random(dim - 2)])
-    mat = (basis * spectrum) @ basis.conj().T
-    back = list(np.argsort(perm))
-    shape = tuple(dims[k] for k in perm) * 2
-    return mat.reshape(shape).transpose(back + [len(dims) + k for k in back]).reshape(dim, dim)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from([(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]),
-    st.booleans(),
-    st.integers(0, 2**32 - 1),
-)
-def test_second_bound_holds_for_every_compression(dims, planted, seed):
-    """Every cut's side-a and side-b matrices, for random unit vectors on the
-    other side, have l2 at most `_second_bound` of the operator; `planted`
-    makes side a's matrix meet interlacing with equality."""
-    n = len(dims)
-    dim = math.prod(dims)
-    rng = np.random.default_rng(seed)
-    mat = _random_hermitian(PartyStructure(dims), rng).matrix
-    for cut in bipartitions(n):
-        axes_a = [p - 1 for p in cut]
-        perm = axes_a + [k for k in range(n) if k not in axes_a]
-        dim_a = math.prod(dims[k] for k in axes_a)
-        vec_a, vec_b = (unit_rows(rng.standard_normal(2 * d)) for d in (dim_a, dim // dim_a))
-        if planted:
-            mat = _planted(dims, perm, vec_b, rng)
-        bound = _second_bound(mat)
-        contracted = mat.reshape(dims * 2).transpose(perm + [n + ax for ax in perm]).reshape(
-            dim_a, dim // dim_a, dim_a, dim // dim_a
-        )
-        mat_a = np.einsum("ijkl,j,l->ik", contracted, vec_b.conj(), vec_b)
-        mat_b = np.einsum("ijkl,i,k->jl", contracted, vec_a.conj(), vec_a)
-        if planted:
-            assert abs(np.linalg.eigvalsh(mat_a)[-2] - np.linalg.eigvalsh(mat)[-2]) <= 1e-12
-        for side in (mat_a, mat_b):
-            assert np.linalg.eigvalsh(side)[-2] <= bound
+def _unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
 
 
 def _locally_diagonal(structure, rng):
     """Real spectrum in a random product basis: seesaw restarts reach exact
-    fixed points after a few alternations, so the certificate fires."""
+    fixed points after a few alternations, so the side-a stop test fires
+    early."""
     u = reduce(np.kron, [_unitary(rng, d) for d in structure.dims])
     return HermitianOperator((u * rng.standard_normal(structure.dim)) @ u.conj().T, structure)
 
@@ -677,31 +567,31 @@ def _locally_diagonal(structure, rng):
     st.integers(0, 2**32 - 1),
     st.integers(1, 30),
 )
-def test_certified_seesaw_matches_scalar_loop(dims, tilt, op_seed, seed, restarts):
+def test_early_stopped_seesaw_matches_scalar_loop(dims, tilt, op_seed, seed, restarts):
     """`tilt` None draws a generic Hermitian operator; otherwise a locally
-    diagonal one plus `tilt` times a generic one, near which restarts
-    converge fast enough to be certified."""
+    diagonal one plus `tilt` times a generic one, near which restarts reach
+    a fixed point within a few alternations."""
     structure = PartyStructure(dims)
     rng = np.random.default_rng(op_seed)
     op = _random_hermitian(structure, rng)
     if tilt is not None:
         op = _locally_diagonal(structure, rng) + tilt * op
     tensor = op.matrix.reshape(dims * 2)
-    second = _second_bound(op.matrix)
     for cut_index, cut in enumerate(bipartitions(len(dims))):
-        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed, second)
-        ref_values, ref_counts, ref_converged = _scalar_seesaw(op, cut_index, cut, restarts, 100, seed)
+        values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed)
+        ref_values, ref_counts, ref_converged, _ = _scalar_seesaw(op, cut_index, cut, restarts, 100, seed)
         same = (counts == ref_counts) & (converged == ref_converged)
         assert np.max(np.abs(values - ref_values)[same], initial=0.0) <= 1e-10
-        # The two loops round differently, so a restart whose value moves by
-        # SEESAW_STOP_TOL to within round-off may stop one alternation apart
-        # in them; any other difference is a fault.
+        # The two loops round differently, so a restart whose side-a move in
+        # alternation k is SEESAW_STOP_TOL to within round-off may stop in
+        # alternation k in one and k + 1 in the other; any other difference
+        # is a fault.  Capped at k alternations, the scalar loop ends on the
+        # side-a move of alternation k.
         for r in np.flatnonzero(~same):
             k = min(counts[r], ref_counts[r])
             assert abs(counts[r] - ref_counts[r]) == 1 and k >= 2
-            before = _scalar_seesaw(op, cut_index, cut, restarts, k - 1, seed)[0][r]
-            after = _scalar_seesaw(op, cut_index, cut, restarts, k, seed)[0][r]
-            assert abs(abs(after - before) - SEESAW_STOP_TOL) <= 1e-13
+            move = _scalar_seesaw(op, cut_index, cut, restarts, k, seed)[3][r]
+            assert abs(move - SEESAW_STOP_TOL) <= 1e-13
 
 
 SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 1)
@@ -713,7 +603,6 @@ SEEDS = (0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 1)
 def test_seed_states_equal_seed_sequence(monkeypatch, seed, cut_index, restarts):
     op = _random_hermitian(PartyStructure((2, 2, 2, 2)), np.random.default_rng(8))
     cut = bipartitions(4)[cut_index]
-    second = _second_bound(op.matrix)
     default_rng = np.random.default_rng
     states = []
 
@@ -723,7 +612,7 @@ def test_seed_states_equal_seed_sequence(monkeypatch, seed, cut_index, restarts)
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", record)
-    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed, second)
+    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed)
     # one generator per cut, whatever the restart count, seeded by the cut's SeedSequence
     assert len(states) == 1
     assert states[0] == np.random.PCG64(np.random.SeedSequence([seed, cut_index])).state
@@ -736,7 +625,6 @@ def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, 
     op = _random_hermitian(PartyStructure((2, 2, 2, 2)), np.random.default_rng(8))
     cut = bipartitions(4)[cut_index]
     dim_b = 16 // 2 ** len(cut)
-    second = _second_bound(op.matrix)
     norm = np.linalg.norm
     seen = []
 
@@ -745,7 +633,7 @@ def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, 
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", record)
-    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed, second)
+    _seesaw_cut(op.matrix.reshape((2,) * 8), cut, cut_index, restarts, 1, seed)
     rows = np.random.default_rng([seed, cut_index]).standard_normal((restarts, 2 * dim_b))
     # the one vector normalised is side b's start; side a is never drawn
     assert len(seen) == 1
@@ -759,10 +647,9 @@ def test_restart_starts_equal_default_rng_streams(monkeypatch, seed, cut_index, 
 def test_seesaw_restarts_do_not_depend_on_their_number(make_op):
     op = make_op()
     tensor = op.matrix.reshape(op.structure.dims * 2)
-    second = _second_bound(op.matrix)
     for cut_index, cut in enumerate(bipartitions(op.structure.n_parties)):
-        few = _seesaw_cut(tensor, cut, cut_index, 20, 500, 1234, second)
-        many = _seesaw_cut(tensor, cut, cut_index, 57, 500, 1234, second)
+        few = _seesaw_cut(tensor, cut, cut_index, 20, 500, 1234)
+        many = _seesaw_cut(tensor, cut, cut_index, 57, 500, 1234)
         # same starts; the stacked matmul's round-off depends on the stack height
         assert np.max(np.abs(few[0] - many[0][:20])) <= 1e-9
         assert np.array_equal(few[1], many[1][:20])
