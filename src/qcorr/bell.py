@@ -1,18 +1,20 @@
 """d-level bipartite Bell functional: quantum value, closed form, exhaustive
 deterministic local-model maximization, and noise thresholds.
 
-Each of the four correlation functions reads only 2d joint detection events
-from one d x d outcome table (`core.outcome_probabilities` with the pair's two
-setting bases), and the deterministic local bound of the full functional is 2
-for every d.
+`quantum_value` is the one evaluation path.  Each of its four correlation
+functions reads only 2d joint detection events (CGLMP reads d^2) from one
+d x d outcome table (`core.outcome_probabilities` with the pair's two setting
+bases), and the deterministic local bound of the functional is 2 for every d.
 
 Every term of the functional depends only on a residue sum of two outcomes,
-with the coefficients in `RESIDUES` (read by the quantum correlators and by the
-local residue table alike), and t21 = t11 - t12 + t22 (mod d), so the local
-search tabulates the value of each residue triple (t11, t12, t22) once: d^3
-entries, each reached by exactly d assignments. `bell_report` keeps only the maximum and the maximizer count;
-`lhv_max` rebuilds the maximizing assignments when asked. The search is still
-refused past `ENUMERATION_GUARD`.
+with the coefficients in `RESIDUES` (read by the quantum correlators, the
+local residue table and the d = 2 check alike), and t21 = t11 - t12 + t22
+(mod d), so the local search tabulates the value of each residue triple
+(t11, t12, t22) once: d^3 entries, each reached by exactly d assignments.
+`bell_report` keeps only the maximum and the maximizer count; `lhv_max`
+rebuilds the maximizing assignments when asked.  The search is refused past
+`ENUMERATION_GUARD`.  `lhv_value`, written apart from `RESIDUES`, is an
+oracle for tests.
 """
 
 from __future__ import annotations
@@ -120,21 +122,17 @@ def _correlators(state, i: int, j: int) -> np.ndarray:
     return table[(plus - m) % d, m] - table[(minus - m) % d, m]
 
 
-def correlation(state, i: int, j: int) -> tuple[float, int]:
-    """Sum of the d correlators of one setting pair and the number of
-    detection events read for it from the pair's outcome table (always 2d)."""
-    values = _correlators(state, i, j)
-    return float(values.sum()), 2 * values.size
+def correlation(state, i: int, j: int) -> float:
+    """Sum of the d correlators of one setting pair."""
+    return float(_correlators(state, i, j).sum())
 
 
-def quantum_value(state, d: int | None = None) -> float:
+def quantum_value(state) -> float:
     """Full functional: sum of all 4d correlators."""
     dims = state.structure.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError(f"expected a two-party d x d state, got structure {dims}")
-    if d is not None and local_dimension(d) != dims[0]:
-        raise ValueError(f"state has local dimension {dims[0]}, not {d}")
-    return sum(correlation(state, i, j)[0] for i, j in SETTING_PAIRS)
+    return sum(correlation(state, i, j) for i, j in SETTING_PAIRS)
 
 
 def analytic_value(d: int) -> float:
@@ -226,15 +224,16 @@ def noise_threshold(d: int) -> float:
 
 def chsh_reduction_check() -> bool:
     """At d=2 the functional collapses to the familiar two-setting form
-    C~11 + C~12 + C~22 - C~21; verify the identity on all 16 assignments."""
+    C~11 + C~12 + C~22 - C~21; verify the identity on all 16 assignments,
+    reading each value from the residue table built from `RESIDUES`."""
 
     def signed(v1: int, v2: int) -> int:
         return sum((-1) ** k * int((v1 + v2) % 2 == k) for k in (0, 1))
 
+    values = lhv_residue_table(2)
     for v11, v21, v12, v22 in product(range(2), repeat=4):
-        a = LhvAssignment(v11, v21, v12, v22)
         two_setting = signed(v11, v21) + signed(v11, v22) + signed(v12, v22) - signed(v12, v21)
-        if lhv_value(a, 2) != two_setting:
+        if values[(v11 + v21) % 2, (v11 + v22) % 2, (v12 + v22) % 2] != two_setting:
             return False
     return True
 
@@ -275,15 +274,7 @@ class BellReport:
 
 def bell_report(d: int, include_lhv: bool = True) -> BellReport:
     """Evaluate the functional on the maximally entangled state of dimension d."""
-    state = max_entangled_qudit(d)
-    total = 0.0
-    event_counts = set()
-    for i, j in SETTING_PAIRS:
-        value, events = correlation(state, i, j)
-        total += value
-        event_counts.add(events)
-    if event_counts != {2 * d}:
-        raise BellInvariantError(f"unexpected detection-event counts {sorted(event_counts)}")
+    total = quantum_value(max_entangled_qudit(d))
     best = count = None
     if include_lhv:
         values = lhv_residue_table(d)

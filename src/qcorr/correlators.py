@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -65,11 +64,10 @@ DERANGEMENTS_4 = _derangements(4)
 
 @dataclass(frozen=True, eq=False)
 class LocalBasis:
-    """Orthonormal single-party basis: z, x, y, or phase-offset Fourier."""
+    """Orthonormal single-party basis: z, x, y, or discrete Fourier."""
 
     kind: str
     dimension: int
-    offset: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
         d = core.local_dimension(self.dimension)
@@ -83,7 +81,7 @@ class LocalBasis:
         elif self.kind == "fourier":
             levels = np.arange(d)
             phase = -2j * np.pi / d
-            vectors = np.exp(phase * np.outer(levels, levels + float(self.offset))) / np.sqrt(d)
+            vectors = np.exp(phase * np.outer(levels, levels)) / np.sqrt(d)
         else:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         gram_dev = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(d))))
@@ -127,10 +125,6 @@ class _OutcomeTables:
             raise ValueError(f"table shape {shape} does not match setting dimension {self.setting.dimension}")
         cut_axes(shape, self.cut)
         object.__setattr__(self, "tables", tuple(map(_owned_int64, tables)))
-
-    def expectations(self, state) -> np.ndarray:
-        """Every member's expectation at `state` (see `member_expectations`)."""
-        return member_expectations([self], state)[0]
 
 
 def member_expectations(records, state) -> list[np.ndarray]:
@@ -207,7 +201,7 @@ def _integer_form(basis: LocalBasis) -> tuple[np.ndarray, int]:
     z and s = d otherwise (2 for x and y, 4 for the four-level Fourier basis).
 
     A basis whose scaled vectors are not within `core.STRUCTURAL_TOL` of
-    Gaussian integers (Fourier bases of most dimensions and offsets) raises
+    Gaussian integers (Fourier bases of most dimensions) raises
     `ValueError`.
     """
     vectors = basis._vectors
@@ -473,12 +467,12 @@ def family_positive(values) -> bool:
 
 def prop1_test(pair: CorrelatorPair, state) -> bool:
     """True iff the two expectation values share a sign beyond SIGN_MARGIN."""
-    return pair_positive(pair.expectations(state))
+    return pair_positive(member_expectations([pair], state)[0])
 
 
 def prop2_test(family: CorrelatorFamily, state) -> bool:
     """True iff every member expectation exceeds SIGN_MARGIN."""
-    return family_positive(family.expectations(state))
+    return family_positive(member_expectations([family], state)[0])
 
 
 def _side_vectors(dim_a: int, dim_b: int, trials: int, rng: np.random.Generator):

@@ -141,7 +141,7 @@ def test_criterion_05_projector_witness_constants():
 
 def test_criterion_06_bell_quantum_values():
     worst = max(
-        abs(quantum_value(max_entangled_qudit(d), d) - analytic_value(d)) for d in range(2, 17)
+        abs(quantum_value(max_entangled_qudit(d)) - analytic_value(d)) for d in range(2, 17)
     )
     ok = worst <= 1e-9
     ok = ok and abs(quantum_value(max_entangled_qudit(2)) - 2 * math.sqrt(2)) <= 1e-9

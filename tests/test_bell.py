@@ -25,8 +25,10 @@ from qcorr import (
     projector_witness,
     quantum_value,
 )
+import qcorr.bell as bell
 from qcorr.bell import (
     ENUMERATION_GUARD,
+    RESIDUES,
     SETTING_PAIRS,
     BellInvariantError,
     BellReport,
@@ -61,17 +63,14 @@ def test_dimensions_must_be_integral():
 
 @pytest.mark.parametrize("d", [2.5, "2"])
 def test_quantum_value_and_lhv_max_refuse_a_non_integral_dimension(d):
-    # int() would truncate 2.5 to 2 and parse "2"
-    with pytest.raises(ValueError, match="integer"):
-        quantum_value(max_entangled_qudit(2), d)
+    # int() would truncate 2.5 to 2 and parse "2"; quantum_value takes its
+    # dimension from the state, whose structure refuses both
     with pytest.raises(ValueError, match="integer"):
         lhv_max(d)
 
 
 def test_quantum_value_and_lhv_max_take_numpy_integers():
-    d = np.int64(2)
-    assert abs(quantum_value(max_entangled_qudit(2), d) - 2 * math.sqrt(2)) < 1e-9
-    assert lhv_max(d) == lhv_max(2)
+    assert lhv_max(np.int64(2)) == lhv_max(2)
 
 
 def test_setting_offsets():
@@ -165,7 +164,7 @@ def test_correlators_positive(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 17, 32])
 def test_quantum_matches_analytic(d):
-    assert abs(quantum_value(max_entangled_qudit(d), d) - analytic_value(d)) < 1e-9
+    assert abs(quantum_value(max_entangled_qudit(d)) - analytic_value(d)) < 1e-9
 
 
 def test_quantum_value_d2_is_tsirelson():
@@ -294,12 +293,33 @@ def test_chsh_reduction():
     assert quantum_value(max_entangled_qudit(2)) > 2.0
 
 
-def test_detection_event_accounting():
-    for d in (2, 3, 6):
-        state = max_entangled_qudit(d)
-        for i, j in SETTING_PAIRS:
-            _, events = correlation(state, i, j)
-            assert events == 2 * d
+@pytest.mark.parametrize("d", range(2, 9))
+def test_correlation_reads_only_2d_detection_events(d, monkeypatch):
+    # Every outcome-table entry but the 2d that RESIDUES names is NaN, so a
+    # correlation that read any other entry would come out NaN.
+    state = max_entangled_qudit(d)
+    events = bell_report(d, include_lhv=False).detection_events_per_correlation
+    exact = {pair: correlation(state, *pair) for pair in SETTING_PAIRS}
+    table_of = bell.outcome_table
+    m = np.arange(d)
+    for pair in SETTING_PAIRS:
+        plus, minus = RESIDUES[pair]
+        kept = np.zeros((d, d), dtype=bool)
+        kept[(plus - m) % d, m] = kept[(minus - m) % d, m] = True
+        monkeypatch.setattr(
+            bell, "outcome_table", lambda *args, kept=kept: np.where(kept, table_of(*args), np.nan)
+        )
+        value = correlation(state, *pair)
+        assert math.isfinite(value) and value.hex() == exact[pair].hex()
+        assert np.count_nonzero(kept) == 2 * d == events
+
+
+@pytest.mark.parametrize("pair", SETTING_PAIRS)
+def test_two_setting_reduction_reads_residues(pair, monkeypatch):
+    # the d = 2 check must see a swap of any pair's residues
+    plus, minus = RESIDUES[pair]
+    monkeypatch.setitem(RESIDUES, pair, (minus, plus))
+    assert not chsh_reduction_check()
 
 
 def test_bell_report_fields():
@@ -393,14 +413,6 @@ def test_maximizer_count_invariant():
             BellReport(**fields, lhv_maximizer_count=wrong)
 
 
-def test_detection_event_miss_is_an_invariant_error(monkeypatch):
-    import qcorr.bell as bell
-
-    monkeypatch.setattr(bell, "correlation", lambda state, i, j: (0.0, 1))
-    with pytest.raises(BellInvariantError, match="detection-event"):
-        bell_report(3)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_correlations_on_assigned_eigenvectors_are_lhv_value(d):
     # Every deterministic assignment: on the product of the assigned setting
@@ -417,5 +429,5 @@ def test_correlations_on_assigned_eigenvectors_are_lhv_value(d):
         total = 0.0
         for i, j in SETTING_PAIRS:
             u, w = vectors[(1, i)][outcome[(1, i)]], vectors[(2, j)][outcome[(2, j)]]
-            total += correlation(PureState(np.kron(u, w), structure), i, j)[0]
+            total += correlation(PureState(np.kron(u, w), structure), i, j)
         assert abs(total - lhv_value(LhvAssignment(v11, v21, v12, v22), d)) <= 1e-9
