@@ -13,8 +13,8 @@ local residue table and the d = 2 check alike), and t21 = t11 - t12 + t22
 (t11, t12, t22) once: d^3 entries, each reached by exactly d assignments.
 `bell_report` keeps only the maximum and the maximizer count; `lhv_max`
 rebuilds the maximizing assignments when asked.  The search is refused past
-`ENUMERATION_GUARD`.  `lhv_value`, written apart from `RESIDUES`, is an
-oracle for tests.
+`ENUMERATION_GUARD`.  The tests check the table against `lhv_value` in
+`tests/oracles.py`, written apart from `RESIDUES`.
 """
 
 from __future__ import annotations
@@ -152,29 +152,6 @@ class LhvAssignment:
     v21: int
     v12: int
     v22: int
-
-    def validate(self, d: int) -> None:
-        for name in ("v11", "v21", "v12", "v22"):
-            value = getattr(self, name)
-            if not 0 <= value < d:
-                raise ValueError(f"{name}={value} outside 0..{d - 1}")
-
-
-def lhv_value(a: LhvAssignment, d: int) -> int:
-    """Functional value of one deterministic assignment (integer in [-4, 4]).
-
-    Negated delta arguments use the canonical non-negative residue mod d.
-    """
-    a.validate(d)
-    t11 = a.v11 + a.v21
-    t12 = a.v11 + a.v22
-    t22 = a.v12 + a.v22
-    t21 = a.v12 + a.v21
-    value = int(t11 % d == 0) - int((-t11) % d == 1)
-    value += int(t12 % d == 0) - int(t12 % d == 1)
-    value += int(t22 % d == 0) - int((-t22) % d == 1)
-    value += int((-t21) % d == 1) - int(t21 % d == 0)
-    return value
 
 
 def lhv_residue_table(d: int) -> np.ndarray:

@@ -46,9 +46,9 @@ from .witnesses import (
     SINGLET_ALPHA,
     SINGLET_GAMMA,
     SINGLET_NOISE_DELTA,
+    Witness,
     WitnessNeverFiresError,
     biseparable_max,
-    make_witness,
     noise_tolerance,
     projector_witness,
     verify_dominance,
@@ -96,7 +96,7 @@ def run_table1(args) -> Report:
     kinds = {pair.setting.kind for pair in ghz4_z_pairs() + ghz4_x_pairs()}
     report.add_result("lms_count", len(kinds))
     for idx, case in enumerate(GHZ4_CASES, start=1):
-        witness = make_witness(case.alpha, c_phi)
+        witness = Witness(case.alpha, c_phi)
         state = ghz4(case.theta, case.phi)
         _witness_block(report, f"case{idx}.", witness, state, case.gamma, case.noise_delta, 1e-3, args.tol)
         report.add_check(
@@ -110,7 +110,7 @@ def run_table2(args) -> Report:
     c_phi = build_C_phi()
     targets = [ghz4(case.theta, case.phi) for case in GHZ4_CASES]
     for row, (case_w, expected_row) in enumerate(zip(GHZ4_CASES, GHZ4_WITNESS_GRID), start=1):
-        witness = make_witness(case_w.alpha, c_phi)
+        witness = Witness(case_w.alpha, c_phi)
         for col, (target, expected) in enumerate(zip(targets, expected_row), start=1):
             actual = witness.value(target)
             report.add_result(f"value[{row}][{col}]", actual)
@@ -131,7 +131,7 @@ def run_singlet(args) -> Report:
     _expectation_range(report, "flip", flips, Fraction(1, 3))
     _expectation_range(report, "group", groups, Fraction(1, 6))
 
-    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    witness = Witness(SINGLET_ALPHA, build_C_psi())
     _witness_block(report, "", witness, state, SINGLET_GAMMA, SINGLET_NOISE_DELTA, 1e-6, args.tol)
     report.add_result("lms_count", len(kinds))
     report.add_check(exact_check("lms_count", 3, len(kinds)))
@@ -147,7 +147,7 @@ def run_ghz4x3(args) -> Report:
     _expectation_range(report, "family", values, Fraction(1, 4))
     report.add_result("family_member_count", len(values))
 
-    witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3())
+    witness = Witness(GHZ4X3_ALPHA, build_C_ghz4x3())
     _witness_block(report, "", witness, state, GHZ4X3_GAMMA, GHZ4X3_NOISE_DELTA, 1e-3, args.tol)
     report.add_result("lms_count", len(kinds))
     report.add_check(exact_check("lms_count", 2, len(kinds)))

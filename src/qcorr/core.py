@@ -1,4 +1,4 @@
-"""Dense complex tensor algebra for small multi-party Hilbert spaces.
+"""Dense states and operators on small multi-party Hilbert spaces.
 
 Party labels are 1-based throughout the package, and party 1 is the leftmost
 (most significant) tensor factor.  All container types are immutable after
@@ -88,9 +88,6 @@ class PureState:
     def projector(self) -> HermitianOperator:
         return HermitianOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.structure)
 
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.structure)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -159,29 +156,8 @@ class HermitianOperator:
         _check_hermitian(mat)
         object.__setattr__(self, "matrix", _frozen(mat))
 
-    def __add__(self, other: HermitianOperator) -> HermitianOperator:
-        self._check_same_structure(other)
-        return HermitianOperator(self.matrix + other.matrix, self.structure)
-
-    def __sub__(self, other: HermitianOperator) -> HermitianOperator:
-        self._check_same_structure(other)
-        return HermitianOperator(self.matrix - other.matrix, self.structure)
-
-    def __mul__(self, scale: float) -> HermitianOperator:
-        return HermitianOperator(float(scale) * self.matrix, self.structure)
-
-    __rmul__ = __mul__
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def _check_same_structure(self, other: HermitianOperator) -> None:
-        if not isinstance(other, HermitianOperator):
-            raise TypeError(f"expected HermitianOperator, got {type(other).__name__}")
-        if self.structure.dims != other.structure.dims:
-            raise ValueError(
-                f"party structures differ: {self.structure.dims} vs {other.structure.dims}"
-            )
 
 
 def _check_square(mat: np.ndarray, structure: PartyStructure) -> None:
@@ -195,24 +171,6 @@ def _check_hermitian(mat: np.ndarray) -> None:
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if not dev <= STRUCTURAL_TOL:
         raise ValueError(f"matrix deviates from Hermitian by {dev!r}")
-
-
-def identity(structure: PartyStructure) -> HermitianOperator:
-    return HermitianOperator(np.eye(structure.dim, dtype=np.complex128), structure)
-
-
-def kron(a, b):
-    """Tensor product of two states or two operators; a becomes the leading parties."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        merged = PartyStructure(a.structure.dims + b.structure.dims)
-        return PureState(np.kron(a.amplitudes, b.amplitudes), merged)
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        merged = PartyStructure(a.structure.dims + b.structure.dims)
-        return HermitianOperator(np.kron(a.matrix, b.matrix), merged)
-    raise TypeError(
-        f"kron operands must both be PureState or both HermitianOperator, "
-        f"got {type(a).__name__} and {type(b).__name__}"
-    )
 
 
 def expectation(

@@ -15,7 +15,6 @@ from .core import (
     combine_bipartite,
     cut_axes,
     expectation,
-    identity,
     min_eigenvalue,
     schmidt_max_sq,
     spectral_norm,
@@ -45,9 +44,11 @@ class Witness:
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha):
             raise ValueError(f"witness constant must be finite, got {self.alpha}")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     def operator(self) -> HermitianOperator:
-        return self.alpha * identity(self.c_op.structure) - self.c_op
+        eye = np.eye(self.c_op.structure.dim, dtype=np.complex128)
+        return HermitianOperator(self.alpha * eye - self.c_op.matrix, self.c_op.structure)
 
     def value(self, state) -> float:
         return self.alpha - expectation(self.c_op, state)
@@ -66,7 +67,8 @@ class ProjectorWitness:
         object.__setattr__(self, "alpha_p", max(schmidt_max_sq(self.target, cut) for cut in cuts))
 
     def operator(self) -> HermitianOperator:
-        return self.alpha_p * identity(self.target.structure) - self.target.projector()
+        eye = np.eye(self.target.structure.dim, dtype=np.complex128)
+        return HermitianOperator(self.alpha_p * eye - self.target.projector().matrix, self.target.structure)
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,6 @@ class SeesawResult:
     at_best: int
 
 
-def make_witness(alpha: float, c_op: HermitianOperator) -> Witness:
-    return Witness(float(alpha), c_op)
-
-
 def projector_witness(target: PureState) -> ProjectorWitness:
     """Projector witness with constant = max squared Schmidt coefficient over all cuts."""
     return ProjectorWitness(target)
@@ -116,13 +114,19 @@ def verify_dominance(
     """Check W - gamma*W_p >= 0 via the smallest eigenvalue of the difference.
 
     The default tolerance is -1e-8 scaled by the spectral norm of W, since
-    witness constants quoted to a few digits cannot give exact semidefiniteness.
+    witness constants quoted to a few digits cannot give exact semidefiniteness;
+    a given tolerance must be finite and non-negative.
     """
     gamma = float(gamma)
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError(f"dominance factor must be positive, got {gamma}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"dominance tolerance must be finite and non-negative, got {tol}")
+    structure = w.c_op.structure
+    if structure.dims != wp.target.structure.dims:
+        raise ValueError(f"party structures differ: {structure.dims} vs {wp.target.structure.dims}")
     w_op = w.operator()
-    lowest = min_eigenvalue(w_op - gamma * wp.operator())
+    lowest = min_eigenvalue(HermitianOperator(w_op.matrix - gamma * wp.operator().matrix, structure))
     if tol is None:
         tol = DOMINANCE_TOL_SCALE * spectral_norm(w_op)
     return DominanceCertificate(gamma, lowest, lowest >= -tol, float(tol))

@@ -7,7 +7,8 @@ these dense objects from it to check the outcome tables against projector sums.
 The GHZ and singlet oracles spell out the paper's member definitions, which
 the library generates from one rule.  The Bell oracles read one setting vector, one
 correlator or the projector witness's noise tolerance, which the library only
-needs as whole tables and sums.
+needs as whole tables and sums; `lhv_value` scores one deterministic
+assignment term by term, apart from the library's `RESIDUES`.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from qcorr.bell import RESIDUES, MeasurementSetting, joint_prob, setting_basis
+from qcorr.bell import RESIDUES, LhvAssignment, MeasurementSetting, joint_prob, setting_basis
 from qcorr.correlators import DERANGEMENTS_4
 
 
@@ -122,3 +123,23 @@ def projector_witness_threshold(d: int) -> float:
     """Closed-form noise tolerance d/(d+1) of the projector witness
     (1/d)1 - |psi_d><psi_d|: it fires while (1-p) + p/d^2 > 1/d."""
     return d / (d + 1)
+
+
+def lhv_value(a: LhvAssignment, d: int) -> int:
+    """Functional value of one deterministic assignment (integer in [-4, 4]).
+
+    Negated delta arguments use the canonical non-negative residue mod d.
+    """
+    for name in ("v11", "v21", "v12", "v22"):
+        value = getattr(a, name)
+        if not 0 <= value < d:
+            raise ValueError(f"{name}={value} outside 0..{d - 1}")
+    t11 = a.v11 + a.v21
+    t12 = a.v11 + a.v22
+    t22 = a.v12 + a.v22
+    t21 = a.v12 + a.v21
+    value = int(t11 % d == 0) - int((-t11) % d == 1)
+    value += int(t12 % d == 0) - int(t12 % d == 1)
+    value += int(t22 % d == 0) - int((-t22) % d == 1)
+    value += int((-t21) % d == 1) - int(t21 % d == 0)
+    return value

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from qcorr import (
+    Witness,
     analytic_value,
     bipartitions,
     build_C_ghz4x3,
@@ -21,7 +22,6 @@ from qcorr import (
     all_ghz4x3_families,
     joint_prob,
     lhv_max,
-    make_witness,
     max_entangled_qudit,
     noise_threshold,
     noise_tolerance,
@@ -70,7 +70,7 @@ def test_criterion_01_ghz4_noise_and_dominance():
     details = []
     for case in GHZ4_CASES:
         state = ghz4(case.theta, case.phi)
-        witness = make_witness(case.alpha, c_phi)
+        witness = Witness(case.alpha, c_phi)
         delta = noise_tolerance(witness, state)
         cert = verify_dominance(witness, projector_witness(state), case.gamma)
         norm = spectral_norm(witness.operator())
@@ -84,7 +84,7 @@ def test_criterion_02_ghz4_witness_grid():
     c_phi = build_C_phi()
     worst = 0.0
     for case_w, row in zip(GHZ4_CASES, GHZ4_WITNESS_GRID):
-        witness = make_witness(case_w.alpha, c_phi)
+        witness = Witness(case_w.alpha, c_phi)
         for case_s, expected in zip(GHZ4_CASES, row):
             actual = witness.value(ghz4(case_s.theta, case_s.phi))
             worst = max(worst, abs(actual - expected))
@@ -101,7 +101,7 @@ def test_criterion_03_singlet_pipeline():
     ok = len(flips) == 24 and len(groups) == 24
     ok = ok and max(abs(v - 1 / 3) for v in flips) <= 1e-10
     ok = ok and max(abs(v - 1 / 6) for v in groups) <= 1e-10
-    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    witness = Witness(SINGLET_ALPHA, build_C_psi())
     delta = noise_tolerance(witness, state)
     ok = ok and abs(delta - 15.0 / 88.0) <= 1e-6
     cert = verify_dominance(witness, projector_witness(state), SINGLET_GAMMA)
@@ -116,7 +116,7 @@ def test_criterion_04_ghz4x3_pipeline():
     families = all_ghz4x3_families()
     values = [expectation(m, state) for f in families for m in _dense(f)]
     ok = len(values) == 216 and max(abs(v - 0.25) for v in values) <= 1e-10
-    witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3())
+    witness = Witness(GHZ4X3_ALPHA, build_C_ghz4x3())
     delta = noise_tolerance(witness, state)
     ok = ok and abs(delta - 0.4) <= 1e-3
     cert = verify_dominance(witness, projector_witness(state), GHZ4X3_GAMMA)
@@ -160,7 +160,7 @@ def test_criterion_08_noise_thresholds():
     ok = abs(noise_threshold(10**6) - 0.30604) <= 1e-5
     for d in range(2, 11):
         state = max_entangled_qudit(d)
-        witness = make_witness(projector_witness(state).alpha_p, state.projector())
+        witness = Witness(projector_witness(state).alpha_p, state.projector())
         ok = ok and abs(noise_tolerance(witness, state) - projector_witness_threshold(d)) <= 1e-12
     _verdict("08 noise thresholds", ok, f"limit {noise_threshold(10**6):.6f}")
 

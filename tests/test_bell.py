@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from qcorr import (
     LhvAssignment,
     MeasurementSetting,
+    Witness,
     analytic_value,
     bell_report,
     chsh_reduction_check,
     joint_prob,
     lhv_max,
-    lhv_value,
     max_entangled_qudit,
     mix_white_noise,
-    make_witness,
     noise_threshold,
     noise_tolerance,
     projector_witness,
@@ -38,7 +37,7 @@ from qcorr.bell import (
 )
 from qcorr.core import DensityMatrix, PartyStructure, PureState
 
-from oracles import correlator_m, projector_witness_threshold, setting_vector
+from oracles import correlator_m, lhv_value, projector_witness_threshold, setting_vector
 
 
 def closed_form_correlator(d: int) -> float:
@@ -55,21 +54,12 @@ def test_setting_vector_d2_offset0():
 def test_dimensions_must_be_integral():
     with pytest.raises(ValueError, match="integer"):
         MeasurementSetting(1, 1, 2.5)
-    for fn in (analytic_value, lhv_residue_table):
-        with pytest.raises(ValueError, match="integer"):
-            fn(3.5)
+    # int() would truncate 2.5 to 2 and parse "2"
+    for fn in (analytic_value, lhv_residue_table, lhv_max):
+        for d in (2.5, 3.5, "2"):
+            with pytest.raises(ValueError, match="integer"):
+                fn(d)
     assert setting_basis(MeasurementSetting(1, 1, np.int64(3))).shape == (3, 3)
-
-
-@pytest.mark.parametrize("d", [2.5, "2"])
-def test_quantum_value_and_lhv_max_refuse_a_non_integral_dimension(d):
-    # int() would truncate 2.5 to 2 and parse "2"; quantum_value takes its
-    # dimension from the state, whose structure refuses both
-    with pytest.raises(ValueError, match="integer"):
-        lhv_max(d)
-
-
-def test_quantum_value_and_lhv_max_take_numpy_integers():
     assert lhv_max(np.int64(2)) == lhv_max(2)
 
 
@@ -284,7 +274,7 @@ def test_projector_witness_threshold():
     # The library's noise tolerance of (1/d)1 - |psi_d><psi_d| on psi_d.
     for d in range(2, 12):
         state = max_entangled_qudit(d)
-        witness = make_witness(projector_witness(state).alpha_p, state.projector())
+        witness = Witness(projector_witness(state).alpha_p, state.projector())
         assert abs(noise_tolerance(witness, state) - projector_witness_threshold(d)) <= 1e-12
 
 

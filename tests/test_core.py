@@ -13,8 +13,6 @@ from qcorr import (
     expectation,
     ghz4,
     ghz_4x3,
-    identity,
-    kron,
     max_entangled_qudit,
     min_eigenvalue,
     outcome_probabilities,
@@ -23,7 +21,6 @@ from qcorr import (
 )
 from qcorr.core import cut_axes
 
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 Q1 = PartyStructure((2,))
 
 
@@ -86,56 +83,21 @@ def test_hermitian_operator_rejects_non_hermitian():
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), Q1)
 
 
-def test_kron_identities():
-    eye2 = identity(Q1)
-    eye4 = kron(eye2, eye2)
-    assert eye4.structure.dims == (2, 2)
-    assert np.allclose(eye4.matrix, np.eye(4))
-
-
-def test_kron_basis_ordering():
-    zero = PureState([1.0, 0.0], Q1)
-    one = PureState([0.0, 1.0], Q1)
-    combined = kron(zero, one)
-    expected = np.zeros(4)
-    expected[1] = 1.0
-    assert np.allclose(combined.amplitudes, expected)
-
-
-def test_kron_sigma_z_diagonal():
-    sz = HermitianOperator(SIGMA_Z, Q1)
-    assert np.allclose(np.diag(kron(sz, sz).matrix).real, [1, -1, -1, 1])
-
-
-def test_kron_kind_mismatch():
-    with pytest.raises(TypeError):
-        kron(identity(Q1), PureState([1.0, 0.0], Q1))
-
-
 def test_expectation_of_identity():
     rng = np.random.default_rng(7)
     state = _random_state(rng, (2, 2, 2))
-    assert abs(expectation(identity(state.structure), state) - 1.0) < 1e-12
+    assert abs(expectation(HermitianOperator(np.eye(8), state.structure), state) - 1.0) < 1e-12
 
 
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError):
-        expectation(identity(Q1), ghz4(np.pi / 4, 0.0))
+        expectation(HermitianOperator(np.eye(2), Q1), ghz4(np.pi / 4, 0.0))
 
 
 def test_expectation_sigma_x_fourfold():
-    sx = HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), Q1)
-    op = kron(kron(sx, sx), kron(sx, sx))
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    op = HermitianOperator(np.kron(np.kron(sx, sx), np.kron(sx, sx)), PartyStructure((2,) * 4))
     assert abs(expectation(op, ghz4(np.pi / 4, 0.0)) - 1.0) < 1e-12
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(19)
-    ops = [HermitianOperator(_random_hermitian(rng, 2), Q1) for _ in range(3)]
-    left = kron(kron(ops[0], ops[1]), ops[2])
-    right = kron(ops[0], kron(ops[1], ops[2]))
-    assert left.structure.dims == (2, 2, 2)
-    assert np.allclose(left.matrix, right.matrix, atol=1e-12)
 
 
 def test_expectation_factorizes_over_kron():
@@ -145,13 +107,15 @@ def test_expectation_factorizes_over_kron():
         op_b = HermitianOperator(_random_hermitian(rng, 3), PartyStructure((3,)))
         u = _random_state(rng, (2,))
         v = _random_state(rng, (3,))
-        left = expectation(kron(op_a, op_b), kron(u, v))
+        product_structure = PartyStructure((2, 3))
+        op_ab = HermitianOperator(np.kron(op_a.matrix, op_b.matrix), product_structure)
+        left = expectation(op_ab, PureState(np.kron(u.amplitudes, v.amplitudes), product_structure))
         right = expectation(op_a, u) * expectation(op_b, v)
         assert abs(left - right) < 1e-10
 
 
 def test_min_eigenvalue_examples():
-    assert abs(min_eigenvalue(identity(PartyStructure((2, 2, 2, 2)))) - 1.0) < 1e-12
+    assert abs(min_eigenvalue(HermitianOperator(np.eye(16), PartyStructure((2, 2, 2, 2)))) - 1.0) < 1e-12
     op = HermitianOperator(np.diag([3.0, -2.0]).astype(complex), Q1)
     assert abs(min_eigenvalue(op) + 2.0) < 1e-12
 
@@ -161,7 +125,7 @@ def test_min_eigenvalue_shift():
     for _ in range(10):
         op = HermitianOperator(_random_hermitian(rng, 6), PartyStructure((2, 3)))
         c = float(rng.uniform(-2.0, 2.0))
-        shifted = op + c * identity(op.structure)
+        shifted = HermitianOperator(op.matrix + c * np.eye(6), op.structure)
         assert abs(min_eigenvalue(shifted) - (min_eigenvalue(op) + c)) < 1e-10
 
 
@@ -169,7 +133,7 @@ def test_eigensolver_breakdown_is_an_eigensolver_error(monkeypatch):
     def _diverge(matrix):
         raise np.linalg.LinAlgError("forced")
 
-    op = identity(Q1)
+    op = HermitianOperator(np.eye(2), Q1)
     monkeypatch.setattr(np.linalg, "eigvalsh", _diverge)
     for spectral in (min_eigenvalue, spectral_norm):
         with pytest.raises(EigensolverError, match="did not converge: forced"):
@@ -264,7 +228,7 @@ def test_outcome_probabilities_match_dense_reference(dims):
         dense = np.kron(dense, u)
     pure = _random_state(rng, dims)
     noisy = WhiteNoiseState(pure, 0.3)
-    for state in (pure, pure.density(), noisy):
+    for state in (pure, DensityMatrix(pure.projector().matrix, pure.structure), noisy):
         rho = pure.projector().matrix if state is pure else state.matrix
         reference = np.diag(dense.conj().T @ rho @ dense).real
         probs = outcome_probabilities(state, unitaries)
@@ -280,7 +244,7 @@ def test_outcome_probabilities_reject_bad_input():
     with pytest.raises(ValueError, match="do not match"):
         outcome_probabilities(state, unitaries[:2])
     with pytest.raises(ValueError, match="do not match"):
-        outcome_probabilities(state.density(), [unitaries[1], unitaries[0], unitaries[2]])
+        outcome_probabilities(DensityMatrix(state.projector().matrix, state.structure), [unitaries[1], unitaries[0], unitaries[2]])
     with pytest.raises(ValueError, match="do not match"):
         outcome_probabilities(WhiteNoiseState(state, 0.5), [np.eye(2), np.eye(3)[:, :2], np.eye(2)])
     with pytest.raises(TypeError, match="expected PureState"):

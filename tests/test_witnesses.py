@@ -20,7 +20,6 @@ from qcorr import (
     expectation,
     ghz4,
     ghz_4x3,
-    make_witness,
     max_entangled_qudit,
     min_eigenvalue,
     mix_white_noise,
@@ -42,6 +41,7 @@ from qcorr.witnesses import (
     SINGLET_ALPHA,
     SINGLET_GAMMA,
     ProjectorWitness,
+    Witness,
     WitnessNeverFiresError,
     _seesaw_cut,
     biseparable_max,
@@ -98,7 +98,7 @@ def test_dominance_builds_the_witness_operator_once(monkeypatch):
         return operator(self)
 
     monkeypatch.setattr(witnesses.Witness, "operator", spy)
-    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    witness = Witness(SINGLET_ALPHA, build_C_psi())
     assert verify_dominance(witness, projector_witness(singlet4()), SINGLET_GAMMA).passed
     assert built == [witness]
 
@@ -106,21 +106,21 @@ def test_dominance_builds_the_witness_operator_once(monkeypatch):
 def test_witness_grid_values():
     c_phi = build_C_phi()
     for case_w, expected_row in zip(GHZ4_CASES, GHZ4_WITNESS_GRID):
-        witness = make_witness(case_w.alpha, c_phi)
+        witness = Witness(case_w.alpha, c_phi)
         for case_s, expected in zip(GHZ4_CASES, expected_row):
             actual = witness.value(ghz4(case_s.theta, case_s.phi))
             assert abs(actual - expected) < 0.01
 
 
 def test_singlet_witness_value():
-    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    witness = Witness(SINGLET_ALPHA, build_C_psi())
     assert abs(witness.value(singlet4()) + 7.5) < 1e-10
 
 
 def test_dominance_ghz4_cases():
     c_phi = build_C_phi()
     for case in GHZ4_CASES:
-        witness = make_witness(case.alpha, c_phi)
+        witness = Witness(case.alpha, c_phi)
         wp = projector_witness(ghz4(case.theta, case.phi))
         cert = verify_dominance(witness, wp, case.gamma)
         assert cert.passed
@@ -128,20 +128,20 @@ def test_dominance_ghz4_cases():
 
 
 def test_dominance_singlet():
-    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    witness = Witness(SINGLET_ALPHA, build_C_psi())
     cert = verify_dominance(witness, projector_witness(singlet4()), SINGLET_GAMMA)
     assert cert.passed
 
 
 def test_dominance_ghz4x3():
-    witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3())
+    witness = Witness(GHZ4X3_ALPHA, build_C_ghz4x3())
     cert = verify_dominance(witness, projector_witness(ghz_4x3()), GHZ4X3_GAMMA)
     assert cert.passed
 
 
 def test_dominance_fails_for_oversized_factor():
     case = GHZ4_CASES[0]
-    witness = make_witness(case.alpha, build_C_phi())
+    witness = Witness(case.alpha, build_C_phi())
     wp = projector_witness(ghz4(case.theta, case.phi))
     cert = verify_dominance(witness, wp, 20.0)
     assert not cert.passed
@@ -149,38 +149,73 @@ def test_dominance_fails_for_oversized_factor():
 
 
 def test_dominance_rejects_nonpositive_gamma():
-    witness = make_witness(9.01, build_C_phi())
+    witness = Witness(9.01, build_C_phi())
     wp = projector_witness(ghz4(math.pi / 4, 0.0))
-    with pytest.raises(ValueError):
-        verify_dominance(witness, wp, 0.0)
+    for gamma in (0.0, math.nan):
+        with pytest.raises(ValueError, match="dominance factor must be positive"):
+            verify_dominance(witness, wp, gamma)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-8])
+def test_dominance_refuses_a_tolerance_not_finite_and_non_negative(tol):
+    # an infinite tolerance would pass any operator, a NaN one none
+    wp = projector_witness(ghz4(math.pi / 4, 0.0))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        verify_dominance(Witness(9.01, build_C_phi()), wp, 6.54, tol=tol)
+
+
+def test_dominance_refuses_differing_party_structures():
+    with pytest.raises(ValueError, match="party structures differ"):
+        verify_dominance(Witness(9.01, build_C_phi()), projector_witness(ghz_4x3()), 6.54)
+
+
+def test_dominance_builds_four_operators(monkeypatch):
+    # W, |target><target|, W_p and W - gamma W_p: one checked matrix each
+    built = []
+    check = HermitianOperator.__post_init__
+
+    def spy(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", spy)
+    witness, wp = Witness(SINGLET_ALPHA, build_C_psi()), projector_witness(singlet4())
+    built.clear()
+    verify_dominance(witness, wp, SINGLET_GAMMA)
+    assert len(built) == 4
+
+
+def test_witness_refuses_a_string_constant():
+    with pytest.raises(TypeError):
+        Witness("36.5", build_C_psi())
 
 
 def test_noise_tolerance_ghz4_cases():
     c_phi = build_C_phi()
     for case in GHZ4_CASES:
-        witness = make_witness(case.alpha, c_phi)
+        witness = Witness(case.alpha, c_phi)
         delta = noise_tolerance(witness, ghz4(case.theta, case.phi))
         assert abs(delta - case.noise_delta) < 1e-3
 
 
 def test_noise_tolerance_singlet_exact_fraction():
-    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    witness = Witness(SINGLET_ALPHA, build_C_psi())
     assert abs(noise_tolerance(witness, singlet4()) - 15.0 / 88.0) < 1e-6
 
 
 def test_noise_tolerance_ghz4x3():
-    witness = make_witness(GHZ4X3_ALPHA, build_C_ghz4x3())
+    witness = Witness(GHZ4X3_ALPHA, build_C_ghz4x3())
     assert abs(noise_tolerance(witness, ghz_4x3()) - 0.4) < 1e-3
 
 
 def test_noise_tolerance_never_fires():
-    witness = make_witness(1000.0, build_C_phi())
+    witness = Witness(1000.0, build_C_phi())
     with pytest.raises(WitnessNeverFiresError):
         noise_tolerance(witness, ghz4(math.pi / 4, 0.0))
 
 
 def test_witness_affine_in_noise():
-    witness = make_witness(SINGLET_ALPHA, build_C_psi())
+    witness = Witness(SINGLET_ALPHA, build_C_psi())
     target = singlet4()
     c_target = expectation(witness.c_op, target)
     c_mixed = witness.c_op.trace() / 16.0
@@ -195,7 +230,7 @@ def test_witness_affine_in_noise():
 def test_witness_fires_exactly_below_threshold():
     c_phi = build_C_phi()
     for case in GHZ4_CASES:
-        witness = make_witness(case.alpha, c_phi)
+        witness = Witness(case.alpha, c_phi)
         target = ghz4(case.theta, case.phi)
         delta = noise_tolerance(witness, target)
         assert witness.value(mix_white_noise(target, delta - 1e-3)) < 0.0
@@ -224,7 +259,7 @@ def test_seesaw_consistent_with_witness_constants():
 def test_seesaw_bracket():
     op = build_C_psi()
     result = biseparable_max(op, restarts=50, seed=11)
-    assert result.value <= -min_eigenvalue(-1.0 * op) + 1e-9
+    assert result.value <= -min_eigenvalue(HermitianOperator(-op.matrix, op.structure)) + 1e-9
     rng = np.random.default_rng(2024)
     cuts = bipartitions(4)
     sampled = max(
@@ -337,9 +372,9 @@ def test_seesaw_tie_break_stable_under_perturbation():
     for build, restarts in ((build_C_phi, 200), (build_C_psi, 20), (build_C_ghz4x3, 20)):
         op = build()
         noise = _random_hermitian(op.structure, rng)
-        noise = noise * (1e-13 / spectral_norm(noise))
+        noise = noise.matrix * (1e-13 / spectral_norm(noise))
         base = biseparable_max(op, restarts=restarts)
-        moved = biseparable_max(op + noise, restarts=restarts)
+        moved = biseparable_max(HermitianOperator(op.matrix + noise, op.structure), restarts=restarts)
         assert (moved.cut, moved.restart) == (base.cut, base.restart)
 
 
@@ -575,7 +610,7 @@ def test_early_stopped_seesaw_matches_scalar_loop(dims, tilt, op_seed, seed, res
     rng = np.random.default_rng(op_seed)
     op = _random_hermitian(structure, rng)
     if tilt is not None:
-        op = _locally_diagonal(structure, rng) + tilt * op
+        op = HermitianOperator(_locally_diagonal(structure, rng).matrix + tilt * op.matrix, structure)
     tensor = op.matrix.reshape(dims * 2)
     for cut_index, cut in enumerate(bipartitions(len(dims))):
         values, counts, converged, *_ = _seesaw_cut(tensor, cut, cut_index, restarts, 100, seed)
