@@ -5,6 +5,11 @@ deterministic local-model maximization, and noise thresholds.
 functions reads only 2d joint detection events (CGLMP reads d^2) from one
 d x d outcome table (`core.outcome_probabilities` with the pair's two setting
 bases), and the deterministic local bound of the functional is 2 for every d.
+`quantum_value` builds each of the four (party, setting) bases once per
+evaluation and shares it between the two pairs that use it, since a basis
+(a d x d complex exp) costs about as much as the contraction it feeds.
+Nothing is cached across calls: a cache keyed on d would help only repeated
+dimensions, at the price of memory held for the life of the process.
 
 Every term of the functional depends only on a residue sum of two outcomes,
 with the coefficients in `RESIDUES` (read by the quantum correlators, the
@@ -111,28 +116,35 @@ def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v
     return float(table[v1, v2])
 
 
-def _correlators(state, i: int, j: int) -> np.ndarray:
-    """The d correlators of setting pair (i, j), read from one outcome table:
-    at v2 = m, P(v1 + m = plus) - P(v1 + m = minus) (mod d), with the
+def _correlation(table: np.ndarray, i: int, j: int) -> float:
+    """Sum of the d correlators of setting pair (i, j), read from its outcome
+    table: at v2 = m, P(v1 + m = plus) - P(v1 + m = minus) (mod d), with the
     residues (plus, minus) of `RESIDUES`."""
-    d = state.structure.dims[0]
-    table = outcome_table(state, MeasurementSetting(1, i, d), MeasurementSetting(2, j, d))
+    d = table.shape[0]
     plus, minus = RESIDUES[(i, j)]
     m = np.arange(d)
-    return table[(plus - m) % d, m] - table[(minus - m) % d, m]
+    return float((table[(plus - m) % d, m] - table[(minus - m) % d, m]).sum())
 
 
 def correlation(state, i: int, j: int) -> float:
     """Sum of the d correlators of one setting pair."""
-    return float(_correlators(state, i, j).sum())
+    d = state.structure.dims[0]
+    table = outcome_table(state, MeasurementSetting(1, i, d), MeasurementSetting(2, j, d))
+    return _correlation(table, i, j)
 
 
 def quantum_value(state) -> float:
-    """Full functional: sum of all 4d correlators."""
+    """Full functional: sum of all 4d correlators, bitwise the sum of
+    `correlation` over `SETTING_PAIRS`, with each of the four setting bases
+    built once."""
     dims = state.structure.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError(f"expected a two-party d x d state, got structure {dims}")
-    return sum(correlation(state, i, j) for i, j in SETTING_PAIRS)
+    bases = {key: setting_basis(MeasurementSetting(*key, dims[0])) for key in OFFSETS}
+    return sum(
+        _correlation(outcome_probabilities(state, (bases[1, i], bases[2, j])), i, j)
+        for i, j in SETTING_PAIRS
+    )
 
 
 def analytic_value(d: int) -> float:

@@ -313,6 +313,52 @@ def test_correlation_reads_only_2d_detection_events(d, monkeypatch):
         value = correlation(state, *pair)
         assert math.isfinite(value) and value.hex() == exact[pair].hex()
         assert np.count_nonzero(kept) == 2 * d == events
+    monkeypatch.undo()
+
+    # The same masks on the path bell_report takes: quantum_value reads one
+    # table per setting pair from core.outcome_probabilities, in the order of
+    # SETTING_PAIRS, so its k-th call is masked with the k-th pair's kept set.
+    exact_value = quantum_value(state)
+    probabilities_of = bell.outcome_probabilities
+    tables = []
+
+    def masked(*args):
+        plus, minus = RESIDUES[SETTING_PAIRS[len(tables)]]
+        kept = np.zeros((d, d), dtype=bool)
+        kept[(plus - m) % d, m] = kept[(minus - m) % d, m] = True
+        tables.append(kept)
+        return np.where(kept, probabilities_of(*args), np.nan)
+
+    monkeypatch.setattr(bell, "outcome_probabilities", masked)
+    value = quantum_value(state)
+    assert math.isfinite(value) and value.hex() == exact_value.hex()
+    assert [np.count_nonzero(kept) for kept in tables] == [2 * d] * len(SETTING_PAIRS)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
+def test_quantum_value_builds_each_basis_once(d, monkeypatch):
+    # Four (party, setting) bases per evaluation, none of them built twice,
+    # and the value bitwise the sum of the four pairs' correlations.
+    rng = np.random.default_rng(200 + d)
+    amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    psi = PureState(amps / np.linalg.norm(amps), PartyStructure((d, d)))
+    noisy = mix_white_noise(psi, float(rng.uniform()))
+    subjects = [psi, noisy]
+    if d <= 8:
+        subjects.append(DensityMatrix(noisy.matrix, noisy.structure))
+    basis_of = bell.setting_basis
+    built = []
+
+    def spy(ms):
+        built.append(ms)
+        return basis_of(ms)
+
+    monkeypatch.setattr(bell, "setting_basis", spy)
+    for state in subjects:
+        built.clear()
+        value = quantum_value(state)
+        assert sorted((ms.party, ms.setting) for ms in built) == sorted(bell.OFFSETS)
+        assert value.hex() == sum(correlation(state, i, j) for i, j in SETTING_PAIRS).hex()
 
 
 @pytest.mark.parametrize("pair", SETTING_PAIRS)
