@@ -2,14 +2,17 @@
 deterministic local-model maximization, and noise thresholds.
 
 `quantum_value` is the one evaluation path.  Each of its four correlation
-functions reads only 2d joint detection events (CGLMP reads d^2) from one
-d x d outcome table (`core.outcome_probabilities` with the pair's two setting
-bases), and the deterministic local bound of the functional is 2 for every d.
-`quantum_value` builds each of the four (party, setting) bases once per
-evaluation and shares it between the two pairs that use it, since a basis
-(a d x d complex exp) costs about as much as the contraction it feeds.
-Nothing is cached across calls: a cache keyed on d would help only repeated
-dimensions, at the price of memory held for the life of the process.
+functions reads only 2d joint detection events (CGLMP reads d^2) from its
+setting pair's d x d outcome table, and the deterministic local bound of the
+functional is 2 for every d.  The four tables come from one call to
+`core.outcome_probabilities`, with each party's two setting bases stacked,
+as the blocks of one (2, d, 2, d) table, and the four bases from one complex
+`exp` over the phase offsets: at these sizes four builds and four
+contractions cost more than one of each.  `outcome_table`, `correlation`
+and `joint_prob` read their block of the same table, so `quantum_value` is
+bitwise the sum of the four `correlation`s.  Nothing is cached across calls:
+a cache keyed on d would help only repeated dimensions, at the price of
+memory held for the life of the process.
 
 Every term of the functional depends only on a residue sum of two outcomes,
 with the coefficients in `RESIDUES` (read by the quantum correlators, the
@@ -79,18 +82,42 @@ class MeasurementSetting:
         object.__setattr__(self, "offset", OFFSETS[(self.party, self.setting)])
 
 
+def _fourier_bases(d: int, offsets) -> np.ndarray:
+    """Discrete-Fourier bases side by side, from one `exp`: for `offsets` of
+    shape (..., K), entry [..., m, k, l] is exp[i 2pi m (l+offset)/d]/sqrt(d)
+    with the k-th offset, so [..., :, k, :] is basis k, its vectors the
+    columns."""
+    levels = np.arange(d)
+    shifted = levels + np.asarray(offsets, dtype=float)[..., None]
+    return np.exp(2j * np.pi * levels[:, None, None] * shifted[..., None, :, :] / d) / math.sqrt(d)
+
+
 def setting_basis(ms: MeasurementSetting) -> np.ndarray:
     """The observable's eigenvectors as columns: entry (m, l) is
     exp[i 2pi m (l+offset)/d]/sqrt(d)."""
-    d = ms.dimension
-    levels = np.arange(d)
-    phases = 2j * np.pi * levels[:, None] * (levels + float(ms.offset))[None, :] / d
-    return np.exp(phases) / math.sqrt(d)
+    return _fourier_bases(ms.dimension, [ms.offset])[:, 0]
+
+
+def _setting_bases(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each party's two setting bases as a (setting, d, d) stack, entry
+    [s - 1] bitwise `setting_basis` of (party, s).  One `exp` builds all
+    four, and each stack is a view of its bases side by side, the layout the
+    kernel contracts against, so it copies nothing."""
+    bases = _fourier_bases(d, [[OFFSETS[p, s] for s in (1, 2)] for p in (1, 2)])
+    return bases[0].transpose(1, 0, 2), bases[1].transpose(1, 0, 2)
+
+
+def _tables(state) -> np.ndarray:
+    """The four setting pairs' outcome tables from one kernel call, with each
+    party's two setting bases stacked: entry [i-1, v1, j-1, v2] is P[v1, v2]
+    under party 1's setting i and party 2's setting j."""
+    return outcome_probabilities(state, _setting_bases(state.structure.dims[0]))
 
 
 def outcome_table(state, s1: MeasurementSetting, s2: MeasurementSetting) -> np.ndarray:
-    """Joint outcome probabilities P[v1, v2] of one setting pair
-    (`core.outcome_probabilities` with the two setting bases)."""
+    """Joint outcome probabilities P[v1, v2] of one setting pair: its block
+    of the four pairs' tables, so every pair's table is bitwise the one
+    `quantum_value` reads."""
     if s1.party != 1 or s2.party != 2:
         raise ValueError("first setting must belong to party 1, second to party 2")
     d = s1.dimension
@@ -98,7 +125,7 @@ def outcome_table(state, s1: MeasurementSetting, s2: MeasurementSetting) -> np.n
         raise ValueError(
             f"state structure {state.structure.dims} does not match settings of dimension {d}"
         )
-    return outcome_probabilities(state, (setting_basis(s1), setting_basis(s2)))
+    return _tables(state)[s1.setting - 1, :, s2.setting - 1]
 
 
 def joint_prob(state, s1: MeasurementSetting, s2: MeasurementSetting, v1: int, v2: int) -> float:
@@ -134,17 +161,14 @@ def correlation(state, i: int, j: int) -> float:
 
 
 def quantum_value(state) -> float:
-    """Full functional: sum of all 4d correlators, bitwise the sum of
-    `correlation` over `SETTING_PAIRS`, with each of the four setting bases
-    built once."""
+    """Full functional: sum of all 4d correlators, read from the four blocks
+    of one kernel call, so bitwise the sum of `correlation` over
+    `SETTING_PAIRS`."""
     dims = state.structure.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError(f"expected a two-party d x d state, got structure {dims}")
-    bases = {key: setting_basis(MeasurementSetting(*key, dims[0])) for key in OFFSETS}
-    return sum(
-        _correlation(outcome_probabilities(state, (bases[1, i], bases[2, j])), i, j)
-        for i, j in SETTING_PAIRS
-    )
+    tables = _tables(state)
+    return sum(_correlation(tables[i - 1, :, j - 1], i, j) for i, j in SETTING_PAIRS)
 
 
 def analytic_value(d: int) -> float:

@@ -200,38 +200,50 @@ def expectation(
 
 
 def outcome_probabilities(state: PureState | DensityMatrix | WhiteNoiseState, unitaries) -> np.ndarray:
-    """<u_s|state|u_s> for every outcome string s, shaped like the party structure.
+    """<u_s|state|u_s> for every outcome string s, one table per choice of bases.
 
-    `unitaries` holds one d_k x d_k unitary array per party, its columns the
-    basis vectors; u_s is the product of column s_k of each.  Each party is
-    contracted by one matmul on the vector reshaped to (d_k, -1), which moves
-    that party's axis to the end, so no D x D unitary is formed.  A pure state
-    is contracted conjugated, as |<u_s|psi>|^2 = |sum_x U[x, s] psi[x]^*|^2.
-    A density matrix takes the same steps over its 2n axes (conjugate bases on
-    the rows, bases on the columns) and its diagonal is read; a white-noise
-    mixture gives (1-p) P_pure + p/D.
+    `unitaries` holds, per party, either one d_k x d_k unitary array, its
+    columns the basis vectors, or a stack (s_k, d_k, d_k) of such bases; u_s
+    is the product of column s_k of each party's chosen basis.  A party
+    contributes the output axis (d_k) for one basis and (s_k, d_k) for a
+    stack, so one basis per party gives the party structure's shape and two
+    stacked parties give (s_1, d_1, s_2, d_2), whose block [t1, :, t2, :] is
+    the table of bases t1 and t2.  Each party is contracted by one matmul of
+    the vector reshaped to (d_k, -1) against its bases side by side (a
+    d_k x s_k d_k matrix), which moves that party's axis to the end, so no
+    D x D unitary is formed.  A pure state is contracted conjugated, as
+    |<u_s|psi>|^2 = |sum_x U[x, s] psi[x]^*|^2.  A density matrix takes the
+    same steps over its 2n axes (conjugate bases on the rows, bases on the
+    columns) and its diagonal is read; a white-noise mixture gives
+    (1-p) P_pure + p/D, with D the state's dimension.
     """
     if isinstance(state, WhiteNoiseState):
         probs = outcome_probabilities(state.pure, unitaries)
-        return (1.0 - state.p) * probs + state.p / probs.size
-    if isinstance(state, PureState):
-        vector, factors = state.amplitudes.conj(), unitaries
-    elif isinstance(state, DensityMatrix):
-        vector, factors = state.matrix, [u.conj() for u in unitaries] + list(unitaries)
-    else:
+        return (1.0 - state.p) * probs + state.p / state.structure.dim
+    if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(
             f"expected PureState, DensityMatrix or WhiteNoiseState, got {type(state).__name__}"
         )
     dims = state.structure.dims
     shapes = [u.shape for u in unitaries]
-    if shapes != [(d, d) for d in dims]:
+    if len(shapes) != len(dims) or not all(
+        len(shape) in (2, 3) and shape[-2:] == (d, d) for shape, d in zip(shapes, dims)
+    ):
         raise ValueError(f"unitaries of shapes {shapes} do not match party structure {dims}")
+    sides = [
+        u if u.ndim == 2 else u.transpose(1, 0, 2).reshape(d, -1) for u, d in zip(unitaries, dims)
+    ]
+    shape = sum((s[:-1] for s in shapes), ())
+    if isinstance(state, PureState):
+        vector, factors = state.amplitudes.conj(), sides
+    else:
+        vector, factors = state.matrix, [u.conj() for u in sides] + sides
     for factor in factors:
         # ndarray.dot: the same product as @, with less call overhead on small matrices
         vector = vector.reshape(factor.shape[0], -1).T.dot(factor)
     if isinstance(state, PureState):
-        return (np.abs(vector) ** 2).reshape(dims)
-    return vector.reshape(state.structure.dim, -1).diagonal().real.reshape(dims).copy()
+        return (np.abs(vector) ** 2).reshape(shape)
+    return vector.reshape(math.prod(shape), -1).diagonal().real.reshape(shape).copy()
 
 
 def _spectrum(op: HermitianOperator) -> np.ndarray:

@@ -372,8 +372,8 @@ def build_C_phi() -> HermitianOperator:
     """Sum of all four-qubit GHZ members, whose tables sum to 8([0000] + [1111])
     - 1 in z, i.e. 8(P_0000 + P_1111) - 1, and to 4(-1)^{|s|} in x, i.e.
     4 sigma_x^{(x)4}."""
-    bits = _grid(QUBIT4.dims)
-    forms = {_Z2: (1, 8 * np.isin(sum(bits), (0, 4)) - 1), _X2: (1, 4 * (-1) ** sum(bits))}
+    s = sum(_grid(QUBIT4.dims))
+    forms = {_Z2: (1, 8 * ((s == 0) | (s == 4)) - 1), _X2: (1, 4 * (-1) ** s)}
     return _combined("C_phi", _ghz_records(4, 2), (1,), forms)
 
 

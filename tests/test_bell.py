@@ -315,30 +315,35 @@ def test_correlation_reads_only_2d_detection_events(d, monkeypatch):
         assert np.count_nonzero(kept) == 2 * d == events
     monkeypatch.undo()
 
-    # The same masks on the path bell_report takes: quantum_value reads one
-    # table per setting pair from core.outcome_probabilities, in the order of
-    # SETTING_PAIRS, so its k-th call is masked with the k-th pair's kept set.
+    # The same masks on the path bell_report takes: quantum_value reads all
+    # four tables from one core.outcome_probabilities call, shaped
+    # (2, d, 2, d), so block [i - 1, :, j - 1] is masked with the kept set
+    # of setting pair (i, j).
     exact_value = quantum_value(state)
     probabilities_of = bell.outcome_probabilities
-    tables = []
+    kept = np.zeros((2, d, 2, d), dtype=bool)
+    for i, j in SETTING_PAIRS:
+        plus, minus = RESIDUES[i, j]
+        block = kept[i - 1, :, j - 1]
+        block[(plus - m) % d, m] = block[(minus - m) % d, m] = True
+    calls = []
 
     def masked(*args):
-        plus, minus = RESIDUES[SETTING_PAIRS[len(tables)]]
-        kept = np.zeros((d, d), dtype=bool)
-        kept[(plus - m) % d, m] = kept[(minus - m) % d, m] = True
-        tables.append(kept)
+        calls.append(args)
         return np.where(kept, probabilities_of(*args), np.nan)
 
     monkeypatch.setattr(bell, "outcome_probabilities", masked)
     value = quantum_value(state)
+    assert len(calls) == 1
     assert math.isfinite(value) and value.hex() == exact_value.hex()
-    assert [np.count_nonzero(kept) for kept in tables] == [2 * d] * len(SETTING_PAIRS)
+    assert [np.count_nonzero(kept[i - 1, :, j - 1]) for i, j in SETTING_PAIRS] == [2 * d] * 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
 def test_quantum_value_builds_each_basis_once(d, monkeypatch):
-    # Four (party, setting) bases per evaluation, none of them built twice,
-    # and the value bitwise the sum of the four pairs' correlations.
+    # One stacked build of the four (party, setting) bases per evaluation,
+    # each bitwise its setting_basis, no basis built on its own, and the
+    # value bitwise the sum of the four pairs' correlations.
     rng = np.random.default_rng(200 + d)
     amps = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     psi = PureState(amps / np.linalg.norm(amps), PartyStructure((d, d)))
@@ -346,18 +351,29 @@ def test_quantum_value_builds_each_basis_once(d, monkeypatch):
     subjects = [psi, noisy]
     if d <= 8:
         subjects.append(DensityMatrix(noisy.matrix, noisy.structure))
-    basis_of = bell.setting_basis
-    built = []
+    basis_of, stacks_of = bell.setting_basis, bell._setting_bases
+    stacked, single = [], []
 
-    def spy(ms):
-        built.append(ms)
+    def spy_stacks(dim):
+        stacked.append((dim, stacks_of(dim)))
+        return stacked[-1][1]
+
+    def spy_single(ms):
+        single.append(ms)
         return basis_of(ms)
 
-    monkeypatch.setattr(bell, "setting_basis", spy)
+    monkeypatch.setattr(bell, "_setting_bases", spy_stacks)
+    monkeypatch.setattr(bell, "setting_basis", spy_single)
     for state in subjects:
-        built.clear()
+        stacked.clear()
+        single.clear()
         value = quantum_value(state)
-        assert sorted((ms.party, ms.setting) for ms in built) == sorted(bell.OFFSETS)
+        assert len(stacked) == 1 and stacked[0][0] == d and not single
+        stacks = stacked[0][1]
+        assert [stack.shape for stack in stacks] == [(2, d, d)] * 2
+        for party, setting in bell.OFFSETS:
+            expected = basis_of(MeasurementSetting(party, setting, d))
+            assert stacks[party - 1][setting - 1].tobytes() == expected.tobytes()
         assert value.hex() == sum(correlation(state, i, j) for i, j in SETTING_PAIRS).hex()
 
 

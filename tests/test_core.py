@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,33 @@ def test_outcome_probabilities_match_dense_reference(dims):
         probs = outcome_probabilities(state, unitaries)
         assert probs.shape == dims
         assert np.max(np.abs(probs.reshape(-1) - reference)) <= 1e-12, type(state).__name__
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_outcome_probabilities_read_stacked_bases_block_by_block(d):
+    # A stack of 1-3 bases per party gives one table per choice of bases, in
+    # the axes (s_1, d, s_2, d); each block is the single-basis table of its
+    # choice, and white noise adds exactly p/D, not p over the output size.
+    rng = np.random.default_rng(40 + d)
+    counts = (1 + d % 3, 1 + (d + 1) % 3)
+    stacks = [np.stack([_random_unitary(rng, d) for _ in range(s)]) for s in counts]
+    pure = _random_state(rng, (d, d))
+    p = float(rng.uniform())
+    noisy = WhiteNoiseState(pure, p)
+    for state in (pure, noisy, DensityMatrix(noisy.matrix, noisy.structure)):
+        probs = outcome_probabilities(state, stacks)
+        assert probs.shape == (counts[0], d, counts[1], d)
+        for t1, t2 in product(range(counts[0]), range(counts[1])):
+            single = outcome_probabilities(state, (stacks[0][t1], stacks[1][t2]))
+            assert np.max(np.abs(probs[t1, :, t2] - single)) <= 1e-14, type(state).__name__
+        # A stack on one party and one basis on the other.
+        mixed = outcome_probabilities(state, (stacks[0], stacks[1][0]))
+        assert mixed.shape == (counts[0], d, d)
+        assert np.max(np.abs(mixed - probs[:, :, 0])) <= 1e-14, type(state).__name__
+    expected = (1.0 - p) * outcome_probabilities(pure, stacks) + p / d**2
+    assert np.array_equal(outcome_probabilities(noisy, stacks), expected)
+    with pytest.raises(ValueError, match="do not match"):
+        outcome_probabilities(pure, (stacks[0], stacks[1][:, :, :-1]))
 
 
 def test_outcome_probabilities_reject_bad_input():
