@@ -5,130 +5,46 @@ correlation across a bipartition, assembles them into entanglement witnesses
 for three reference states (tunable four-qubit GHZ, four-qubit singlet,
 four-level tripartite GHZ), and evaluates a two-qudit Bell functional whose
 deterministic local bound is 2 at every dimension.
+
+Each public name resolves on first use (PEP 562), so `import qcorr` loads
+neither numpy nor any submodule until a name or submodule is asked for.
 """
 
-from .core import (
-    DensityMatrix,
-    EigensolverError,
-    HermitianOperator,
-    PartyStructure,
-    PureState,
-    WhiteNoiseState,
-    bipartitions,
-    combine_bipartite,
-    expectation,
-    min_eigenvalue,
-    outcome_probabilities,
-    schmidt_max_sq,
-    spectral_norm,
-)
-from .states import ghz4, ghz_4x3, max_entangled_qudit, mix_white_noise, singlet4
-from .correlators import (
-    CorrelatorFamily,
-    CorrelatorPair,
-    DERANGEMENTS_4,
-    LocalBasis,
-    SIGN_MARGIN,
-    all_ghz4x3_families,
-    build_C_ghz4x3,
-    build_C_phi,
-    build_C_psi,
-    ghz4_x_pairs,
-    ghz4_z_pairs,
-    ghz4x3_correlators,
-    member_expectations,
-    prop1_test,
-    prop2_test,
-    random_product_state,
-    random_product_states,
-    singlet_correlators,
-)
-from .witnesses import (
-    DominanceCertificate,
-    GHZ4_CASES,
-    ProjectorWitness,
-    SeesawResult,
-    Witness,
-    WitnessNeverFiresError,
-    biseparable_max,
-    noise_tolerance,
-    projector_witness,
-    verify_dominance,
-)
-from .bell import (
-    BellInvariantError,
-    BellReport,
-    LhvAssignment,
-    MeasurementSetting,
-    analytic_value,
-    bell_report,
-    chsh_reduction_check,
-    joint_prob,
-    lhv_max,
-    noise_threshold,
-    outcome_table,
-    quantum_value,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellInvariantError",
-    "BellReport",
-    "CorrelatorFamily",
-    "CorrelatorPair",
-    "DERANGEMENTS_4",
-    "DensityMatrix",
-    "DominanceCertificate",
-    "EigensolverError",
-    "GHZ4_CASES",
-    "HermitianOperator",
-    "LhvAssignment",
-    "LocalBasis",
-    "MeasurementSetting",
-    "PartyStructure",
-    "ProjectorWitness",
-    "PureState",
-    "SIGN_MARGIN",
-    "SeesawResult",
-    "WhiteNoiseState",
-    "Witness",
-    "WitnessNeverFiresError",
-    "all_ghz4x3_families",
-    "analytic_value",
-    "bell_report",
-    "bipartitions",
-    "biseparable_max",
-    "build_C_ghz4x3",
-    "build_C_phi",
-    "build_C_psi",
-    "chsh_reduction_check",
-    "combine_bipartite",
-    "expectation",
-    "ghz4",
-    "ghz4_x_pairs",
-    "ghz4_z_pairs",
-    "ghz4x3_correlators",
-    "ghz_4x3",
-    "joint_prob",
-    "lhv_max",
-    "max_entangled_qudit",
-    "member_expectations",
-    "min_eigenvalue",
-    "mix_white_noise",
-    "noise_threshold",
-    "noise_tolerance",
-    "outcome_probabilities",
-    "outcome_table",
-    "projector_witness",
-    "prop1_test",
-    "prop2_test",
-    "quantum_value",
-    "random_product_state",
-    "random_product_states",
-    "schmidt_max_sq",
-    "singlet4",
-    "singlet_correlators",
-    "spectral_norm",
-    "verify_dominance",
-]
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "core": """DensityMatrix EigensolverError HermitianOperator PartyStructure PureState
+        WhiteNoiseState bipartitions combine_bipartite expectation min_eigenvalue
+        outcome_probabilities schmidt_max_sq spectral_norm""",
+    "states": "ghz4 ghz_4x3 max_entangled_qudit mix_white_noise singlet4",
+    "correlators": """CorrelatorFamily CorrelatorPair DERANGEMENTS_4 LocalBasis SIGN_MARGIN
+        all_ghz4x3_families build_C_ghz4x3 build_C_phi build_C_psi ghz4_x_pairs ghz4_z_pairs
+        ghz4x3_correlators member_expectations prop1_test prop2_test random_product_state
+        random_product_states singlet_correlators""",
+    "witnesses": """DominanceCertificate GHZ4_CASES ProjectorWitness SeesawResult Witness
+        WitnessNeverFiresError biseparable_max noise_tolerance projector_witness
+        verify_dominance""",
+    "bell": """BellInvariantError BellReport LhvAssignment MeasurementSetting analytic_value
+        bell_report chsh_reduction_check joint_prob lhv_max noise_threshold outcome_table
+        quantum_value""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

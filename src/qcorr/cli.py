@@ -17,6 +17,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
+# One BLAS thread unless the user chose a count: every matrix here is small,
+# and starting BLAS threads on them costs more than they save.  Only while
+# numpy is unloaded, so a process that loaded it first keeps its settings.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import core

@@ -672,6 +672,50 @@ def _suites():
     return pairs + flipped_pairs, families + flipped_families
 
 
+def _sign_premise(record):
+    """Whether `record` meets the exact premise of the sign propositions, in
+    Python integers: each member table, laid out by `core.cut_axes` as a
+    (cut side) x (other side) matrix, is u_k (x) m_k with u_k an integer
+    vector and m_k a 0/1 mask; sum_k u_k = 0, and u_1 = -u_0 for a pair.
+    On a product state <c_k> = (u_k . P_a)(m_k . P_b) with m_k . P_b >= 0,
+    so no product state makes every member positive."""
+    us = []
+    for table in record.tables:
+        order, dim_a = core.cut_axes(table.shape, record.cut)
+        rows = table.transpose(order).reshape(dim_a, -1).tolist()
+        columns = list(zip(*rows))
+        mask = [int(any(column)) for column in columns]
+        u = next((list(column) for column in columns if any(column)), [0] * dim_a)
+        if rows != [[x * m for m in mask] for x in u]:
+            return False
+        us.append(u)
+    if any(map(sum, zip(*us))):
+        return False
+    return type(record) is not CorrelatorPair or us[1] == [-x for x in us[0]]
+
+
+def test_every_record_meets_the_exact_sign_premise():
+    pairs, families = _suites()
+    half_p, half_f = len(pairs) // 2, len(families) // 2
+    assert (half_p, half_f) == (35, 54)
+    for record in pairs[:half_p] + families[:half_f]:
+        assert _sign_premise(record), record.label
+    # the negated-table variants, which Monte Carlo finds violating
+    for record in pairs[half_p:] + families[half_f:]:
+        assert not _sign_premise(record), record.label
+
+
+@pytest.mark.parametrize("label", ["ghz4.z.n1m3", "ghz4.x.n2", "ghz4x3.f.n3.j4"])
+def test_sign_premise_refuses_any_one_broken_entry(label):
+    record = _ghz(label)
+    table = record.tables[0]
+    for index in np.ndindex(table.shape):
+        broken = table.copy()
+        broken[index] += 1
+        variant = type(record)(record.setting, (broken,) + record.tables[1:], record.label, record.cut)
+        assert not _sign_premise(variant), index
+
+
 def test_batched_counts_match_scalar_loop():
     pairs, families = _suites()
     trials = 8
