@@ -54,13 +54,23 @@ def test_setting_vector_d2_offset0():
 def test_dimensions_must_be_integral():
     with pytest.raises(ValueError, match="integer"):
         MeasurementSetting(1, 1, 2.5)
-    # int() would truncate 2.5 to 2 and parse "2"; quantum_value takes its
-    # dimension from the state, whose structure refuses both
-    for fn in (analytic_value, lhv_residue_table, lhv_max):
+    # int() would truncate 2.5 to 2 and parse "2"
+    for fn in (analytic_value, lhv_residue_table):
         for d in (2.5, 3.5, "2"):
             with pytest.raises(ValueError, match="integer"):
                 fn(d)
     assert setting_basis(MeasurementSetting(1, 1, np.int64(3))).shape == (3, 3)
+
+
+@pytest.mark.parametrize("d", [2.5, "2"])
+def test_quantum_value_and_lhv_max_refuse_a_non_integral_dimension(d):
+    # quantum_value takes its dimension from the state, whose structure
+    # refuses both; lhv_max must not truncate 2.5 to 2 or parse "2"
+    with pytest.raises(ValueError, match="integer"):
+        lhv_max(d)
+
+
+def test_quantum_value_and_lhv_max_take_numpy_integers():
     assert lhv_max(np.int64(2)) == lhv_max(2)
 
 
