@@ -168,6 +168,9 @@ def _check_square(mat: np.ndarray, structure: PartyStructure) -> None:
 
 
 def _check_hermitian(mat: np.ndarray) -> None:
+    # inf - inf would warn before the deviation reads nan
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     dev = float(np.max(np.abs(mat - mat.conj().T)))
     if not dev <= STRUCTURAL_TOL:
         raise ValueError(f"matrix deviates from Hermitian by {dev!r}")

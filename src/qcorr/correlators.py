@@ -2,28 +2,29 @@
 
 Every correlator is an integer table t over the outcome strings of one local
 setting, i.e. the operator U diag(t) U^dagger with U the setting's basis on
-every party.  All records come from one rule (`_member`): member k is the
-strings of a named support whose split party is at level k, minus the same
-strings with the parties of the record's cut moved to s_k, for a derangement
-s of the levels.  The records are those of a GHZ state of n parties with d
-levels, GHZ(n, d), split by cut[0] (`_ghz_records`: z on the strings with
-all levels equal, a discrete-Fourier setting, x for d = 2, on those with
-level sum 0 mod d), for the paper's tunable four-qubit GHZ states (pairs)
-and four-level tripartite GHZ state (four-member families indexed by the
-nine fixed-point-free permutations of {0,1,2,3}); and the four-qubit
-singlet's pairs in z, x and y (`_singlet_records`: flip pairs on 0011/1100
-split by party 1, group pairs on b1 != b2 and b3 != b4 split by party 1 or
-3).  Records are immutable and memoised, and a constructor raises on an
-invalid argument before its cache stores anything.  Member tables are
-memoised read-only arrays keyed without the setting: the singlet's 24 pairs
-hold 16 and the 54 four-level families 72.
+every party.  A record holds its member tables as one read-only int64 array
+of shape (members, d, ..., d).  All records come from one rule
+(`_support_tables`): member k is the strings of a named support whose split
+party is at level k, minus the same strings with the parties of the
+record's cut moved to s_k, for a derangement s of the levels; one step
+builds the tables of every derangement of a (support, split party, cut).
+The records are those of a GHZ state of n parties with d levels, GHZ(n, d),
+split by cut[0] (`_ghz_records`: z on the strings with all levels equal, a
+discrete-Fourier setting, x for d = 2, on those with level sum 0 mod d), for
+the paper's tunable four-qubit GHZ states (pairs) and four-level tripartite
+GHZ state (four-member families indexed by the nine fixed-point-free
+permutations of {0,1,2,3}); and the four-qubit singlet's pairs in z, x and y
+(`_singlet_records`: flip pairs on 0011/1100 split by party 1, group pairs
+on b1 != b2 and b3 != b4 split by party 1 or 3).  Records are immutable and
+memoised, and a constructor raises on an invalid argument before its cache
+stores anything.
 
 A correlator's expectation is sum_s t[s] P(s), with P the state's outcome
 distribution in the setting; `member_expectations` reads P once per distinct
 setting for a list of records, and no dense member is ever built.  One
 builder (`_combined`) makes C_phi, C_psi and C_ghz4x3 from data: integer
 record weights, each setting's closed-form table, checked exactly against
-the summed member tables on every build, and each setting's scale.  A
+the summed record arrays on every build, and each setting's scale.  A
 setting's operator is built from the basis's Gaussian-integer form (vectors
 times sqrt(s), s = 1 for z, 2 for x and y, 4 for the four-level Fourier
 basis) in integer steps and one division by a power of two, so the combined
@@ -100,23 +101,17 @@ _F4 = LocalBasis("fourier", 4)
 _QUBIT_BASES = {"z": _Z2, "x": _X2, "y": _Y2}
 
 
-def _owned_int64(table: np.ndarray) -> np.ndarray:
-    """`table` itself when it is a read-only int64 array owning its data (a
-    memoised table), else a read-only int64 copy that no caller can change."""
-    if table.dtype == np.int64 and table.flags.owndata and not table.flags.writeable:
-        return table
-    return _frozen(table.astype(np.int64))
-
-
 class _OutcomeTables:
     """Integer outcome tables over the strings of one local setting (`setting`
-    on every party): what correlator pairs and families hold."""
+    on every party): what correlator pairs and families hold, as one
+    read-only int64 copy of shape (members, d, ..., d) that no caller can
+    change."""
 
     def __post_init__(self) -> None:
-        tables = tuple(np.asarray(table) for table in self.tables)
+        tables = [np.asarray(table) for table in self.tables]
         if not tables:
             raise ValueError("needs at least one member table")
-        if any(not np.issubdtype(t.dtype, np.integer) for t in tables):
+        if any(not np.issubdtype(dtype, np.integer) for dtype in {t.dtype for t in tables}):
             raise ValueError("outcome tables must be integer")
         shape = tables[0].shape
         if any(t.shape != shape for t in tables):
@@ -124,7 +119,7 @@ class _OutcomeTables:
         if not shape or any(n != self.setting.dimension for n in shape):
             raise ValueError(f"table shape {shape} does not match setting dimension {self.setting.dimension}")
         cut_axes(shape, self.cut)
-        object.__setattr__(self, "tables", tuple(map(_owned_int64, tables)))
+        object.__setattr__(self, "tables", _frozen(np.array(tables, dtype=np.int64)))
 
 
 def member_expectations(records, state) -> list[np.ndarray]:
@@ -133,7 +128,9 @@ def member_expectations(records, state) -> list[np.ndarray]:
     Member t's expectation is sum_s t[s] P(s), with P the state's outcome
     distribution in the record's setting (`core.outcome_probabilities` with
     the setting's basis on every party).  P is computed once per distinct
-    setting and shared by every record measured in it.
+    setting and shared by every record measured in it; each record is read
+    with its own contraction against P, so its values do not depend on the
+    other records of the call.
     """
     distributions = {}
     values = []
@@ -142,9 +139,10 @@ def member_expectations(records, state) -> list[np.ndarray]:
         if probs is None:
             unitaries = [record.setting._vectors] * len(state.structure.dims)
             probs = distributions[record.setting] = core.outcome_probabilities(state, unitaries)
-        if probs.shape != record.tables[0].shape:
-            raise ValueError(f"party structures differ: {record.tables[0].shape} vs {probs.shape}")
-        values.append(np.array([np.vdot(table, probs) for table in record.tables]))
+        tables = record.tables
+        if probs.shape != tables.shape[1:]:
+            raise ValueError(f"party structures differ: {tables.shape[1:]} vs {probs.shape}")
+        values.append(tables.reshape(len(tables), -1) @ probs.reshape(-1))
     return values
 
 
@@ -153,7 +151,7 @@ class CorrelatorPair(_OutcomeTables):
     """Two correlators whose expectation product is a sign test for `cut`."""
 
     setting: LocalBasis
-    tables: tuple[np.ndarray, np.ndarray]
+    tables: np.ndarray
     label: str
     cut: tuple[int, ...]
 
@@ -168,7 +166,7 @@ class CorrelatorFamily(_OutcomeTables):
     """Correlators that must be jointly positive to certify correlation across `cut`."""
 
     setting: LocalBasis
-    tables: tuple[np.ndarray, ...]
+    tables: np.ndarray
     label: str
     cut: tuple[int, ...]
 
@@ -238,17 +236,6 @@ def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return np.indices(shape, sparse=True)
 
 
-def _moved(mask: np.ndarray, shift: int, axes: tuple[int, ...]) -> np.ndarray:
-    """The strings of `mask` minus the same strings with the outcome of every
-    party on `axes` moved up by `shift` (cyclically), as an integer table."""
-    mask = mask.astype(np.int64)
-    index = tuple(
-        (grid - shift) % n if k in axes else grid
-        for k, (grid, n) in enumerate(zip(_grid(mask.shape), mask.shape))
-    )
-    return mask - mask[index]
-
-
 #: The supports of the members: named sets of outcome strings, as masks over
 #: the sparse index grids g of a shape with d levels per party.
 _SUPPORTS = {
@@ -259,25 +246,21 @@ _SUPPORTS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _support(shape: tuple[int, ...], support: str) -> np.ndarray:
-    """Mask of the strings of `support` (`_SUPPORTS`) over `shape`; memoised read-only."""
-    return _frozen(_SUPPORTS[support](_grid(shape), shape[0]))
+def _support_tables(support: np.ndarray, split: int, cut, derangements) -> np.ndarray:
+    """The member tables of one record per derangement s of the levels, as one
+    (derangements, levels, *support.shape) int64 array.
 
-
-@lru_cache(maxsize=None)
-def _member(shape, support: str, split: int, cut: tuple[int, ...], k: int, image: int) -> np.ndarray:
-    """Member k of a record: the strings of `support` whose party `split` is at
-    level k, minus the same strings with the parties of `cut` moved to
-    `image`.  Memoised read-only; the key holds no setting, so records that
-    differ only in setting share their tables."""
-    mask = _support(shape, support) & (_grid(shape)[split - 1] == k)
-    return _frozen(_moved(mask, image - k, tuple(p - 1 for p in cut)))
-
-
-def _members(shape, support: str, split: int, cut, s: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The `_member` tables of one record, member k moving level k to s_k."""
-    return tuple(_member(shape, support, split, cut, k, image) for k, image in enumerate(s))
+    Member k of s is the strings of `support` (a mask of `_SUPPORTS`) whose
+    party `split` is at level k, minus the same strings with every party of
+    `cut` moved up by s_k - k (cyclically).  One gather reads each member at
+    its own shift, so only the shifts the derangements use are computed.
+    """
+    d, grid = support.shape[0], _grid(support.shape)
+    levels = np.arange(d).reshape(d, *(1,) * support.ndim)
+    members = (support & (grid[split - 1] == levels)).astype(np.int64)
+    shifts = (np.array(derangements) - np.arange(d)).reshape(len(derangements), d, *(1,) * support.ndim)
+    moved = tuple((g - shifts) % d if p in cut else g for p, g in enumerate(grid, 1))
+    return members - members[(levels, *moved)]
 
 
 def _combined(name: str, records, weights, forms: dict) -> HermitianOperator:
@@ -287,7 +270,7 @@ def _combined(name: str, records, weights, forms: dict) -> HermitianOperator:
     exactly and checked against the closed table on every build."""
     sums = dict.fromkeys(forms, 0)
     for weight, record in zip(itertools.cycle(weights), records):
-        sums[record.setting] = sums[record.setting] + weight * sum(record.tables)
+        sums[record.setting] = sums[record.setting] + weight * record.tables.sum(axis=0)
     matrices = []
     for setting, (scale, closed) in forms.items():
         if not np.array_equal(sums[setting], closed):
@@ -308,8 +291,9 @@ _GHZ_SUBJECTS = {(4, 2): ("ghz4", _Z2, _X2, "x"), (3, 4): ("ghz4x3", _Z4, _F4, "
 @lru_cache(maxsize=None)
 def _ghz_records(n: int, d: int) -> tuple[CorrelatorPair | CorrelatorFamily, ...]:
     """Every record of GHZ(n, d): by setting, cut, then derangement s of the
-    levels, split by party cut[0] (`_members`): in z the support is the
-    strings with all levels equal, in Fourier those with level sum 0 mod d.
+    levels, split by party cut[0] (`_support_tables`): in z the support is
+    the strings with all levels equal, in Fourier those with level sum 0 mod
+    d.
 
     z has one record per bipartition, named by its smaller side (party 1's on
     a tie), by size, then lexicographically; Fourier one per single party.
@@ -322,19 +306,20 @@ def _ghz_records(n: int, d: int) -> tuple[CorrelatorPair | CorrelatorFamily, ...
     z_cuts = [c for c in sides if 2 * len(c) < n or 1 in c]
     derangements = _derangements(d)
     record = CorrelatorPair if d == 2 else CorrelatorFamily
+    grid = _grid((d,) * n)
     return tuple(
         record(
             setting,
-            _members((d,) * n, support, cut[0], cut, s),
+            tables,
             label=f"{prefix}.{kind}.n{'m'.join(map(str, cut))}" + (f".j{j}" if len(derangements) > 1 else ""),
             cut=cut,
         )
         for setting, kind, support, cuts in (
-            (z, "z", "all levels equal", z_cuts),
-            (fourier, letter, "level sum 0 mod d", [(p,) for p in parties]),
+            (z, "z", _SUPPORTS["all levels equal"](grid, d), z_cuts),
+            (fourier, letter, _SUPPORTS["level sum 0 mod d"](grid, d), [(p,) for p in parties]),
         )
         for cut in cuts
-        for j, s in enumerate(derangements, 1)
+        for j, tables in enumerate(_support_tables(support, cut[0], cut, derangements), 1)
     )
 
 
@@ -362,8 +347,9 @@ def ghz4x3_correlators(basis_kind: str, n: int, j: int) -> CorrelatorFamily:
 
 def all_ghz4x3_families() -> list[CorrelatorFamily]:
     """The 54 families: both settings, all parties, all nine derangements.
-    Member k depends on the derangement only through s_k, so their 216 member
-    tables are 72 memoised read-only tables."""
+    Each holds its four member tables as one read-only (4, 4, 4, 4) array;
+    member k depends on the derangement only through s_k, so the 216 member
+    tables take 72 distinct values."""
     return list(_ghz_records(3, 4))
 
 
@@ -404,13 +390,17 @@ _SINGLET_PAIRS = tuple((f"m{m}", "0011/1100", 1, (m,)) for m in (1, 2, 3, 4)) + 
 @lru_cache(maxsize=None)
 def _singlet_records() -> tuple[CorrelatorPair, ...]:
     """The 24 singlet pairs: `_SINGLET_PAIRS` in z, x, then y, each flipping
-    its party by (1, 0), the only derangement of two levels (`_members`).
-    For the x and y settings the flip exchanges the two local basis vectors,
-    so every setting shares the z tables: the same read-only arrays."""
+    its party by (1, 0), the only derangement of two levels
+    (`_support_tables`, built once per pair from one mask per support).  For
+    the x and y settings the flip exchanges the two local basis vectors, so
+    every setting holds the z tables."""
+    grid = _grid((2,) * 4)
+    supports = {name: _SUPPORTS[name](grid, 2) for name in ("0011/1100", "b1!=b2 and b3!=b4")}
+    tables = [_support_tables(supports[name], split, cut, ((1, 0),))[0] for _, name, split, cut in _SINGLET_PAIRS]
     return tuple(
-        CorrelatorPair(basis, _members((2,) * 4, support, split, cut, (1, 0)), f"singlet4.{kind}.{name}", cut)
+        CorrelatorPair(basis, table, f"singlet4.{kind}.{name}", cut)
         for kind, basis in _QUBIT_BASES.items()
-        for name, support, split, cut in _SINGLET_PAIRS
+        for (name, _, _, cut), table in zip(_SINGLET_PAIRS, tables)
     )
 
 
@@ -522,9 +512,9 @@ def _suite_signs(record, trials: int, seed: int):
     """
     if trials < 1:
         raise ValueError(f"sign suite needs at least one trial, got {trials}")
-    dims = record.tables[0].shape
+    dims = record.tables.shape[1:]
     order, dim_a = cut_axes(dims, record.cut)
-    stack = np.stack(record.tables).transpose([0, *(k + 1 for k in order)])
+    stack = record.tables.transpose([0, *(k + 1 for k in order)])
     stack = stack.reshape(len(record.tables), dim_a, -1).astype(float)
     n_a = len(record.cut)
     unitaries = [_unitary(record.setting, n_a), _unitary(record.setting, len(dims) - n_a)]

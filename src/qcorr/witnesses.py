@@ -115,11 +115,12 @@ def verify_dominance(
 
     The default tolerance is -1e-8 scaled by the spectral norm of W, since
     witness constants quoted to a few digits cannot give exact semidefiniteness;
-    a given tolerance must be finite and non-negative.
+    a given tolerance must be finite and non-negative, and gamma positive and
+    finite.
     """
     gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValueError(f"dominance factor must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"dominance factor must be positive and finite, got {gamma}")
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"dominance tolerance must be finite and non-negative, got {tol}")
     structure = w.c_op.structure

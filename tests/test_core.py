@@ -80,6 +80,19 @@ def test_nan_input_is_rejected(build):
     assert not isinstance(excinfo.value, np.linalg.LinAlgError)
 
 
+@pytest.mark.parametrize("make", [HermitianOperator, DensityMatrix], ids=lambda make: make.__name__)
+@pytest.mark.parametrize(
+    "entries",
+    [np.full((2, 2), np.inf), np.array([[1.0, np.inf], [np.inf, 0.0]]), np.array([[0.5, 1j * np.inf], [0.0, 0.5]])],
+    ids=["all", "off-diagonal", "imaginary"],
+)
+def test_non_finite_entries_are_refused_before_any_arithmetic(make, entries):
+    # inf - inf in the Hermitian deviation would emit a RuntimeWarning, which
+    # the suite turns into an error, instead of the ValueError
+    with pytest.raises(ValueError, match="non-finite"):
+        make(entries, Q1)
+
+
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), Q1)

@@ -48,7 +48,14 @@ from qcorr.correlators import (
 )
 from qcorr.states import QUBIT4, QUDIT4X3
 
-from oracles import basis_exchange, basis_projector, basis_vector, ghz_record_oracle, singlet_record_oracle
+from oracles import (
+    _signed,
+    basis_exchange,
+    basis_projector,
+    basis_vector,
+    ghz_record_oracle,
+    singlet_record_oracle,
+)
 
 GHZ_ANGLES = ((math.pi / 4, math.pi / 6), (math.pi / 4.9, 0.0), (math.pi / 3.7, math.pi / 9))
 
@@ -281,42 +288,32 @@ def test_combined_operator_equals_member_sum_and_closed_form(name):
     assert np.max(np.abs(op.matrix - closed_form())) <= 1e-12
 
 
-#: The memoised record constructors and member tables.
-_MEMOISED = (
-    correlators._ghz_records,
-    correlators._singlet_records,
-    correlators._member,
-    correlators._support,
-)
-
-
-def _clear_memos():
-    for memoised in _MEMOISED:
-        memoised.cache_clear()
+#: Each combined operator's record-list function, as the builder reads it.
+_RECORD_LISTS = {"C_phi": "_ghz_records", "C_psi": "_singlet_records", "C_ghz4x3": "_ghz_records"}
+#: The arguments the builder passes it.
+_RECORD_ARGS = {"C_phi": (4, 2), "C_psi": (), "C_ghz4x3": (3, 4)}
 
 
 @pytest.mark.parametrize("name", sorted(COMBINED))
 def test_combined_operator_rejects_a_table_off_its_closed_form(monkeypatch, name):
-    moved = correlators._moved
+    build = COMBINED[name][0]
+    records = getattr(correlators, _RECORD_LISTS[name])(*_RECORD_ARGS[name])
 
-    def off_by_one(*args):
-        table = moved(*args)
-        table.flat[0] += 1
-        return table
+    def build_from(served):
+        monkeypatch.setattr(correlators, _RECORD_LISTS[name], lambda *args: served)
+        return build.__wrapped__()
 
-    monkeypatch.setattr(correlators, "_moved", off_by_one)
-    # Records and member tables are memoised: build from fresh,
-    # corrupted ones, and keep those out of the caches for later tests.
-    _clear_memos()
-    try:
+    # rebuilt records with unchanged arrays pass the exact check ...
+    copies = tuple(type(r)(r.setting, r.tables, r.label, r.cut) for r in records)
+    assert np.array_equal(build_from(copies).matrix, build().matrix)
+    # ... and a one-entry change in any record's array fails it
+    rng = np.random.default_rng(len(records))
+    for i, record in enumerate(records):
+        broken = record.tables.copy()
+        broken.flat[rng.integers(broken.size)] += rng.choice((-1, 1))
+        variant = type(record)(record.setting, broken, record.label, record.cut)
         with pytest.raises(ArithmeticError, match="closed form"):
-            COMBINED[name][0].__wrapped__()
-    finally:
-        _clear_memos()
-
-
-#: Each combined operator's record-list function, as the builder reads it.
-_RECORD_LISTS = {"C_phi": "_ghz_records", "C_psi": "_singlet_records", "C_ghz4x3": "_ghz_records"}
+            build_from(records[:i] + (variant,) + records[i + 1:])
 
 
 @pytest.mark.parametrize("name", sorted(COMBINED))
@@ -408,7 +405,6 @@ def test_singlet_records_match_the_paper_member_definitions():
         for got, expected in zip(record.tables, tables):
             assert got.dtype == np.int64 and not got.flags.writeable, record.label
             assert np.array_equal(got, expected), record.label
-    assert len({id(t) for p in records for t in p.tables}) == 16
 
 
 def test_singlet_sign_rule_on_products():
@@ -666,7 +662,7 @@ def _suites():
         CorrelatorPair(p.setting, (p.tables[0], -p.tables[1]), p.label, p.cut) for p in pairs
     ]
     flipped_families = [
-        CorrelatorFamily(f.setting, (-f.tables[0],) + f.tables[1:], f.label, f.cut)
+        CorrelatorFamily(f.setting, (-f.tables[0], *f.tables[1:]), f.label, f.cut)
         for f in families
     ]
     return pairs + flipped_pairs, families + flipped_families
@@ -712,7 +708,7 @@ def test_sign_premise_refuses_any_one_broken_entry(label):
     for index in np.ndindex(table.shape):
         broken = table.copy()
         broken[index] += 1
-        variant = type(record)(record.setting, (broken,) + record.tables[1:], record.label, record.cut)
+        variant = type(record)(record.setting, (broken, *record.tables[1:]), record.label, record.cut)
         assert not _sign_premise(variant), index
 
 
@@ -877,34 +873,54 @@ def test_member_expectations_read_one_distribution_per_setting(monkeypatch):
     assert [id(u) for u in bases] == [id(b._vectors) for b in (correlators._Z4, correlators._F4)]
 
 
-def test_singlet_settings_share_their_tables():
+def test_singlet_settings_hold_equal_tables():
     # the tables depend on the flip party (and group), not on the setting
     z, x, y = (singlet_correlators(kind) for kind in "zxy")
-    distinct = {id(t) for pairs in (z, x, y) for pair in pairs for t in pair.tables}
+    distinct = {t.tobytes() for pairs in (z, x, y) for pair in pairs for t in pair.tables}
     assert len(distinct) == 16
     for pz, px, py in zip(z, x, y):
         assert [p.setting.kind for p in (pz, px, py)] == ["z", "x", "y"]
-        for tz, tx, ty in zip(pz.tables, px.tables, py.tables):
-            assert tz is tx and tz is ty
-            assert not tz.flags.writeable
+        assert np.array_equal(pz.tables, px.tables) and np.array_equal(pz.tables, py.tables)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
-        lambda shape: st.tuples(
-            st.just(tuple(shape)),
-            st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)),
-            st.integers(-9, 9),
-            st.sets(st.integers(0, len(shape) - 1), min_size=1).map(lambda axes: tuple(sorted(axes))),
-        )
-    )
-)
-def test_moved_equals_roll(case):
-    shape, bits, shift, axes = case
-    mask = np.array(bits, dtype=bool).reshape(shape)
-    table = mask.astype(np.int64)
-    assert np.array_equal(correlators._moved(mask, shift, axes), table - np.roll(table, shift, axes))
+#: Each support of `correlators._SUPPORTS` string by string, with the least
+#: number of parties it applies to.
+_SUPPORT_STRINGS = {
+    "all levels equal": (2, lambda x, d: len(set(x)) == 1),
+    "level sum 0 mod d": (2, lambda x, d: sum(x) % d == 0),
+    "0011/1100": (4, lambda x, d: x[0] == x[1] and x[2] == x[3] and x[0] != x[2]),
+    "b1!=b2 and b3!=b4": (4, lambda x, d: x[0] != x[1] and x[2] != x[3]),
+}
+
+
+@st.composite
+def _support_cases(draw):
+    """A support, shape, split party, cut and derangements beyond the paper's:
+    n <= 4 parties of d <= 4 levels with d**n <= 256."""
+    support = draw(st.sampled_from(sorted(_SUPPORT_STRINGS)))
+    n = draw(st.integers(_SUPPORT_STRINGS[support][0], 4))
+    d = draw(st.integers(2, 4))
+    parties = range(1, n + 1)
+    cut = draw(st.lists(st.sampled_from(parties), min_size=1, max_size=n - 1, unique=True))
+    derangements = draw(st.lists(st.sampled_from(correlators._derangements(d)), min_size=1, max_size=4))
+    return support, (d,) * n, draw(st.sampled_from(parties)), tuple(cut), tuple(derangements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_support_cases())
+def test_support_tables_equal_the_string_definition(case):
+    support, shape, split, cut, derangements = case
+    d = shape[0]
+    rule = _SUPPORT_STRINGS[support][1]
+    strings = [x for x in itertools.product(range(d), repeat=len(shape)) if rule(x, d)]
+    mask = correlators._SUPPORTS[support](correlators._grid(shape), d)
+    tables = correlators._support_tables(mask, split, cut, derangements)
+    assert tables.shape == (len(derangements), d, *shape) and tables.dtype == np.int64
+    for j, s in enumerate(derangements):
+        for k in range(d):
+            member = [x for x in strings if x[split - 1] == k]
+            assert np.array_equal(tables[j, k], _signed(member, shape, cut, s[k] - k)), (j, k)
+
 
 
 @pytest.mark.parametrize(
@@ -1033,39 +1049,46 @@ def test_one_cut_rule_takes_numpy_integers(taker):
     _CUT_TAKERS[taker]((np.int64(2),))
 
 
-def test_ghz4x3_tables_are_memoised_read_only():
-    _clear_memos()
-    all_ghz4x3_families()
-    build_C_ghz4x3.__wrapped__()
-    info = correlators._member.cache_info()
-    assert (info.misses, info.currsize) == (72, 72)
-    # one support mask per setting, shared by its 36 member tables
-    assert correlators._support.cache_info().currsize == 2
-    member = correlators._member((4, 4, 4), "level sum 0 mod d", 2, (2,), 1, 3)
-    assert not member.flags.writeable and correlators._member.cache_info().currsize == 72
+def _all_records():
+    return correlators._ghz_records(4, 2) + correlators._ghz_records(3, 4) + correlators._singlet_records()
 
 
-def test_families_hold_the_memoised_tables_themselves():
-    _clear_memos()
-    families = all_ghz4x3_families()
-    assert len({id(t) for f in families for t in f.tables}) == 72
-    shifts = correlators.DERANGEMENTS_4[0]
-    family = ghz4x3_correlators("f", 2, 1)
-    tables = [correlators._member((4, 4, 4), "level sum 0 mod d", 2, (2,), k, shifts[k]) for k in range(4)]
-    assert all(t is table for t, table in zip(family.tables, tables))
+def test_every_record_holds_one_read_only_int64_array():
+    records = _all_records()
+    assert len(records) == 89
+    for record in records:
+        tables = record.tables
+        assert type(tables) is np.ndarray and tables.dtype == np.int64, record.label
+        members, *dims = tables.shape
+        assert members == (2 if type(record) is CorrelatorPair else 4), record.label
+        assert set(dims) == {record.setting.dimension}, record.label
+        assert tables.base is None and not tables.flags.writeable, record.label
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            tables[0].setflags(write=True)
+    # no record's array shares memory with another's
+    for a, b in itertools.combinations(records, 2):
+        assert not np.shares_memory(a.tables, b.tables), (a.label, b.label)
+
+
+def test_families_hold_their_support_tables():
+    mask = correlators._SUPPORTS["level sum 0 mod d"](correlators._grid((4, 4, 4)), 4)
+    tables = correlators._support_tables(mask, 2, (2,), DERANGEMENTS_4)
+    for j in range(1, 10):
+        assert np.array_equal(ghz4x3_correlators("f", 2, j).tables, tables[j - 1])
 
 
 def test_records_keep_read_only_integer_tables():
     # a writable array and a read-only view of one can both change after
     # the record is built, so the record holds copies of them
     for dtype in (np.int32, np.int64):
-        source = np.ones((2, 2), dtype=dtype)
-        view = source.view()
-        view.setflags(write=False)
-        pair = CorrelatorPair(_Z2, (source, view), "p", (1,))
-        source[0, 0] = 5
-        assert all(t.dtype == np.int64 and not t.flags.writeable for t in pair.tables)
-        assert [t[0, 0] for t in pair.tables] == [1, 1]
+        for hand_over in (lambda a, v: (a[0], v[1]), lambda a, v: a, lambda a, v: v):
+            source = np.ones((2, 2, 2), dtype=dtype)
+            view = source.view()
+            view.setflags(write=False)
+            pair = CorrelatorPair(_Z2, hand_over(source, view), "p", (1,))
+            source[:, 0, 0] = 5
+            assert pair.tables.dtype == np.int64 and not pair.tables.flags.writeable
+            assert np.array_equal(pair.tables, np.ones((2, 2, 2)))
 
 
 def test_sign_suites_build_no_dense_correlator(monkeypatch, capsys):

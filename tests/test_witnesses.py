@@ -156,6 +156,15 @@ def test_dominance_rejects_nonpositive_gamma():
             verify_dominance(witness, wp, gamma)
 
 
+def test_dominance_refuses_an_infinite_gamma():
+    # inf * 0 in the difference would emit a RuntimeWarning, which the suite
+    # turns into an error, instead of the ValueError
+    wp = projector_witness(ghz4(math.pi / 4, 0.0))
+    for gamma in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dominance factor must be positive and finite"):
+            verify_dominance(Witness(9.01, build_C_phi()), wp, gamma)
+
+
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-8])
 def test_dominance_refuses_a_tolerance_not_finite_and_non_negative(tol):
     # an infinite tolerance would pass any operator, a NaN one none
