@@ -24,9 +24,9 @@ _EXPORTS = {
         all_ghz4x3_families build_C_ghz4x3 build_C_phi build_C_psi ghz4_x_pairs ghz4_z_pairs
         ghz4x3_correlators member_expectations prop1_test prop2_test random_product_state
         random_product_states singlet_correlators""",
-    "witnesses": """DominanceCertificate GHZ4_CASES ProjectorWitness SeesawResult Witness
-        WitnessNeverFiresError biseparable_max noise_tolerance projector_witness
-        verify_dominance""",
+    "witnesses": """DominanceCertificate GHZ4_CASES MaxCertificate ProjectorWitness SeesawResult
+        Witness WitnessNeverFiresError biseparable_max certified_max noise_tolerance
+        projector_witness verify_dominance""",
     "bell": """BellInvariantError BellReport LhvAssignment MeasurementSetting analytic_value
         bell_report chsh_reduction_check joint_prob lhv_max noise_threshold outcome_table
         quantum_value""",

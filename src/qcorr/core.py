@@ -63,8 +63,13 @@ class PartyStructure:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of a read-only array that owns its data (`arr`, or a
+    copy when `arr` is itself a view), so no caller can turn writing back
+    on: numpy refuses that on a view whose owner is read-only."""
+    if arr.base is not None:
+        arr = arr.copy()
     arr.setflags(write=False)
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True, eq=False)

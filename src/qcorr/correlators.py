@@ -88,8 +88,7 @@ class LocalBasis:
         gram_dev = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(d))))
         if gram_dev > core.STRUCTURAL_TOL:
             raise ValueError(f"basis vectors deviate from orthonormal by {gram_dev!r}")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_vectors", _frozen(vectors))
 
 
 _Z2 = LocalBasis("z", 2)
@@ -99,6 +98,9 @@ _Z4 = LocalBasis("z", 4)
 _F4 = LocalBasis("fourier", 4)
 
 _QUBIT_BASES = {"z": _Z2, "x": _X2, "y": _Y2}
+
+#: Tables are held as int64; only an unsigned 64-bit table can exceed it.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class _OutcomeTables:
@@ -113,6 +115,8 @@ class _OutcomeTables:
             raise ValueError("needs at least one member table")
         if any(not np.issubdtype(dtype, np.integer) for dtype in {t.dtype for t in tables}):
             raise ValueError("outcome tables must be integer")
+        if any(t.dtype == np.uint64 and t.size and t.max() > _INT64_MAX for t in tables):
+            raise ValueError(f"outcome table entries must lie within int64, up to {_INT64_MAX}")
         shape = tables[0].shape
         if any(t.shape != shape for t in tables):
             raise ValueError("member tables must share one shape")

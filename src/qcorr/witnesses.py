@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +83,33 @@ class DominanceCertificate:
     tol: float
 
 
+@dataclass(frozen=True)
+class MaxCertificate:
+    """Data for an exact upper bound shift + factor*overlap on <C> over
+    biseparable states, checked by `certified_max`.
+
+    `target` is an integer amplitude vector t.  The bound holds when
+    shift*1 - C + factor*|t><t|/<t|t> >= 0, so <C> <= shift + factor*|<t|s>|^2
+    / <t|t> at every unit s, and when no state product across a cut
+    overlaps t/|t| by more than `overlap` in squared modulus.  The numbers
+    are held as `Fraction`s; `factor` must be non-negative.
+    """
+
+    shift: Fraction
+    factor: Fraction
+    target: tuple[int, ...]
+    overlap: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("shift", "factor", "overlap"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        object.__setattr__(self, "target", tuple(map(operator.index, self.target)))
+        if self.factor < 0:
+            raise ValueError(f"certificate factor must be non-negative, got {self.factor}")
+        if not any(self.target):
+            raise ValueError("certificate target must be nonzero")
+
+
 @dataclass(frozen=True, eq=False)
 class SeesawResult:
     """Best biseparable value found, with the cut, restart and state attaining
@@ -90,7 +119,9 @@ class SeesawResult:
     `iteration_histogram[k]` the number of restarts that stopped in
     alternation k (by the stop test or the iteration cap), `capped` the
     number stopped by the cap rather than the stop test, and `at_best` the
-    number within `SEESAW_TIE_TOL` of the best value.
+    number within `SEESAW_TIE_TOL` of the best value.  A search given a
+    `bound` that one cut reaches stops there, and these four then cover only
+    the cuts searched, that cut and the ones before it.
     """
 
     value: float
@@ -151,28 +182,163 @@ def noise_tolerance(w: Witness, target: PureState) -> float:
     return float((c_target - w.alpha) / denom)
 
 
+def certified_max(op: HermitianOperator, cert: MaxCertificate) -> Fraction:
+    """The upper bound shift + factor*overlap that `cert` proves on <op>
+    over biseparable states, after checking both of its conditions exactly:
+
+    - shift*1 - C + factor*|t><t|/<t|t> >= 0, with C = op.matrix read as
+      Gaussian integers R over a power of two s (`_gaussian_integers`);
+    - overlap*<t|t>*1 - M M^T >= 0 on every cut, with M the target t
+      reshaped to (smaller side, larger side).
+
+    Each test runs on that matrix times a positive integer, which makes it
+    an integer matrix: the first times the denominators of shift and
+    factor, s and <t|t>, in int64 (a product outside its range raises
+    `ArithmeticError`), the second times the denominator of overlap, in
+    Python ints.  A failed condition, or an operator with no integer form,
+    raises `ArithmeticError`.
+    """
+    dims = op.structure.dims
+    target = cert.target
+    if len(target) != op.structure.dim:
+        raise ValueError(f"certificate target has length {len(target)}, operator needs {op.structure.dim}")
+    re, im, scale = _gaussian_integers(op.matrix)
+    norm = sum(a * a for a in target)
+    shift_num, shift_den = cert.shift.as_integer_ratio()
+    factor_num, factor_den = cert.factor.as_integer_ratio()
+    # shift_den*factor_den*scale*norm times the first matrix: one*1 - per_op*R + per_t*t t^T
+    one = scale * factor_den * norm * shift_num
+    per_op = shift_den * factor_den * norm
+    per_t = shift_den * scale * factor_num
+    peak = max(int(np.abs(re).max()), int(np.abs(im).max()))
+    if abs(one) + per_op * (peak + 1) + per_t * (max(map(abs, target)) ** 2 + 1) >= 2**63:
+        raise ArithmeticError("the certificate's integer matrix leaves the int64 range")
+    vec = np.array(target, dtype=np.int64)
+    diff = per_t * np.outer(vec, vec) - per_op * re
+    diff[np.diag_indices(len(diff))] += one
+    if not _exact_psd(diff, -per_op * im):
+        raise ArithmeticError(
+            f"{cert.shift}*1 - C + {cert.factor}*|t><t|/<t|t> is not positive semidefinite"
+        )
+    overlap_num, overlap_den = cert.overlap.as_integer_ratio()
+    tensor = vec.reshape(dims)
+    for cut in bipartitions(len(dims)):
+        order, dim_a = cut_axes(dims, cut)
+        m = tensor.transpose(order).reshape(dim_a, -1)
+        rows = (m if dim_a <= m.shape[1] else m.T).tolist()
+        gram = [[-overlap_den * sum(map(operator.mul, a, b)) for b in rows] for a in rows]
+        for k, row in enumerate(gram):
+            row[k] += overlap_num * norm
+        if not _ldl_psd(gram):
+            raise ArithmeticError(
+                f"a state product across cut {cut} overlaps the target by more than {cert.overlap}"
+            )
+    return cert.shift + cert.factor * cert.overlap
+
+
+def _gaussian_integers(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(re, im, scale) with matrix = (re + i*im) / scale, re and im int64
+    arrays and scale the least power of two that makes every entry a
+    Gaussian integer.  Doubling a float is exact, so the form is exact.  A
+    matrix that is not finite or not exactly Hermitian, or whose doublings
+    leave the int64 range before every entry is an integer, raises
+    `ArithmeticError`."""
+    # real and imaginary parts side by side: column 2k + 1 holds column k's imaginary part
+    parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
+    if not (np.isfinite(parts).all() and (matrix == matrix.conj().T).all()):
+        raise ArithmeticError("matrix is not finite and exactly Hermitian")
+    top, scale = np.abs(parts).max(), 1
+    while top < 2.0**63:
+        if (parts == np.rint(parts)).all():
+            ints = parts.astype(np.int64)
+            return ints[:, 0::2], ints[:, 1::2], scale
+        parts, top, scale = parts * 2.0, top * 2.0, scale * 2
+    raise ArithmeticError("matrix has no int64 Gaussian-integer form over a power of two")
+
+
+def _exact_psd(re: np.ndarray, im: np.ndarray) -> bool:
+    """Whether the Hermitian matrix re + i*im (integer arrays) is positive
+    semidefinite, exactly.
+
+    The matrix is tested block by block, over the connected components of
+    its nonzero pattern (`_components`), in Python ints.  A block with
+    imaginary part B is tested through its realification [[A, -B], [B, A]],
+    which is PSD iff A + iB is; each real block by `_ldl_psd`.
+    """
+    re_rows, im_rows = re.tolist(), im.tolist()
+    for part in _components((re != 0) | (im != 0)):
+        a = [[re_rows[i][j] for j in part] for i in part]
+        b = [[im_rows[i][j] for j in part] for i in part]
+        if any(map(any, b)):
+            a = [ra + [-x for x in rb] for ra, rb in zip(a, b)] + [rb + ra for ra, rb in zip(a, b)]
+        if not _ldl_psd(a):
+            return False
+    return True
+
+
+def _ldl_psd(rows: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix `rows` is positive semidefinite,
+    by fraction-free LDL^T (Bareiss elimination) in Python ints.
+
+    Each step eliminates the first row and column: the rest becomes
+    (p*a_ij - a_i0*a_0j) / prev, an exact division, with p the pivot and
+    prev the last positive pivot.  The pivots are the leading principal
+    minors, so each LDL^T pivot p / prev has the sign of p.  A negative
+    pivot fails; a zero pivot passes only if the rest of its row is zero,
+    and the row and column are then dropped.
+    """
+    prev = 1
+    while rows:
+        (pivot, *head), rest = rows[0], rows[1:]
+        if pivot < 0 or (pivot == 0 and any(head)):
+            return False
+        if pivot > 0:
+            rest = [
+                [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], head)] for row in rest
+            ]
+            prev = pivot
+        else:
+            rest = [row[1:] for row in rest]
+        rows = rest
+    return True
+
+
+def _components(linked: np.ndarray) -> list[list[int]]:
+    """The connected components of `linked` (dim x dim, True where an entry
+    may be nonzero), ordered by their lowest index, each an ascending list
+    of indices.  A link goes both ways."""
+    dim = len(linked)
+    neighbours: list[list[int]] = [[] for _ in range(dim)]
+    rows, cols = np.nonzero(linked | linked.T)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        neighbours[i].append(j)
+    seen = [False] * dim
+    parts = []
+    for start in range(dim):
+        if seen[start]:
+            continue
+        seen[start] = True
+        part = [start]
+        for i in part:  # grows as it is read: a breadth-first search
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    part.append(j)
+        parts.append(sorted(part))
+    return parts
+
+
 def _blocks(linked: np.ndarray) -> np.ndarray:
     """The diagonal blocks of every matrix with nonzero pattern within
-    `linked` (dim x dim, True where an entry may be nonzero), as a
-    (blocks, m) index array.
+    `linked` (see `_components`), as a (blocks, m) index array.
 
-    The blocks are the connected components of `linked`, ordered by their
-    lowest index, each listed ascending.  When the components differ in size
+    The blocks are the components of `linked`.  When they differ in size
     (or there is only one), the whole side is one block, arange(dim).
     """
-    dim = len(linked)
-    linked = linked | linked.T | np.eye(dim, dtype=bool)
-    labels = np.arange(dim)
-    while True:  # each index takes the lowest label among its neighbours
-        spread = np.where(linked, labels, dim).min(axis=1)
-        if np.array_equal(spread, labels):
-            break
-        labels = spread
-    sizes = np.bincount(labels)
-    sizes = sizes[sizes > 0]
-    if sizes.min() != sizes.max():
-        return np.arange(dim)[None, :]
-    return labels.argsort(kind="stable").reshape(sizes.size, -1)
+    parts = _components(linked)
+    if len({len(part) for part in parts}) > 1:
+        return np.arange(len(linked))[None, :]
+    return np.array(parts)
 
 
 def _top_pairs(mats: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +469,12 @@ def _seesaw_cut(
 
 
 def biseparable_max(
-    op: HermitianOperator, restarts: int = 200, iters: int = 500, seed: int = 1234
+    op: HermitianOperator,
+    restarts: int = 200,
+    iters: int = 500,
+    seed: int = 1234,
+    *,
+    bound: float | None = None,
 ) -> SeesawResult:
     """Lower bound on max <a x b|op|a x b> over all bipartitions, by alternating
     top-eigenvector updates of the operator contracted against the other side.
@@ -319,6 +490,14 @@ def biseparable_max(
     and its own value and state are reported, so round-off in `op` does not
     reorder near-equal maxima.  Deterministic for a fixed seed; the returned
     value never exceeds the global maximum eigenvalue of `op`.
+
+    `bound`, when given, is a proven maximum (`certified_max`).  The cuts
+    still run in order, and the search stops after the first cut whose best
+    value is at least `bound - SEESAW_TIE_TOL`; a value above `bound +
+    SEESAW_TIE_TOL` contradicts the bound and raises `ArithmeticError`.
+    No later cut can then beat the stopping cut by more than round-off, so
+    value, cut, restart and state are the full search's; `cut_values`,
+    `iteration_histogram`, `capped` and `at_best` cover the cuts searched.
     """
     if restarts < 1:
         raise ValueError(f"seesaw needs at least one restart, got {restarts}")
@@ -326,11 +505,21 @@ def biseparable_max(
         raise ValueError(f"seesaw needs at least one iteration, got {iters}")
     structure = op.structure
     tensor = op.matrix.reshape(structure.dims + structure.dims)
+    if bound is not None and not math.isfinite(bound):
+        raise ValueError(f"seesaw bound must be finite, got {bound}")
     cuts = bipartitions(structure.n_parties)
-    runs = [
-        _seesaw_cut(tensor, cut, cut_index, restarts, iters, seed)
-        for cut_index, cut in enumerate(cuts)
-    ]
+    runs = []
+    for cut_index, cut in enumerate(cuts):
+        runs.append(_seesaw_cut(tensor, cut, cut_index, restarts, iters, seed))
+        if bound is None:
+            continue
+        best = runs[-1].values.max()
+        if best > bound + SEESAW_TIE_TOL:
+            raise ArithmeticError(
+                f"seesaw value {best!r} on cut {cut} exceeds the certified maximum {bound!r}"
+            )
+        if best >= bound - SEESAW_TIE_TOL:
+            break
     values, counts, converged, vecs_a, vecs_b = zip(*runs)
     values = np.stack(values)
     within = values >= values.max() - SEESAW_TIE_TOL
@@ -366,6 +555,14 @@ class Ghz4Case:
     gamma: float
     noise_delta: float
 
+
+#: C_phi's biseparable maximum, exactly 7 (`certified_max`): 3*1 - C_phi +
+#: 8*|GHZ+><GHZ+| >= 0, and GHZ+ overlaps a biseparable state by at most 1/2.
+#: 7*1 - C_phi is 4 times the two-setting GHZ witness of Toth and Guehne
+#: (PRL 94, 060501 (2005)), and this dominance is their proof in matrix form.
+GHZ4_CERTIFICATE = MaxCertificate(
+    shift=3, factor=8, target=(1,) + (0,) * 14 + (1,), overlap=Fraction(1, 2)
+)
 
 GHZ4_CASES: tuple[Ghz4Case, ...] = (
     Ghz4Case(math.pi / 4, math.pi / 6, 9.01, 6.54, 0.139),

@@ -9,10 +9,13 @@ the library generates from one rule.  The Bell oracles read one setting vector, 
 correlator or the projector witness's noise tolerance, which the library only
 needs as whole tables and sums; `lhv_value` scores one deterministic
 assignment term by term, apart from the library's `RESIDUES`.
+`principal_minors_psd` decides semidefiniteness by the definition the
+library's fraction-free LDL^T avoids: every principal minor non-negative.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -143,3 +146,33 @@ def lhv_value(a: LhvAssignment, d: int) -> int:
     value += int(t22 % d == 0) - int((-t22) % d == 1)
     value += int((-t21) % d == 1) - int(t21 % d == 0)
     return value
+
+
+def _det(rows) -> Fraction:
+    """Determinant of a square matrix of rationals, by Gaussian elimination in
+    `Fraction`s with row swaps."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            ratio = rows[i][k] / rows[k][k]
+            rows[i] = [x - ratio * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def principal_minors_psd(rows) -> bool:
+    """Whether the symmetric rational matrix `rows` is positive semidefinite:
+    every principal minor, over every subset of indices, is non-negative."""
+    n = len(rows)
+    return all(
+        _det([[rows[i][j] for j in subset] for i in subset]) >= 0
+        for size in range(1, n + 1)
+        for subset in itertools.combinations(range(n), size)
+    )

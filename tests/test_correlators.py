@@ -1062,9 +1062,13 @@ def test_every_record_holds_one_read_only_int64_array():
         members, *dims = tables.shape
         assert members == (2 if type(record) is CorrelatorPair else 4), record.label
         assert set(dims) == {record.setting.dimension}, record.label
-        assert tables.base is None and not tables.flags.writeable, record.label
-        with pytest.raises(ValueError, match="WRITEABLE"):
-            tables[0].setflags(write=True)
+        # a read-only view of a read-only array that owns its data
+        owner = tables.base
+        assert owner is not None and owner.base is None, record.label
+        assert not tables.flags.writeable and not owner.flags.writeable, record.label
+        for view in (tables, tables[0]):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                view.setflags(write=True)
     # no record's array shares memory with another's
     for a, b in itertools.combinations(records, 2):
         assert not np.shares_memory(a.tables, b.tables), (a.label, b.label)
@@ -1113,3 +1117,40 @@ def test_sign_suites_build_no_dense_correlator(monkeypatch, capsys):
     assert main(["proptest", "--trials", "20", "--format", "json"]) == 0
     capsys.readouterr()
     assert built == []
+
+
+def test_records_refuse_entries_outside_int64():
+    # an unsigned table past int64 would wrap to negative entries
+    limit = np.iinfo(np.int64).max
+    for tables in (
+        np.full((2, 2, 2), 2**63, dtype=np.uint64),
+        [np.zeros((2, 2), dtype=np.uint64), np.full((2, 2), 2**64 - 1, dtype=np.uint64)],
+    ):
+        with pytest.raises(ValueError, match="int64"):
+            CorrelatorPair(_Z2, tables, "p", (1,))
+    pair = CorrelatorPair(_Z2, np.full((2, 2, 2), limit, dtype=np.uint64), "p", (1,))
+    assert pair.tables.dtype == np.int64 and np.all(pair.tables == limit)
+
+
+def test_shared_arrays_cannot_be_made_writable():
+    # memoised records, bases and operators are shared by every later call,
+    # so each array is a read-only view of a read-only array that owns its data
+    pure = ghz4(math.pi / 4, 0.0)
+    arrays = {
+        "record tables": ghz4_z_pairs()[0].tables,
+        "family tables": all_ghz4x3_families()[0].tables,
+        "C_phi": build_C_phi().matrix,
+        "basis vectors": LocalBasis("fourier", 4)._vectors,
+        "_unitary": correlators._unitary(LocalBasis("x", 2), 2),
+        "_integer_form": correlators._integer_form(LocalBasis("fourier", 4))[0],
+        "amplitudes": pure.amplitudes,
+        "density matrix": DensityMatrix(pure.projector().matrix, QUBIT4).matrix,
+        "white noise": mix_white_noise(pure, 0.25).matrix,
+    }
+    for name, array in arrays.items():
+        assert array.base is not None and array.base.base is None, name
+        assert not array.flags.writeable and not array.base.flags.writeable, name
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            array.setflags(write=True)
+    # the operator built from the memoised records is unchanged
+    assert np.array_equal(build_C_phi.__wrapped__().matrix, build_C_phi().matrix)

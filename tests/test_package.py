@@ -47,9 +47,9 @@ print(json.dumps({
 }))
 """
     got = _fresh(code)
-    assert len(got["all"]) == 58
+    assert len(got["all"]) == 60
     assert got["star"] == sorted(got["all"])
-    assert got["same"] == [True] * 58
+    assert got["same"] == [True] * 60
 
 
 def test_submodules_resolve_and_unknown_names_raise():

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -31,8 +33,10 @@ from qcorr import (
     verify_dominance,
 )
 from qcorr import witnesses
+from qcorr.states import QUBIT4
 from qcorr.witnesses import (
     GHZ4_CASES,
+    GHZ4_CERTIFICATE,
     GHZ4_WITNESS_GRID,
     GHZ4X3_ALPHA,
     GHZ4X3_GAMMA,
@@ -40,12 +44,16 @@ from qcorr.witnesses import (
     SEESAW_TIE_TOL,
     SINGLET_ALPHA,
     SINGLET_GAMMA,
+    MaxCertificate,
     ProjectorWitness,
     Witness,
     WitnessNeverFiresError,
     _seesaw_cut,
     biseparable_max,
+    certified_max,
 )
+
+from oracles import principal_minors_psd
 
 
 def test_projector_witness_ghz4_branches():
@@ -726,3 +734,192 @@ def test_import_leaves_numpy_random_unloaded():
     if out[0] == "True":
         pytest.skip("this numpy imports numpy.random itself")
     assert out[1] == "False"
+
+
+# ---------------------------------------------------------------------------
+# exact certificates of biseparable maxima
+
+
+def test_phi_certificate_is_exactly_seven():
+    bound = certified_max(build_C_phi(), GHZ4_CERTIFICATE)
+    assert type(bound) is Fraction and bound == 7
+    # the bound is attained: |0000> is a product state with <C_phi> = 7
+    assert expectation(build_C_phi(), PureState(np.eye(16)[0], QUBIT4)) == 7.0
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"factor": Fraction(8) - Fraction(1, 1000)},
+        {"shift": Fraction(3) - Fraction(1, 1000)},
+        {"overlap": Fraction(1, 2) - Fraction(1, 1000)},
+        {"target": (1,) + (0,) * 14 + (2,)},
+    ],
+    ids=["factor", "shift", "overlap", "target"],
+)
+def test_phi_certificate_fails_when_tightened(changes):
+    with pytest.raises(ArithmeticError):
+        certified_max(build_C_phi(), replace(GHZ4_CERTIFICATE, **changes))
+
+
+@pytest.mark.parametrize("index", [0, 5, 15])
+def test_phi_certificate_fails_on_an_entry_changed_by_one(index):
+    matrix = np.array(build_C_phi().matrix)
+    matrix[index, index] += 1
+    with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+        certified_max(HermitianOperator(matrix, QUBIT4), GHZ4_CERTIFICATE)
+
+
+def test_certificate_refuses_operators_without_an_integer_form():
+    # one entry needs a scale of 2^80, the other is past int64 already
+    for entry in (math.ldexp(1.0, -80), 2.0**63):
+        matrix = np.array(build_C_phi().matrix)
+        matrix[3, 3] = entry
+        with pytest.raises(ArithmeticError, match="int64"):
+            certified_max(HermitianOperator(matrix, QUBIT4), GHZ4_CERTIFICATE)
+    # the scaled difference would leave int64
+    huge = replace(GHZ4_CERTIFICATE, target=(2**40,) + (0,) * 14 + (2**40,))
+    with pytest.raises(ArithmeticError, match="int64"):
+        certified_max(build_C_phi(), huge)
+    matrix = np.array(build_C_phi().matrix)
+    matrix[1, 14] += 1e-13  # Hermitian to the operator's tolerance, not exactly
+    with pytest.raises(ArithmeticError, match="exactly Hermitian"):
+        certified_max(HermitianOperator(matrix, QUBIT4), GHZ4_CERTIFICATE)
+
+
+def test_certificate_refuses_bad_data():
+    with pytest.raises(ValueError, match="non-negative"):
+        replace(GHZ4_CERTIFICATE, factor=-1)
+    with pytest.raises(ValueError, match="nonzero"):
+        replace(GHZ4_CERTIFICATE, target=(0,) * 16)
+    with pytest.raises(TypeError):
+        replace(GHZ4_CERTIFICATE, target=(0.5,) * 16)
+    with pytest.raises(ValueError, match="length"):
+        certified_max(build_C_phi(), replace(GHZ4_CERTIFICATE, target=(1, 0, 0, 1)))
+
+
+def test_ghz4x3_certificate_is_exactly_forty_and_a_half(monkeypatch):
+    # the paper's dominance factor gamma = 36 against sum_l |lll>, whose
+    # largest biseparable overlap is 1/4: shift 40.5 - 36/4
+    target = tuple(int(i in (0, 21, 42, 63)) for i in range(64))
+    cert = MaxCertificate(Fraction(63, 2), GHZ4X3_GAMMA, target, Fraction(1, 4))
+    sizes = []
+    components = witnesses._components
+
+    def record(linked):
+        sizes.append([len(part) for part in components(linked)])
+        return components(linked)
+
+    monkeypatch.setattr(witnesses, "_components", record)
+    assert certified_max(build_C_ghz4x3(), cert) == Fraction(81, 2) == GHZ4X3_ALPHA
+    # the 64 x 64 difference is tested in blocks of at most 4
+    assert sum(sizes[0]) == 64 and max(sizes[0]) == 4
+    for changes in ({"factor": GHZ4X3_GAMMA - Fraction(1, 1000)}, {"shift": Fraction(63, 2) - Fraction(1, 1000)}):
+        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+            certified_max(build_C_ghz4x3(), replace(cert, **changes))
+    with pytest.raises(ArithmeticError, match="overlaps"):
+        certified_max(build_C_ghz4x3(), replace(cert, overlap=Fraction(1, 4) - Fraction(1, 1000)))
+
+
+def _exact(rows):
+    return np.array(rows, dtype=object)
+
+
+@pytest.mark.parametrize(
+    "rows, psd",
+    [
+        ([[0, 1], [1, 0]], False),  # a zero pivot over a nonzero column
+        ([[1, 2], [2, 1]], False),  # second pivot -3
+        ([[0, 0], [0, 0]], True),  # a zero block
+        ([[0, 0, 0], [0, 2, -2], [0, -2, 2]], True),  # a zero pivot, then a singular block
+        ([[4, 2, 0], [2, 1, 0], [0, 0, -1]], False),  # a negative 1 x 1 block
+        ([[-1]], False),
+    ],
+)
+def test_exact_psd_cases(rows, psd):
+    assert witnesses._exact_psd(_exact(rows), np.zeros((len(rows),) * 2, dtype=object)) is psd
+    assert witnesses._ldl_psd(rows) is psd
+
+
+def test_exact_psd_reads_complex_blocks_through_their_realification():
+    # [[1, i], [-i, 1]] has eigenvalues 0 and 2; [[1, 2i], [-2i, 1]] has -1,
+    # though its real part, the identity, is PSD
+    re = _exact([[1, 0], [0, 1]])
+    assert witnesses._exact_psd(re, _exact([[0, 1], [-1, 0]]))
+    assert not witnesses._exact_psd(re, _exact([[0, 2], [-2, 0]]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    rank=st.integers(0, 4),
+    gram=st.booleans(),
+    imaginary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_psd_matches_principal_minors(n, rank, gram, imaginary, seed):
+    # Gram matrices of low rank hit zero pivots, zeroed rows split blocks
+    rng = np.random.default_rng(seed)
+    if imaginary:
+        n = min(n, 3)
+    if gram:
+        g = rng.integers(-2, 3, (rank, n)) + 1j * imaginary * rng.integers(-2, 3, (rank, n))
+        h = g.conj().T @ g
+    else:
+        h = rng.integers(-3, 4, (n, n)) + 1j * imaginary * rng.integers(-3, 4, (n, n))
+        h = h + h.conj().T
+    keep = rng.random(n) < 0.8
+    h = h * np.outer(keep, keep)
+    re, im = (np.rint(part).astype(int).astype(object) for part in (h.real, h.imag))
+    real = np.block([[re, -im], [im, re]]).tolist() if imaginary else re.tolist()
+    assert witnesses._exact_psd(re, im) is principal_minors_psd(real)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_bounded_seesaw_equals_the_full_search(seed):
+    op = build_C_phi()
+    for restarts in (200, 1, 2):
+        full = biseparable_max(op, restarts=restarts, seed=seed)
+        bounded = biseparable_max(op, restarts=restarts, seed=seed, bound=7.0)
+        assert (bounded.value, bounded.cut, bounded.restart) == (full.value, full.cut, full.restart)
+        assert np.array_equal(bounded.state.amplitudes, full.state.amplitudes)
+        # cut (1,) reaches the bound, so only it was searched
+        assert len(bounded.cut_values) == 1 and bounded.iteration_histogram.sum() == restarts
+
+
+def test_bounded_seesaw_searches_on_until_a_cut_reaches_the_bound():
+    op = build_C_psi()
+    full = biseparable_max(op, restarts=5, seed=3)
+    # a bound no cut reaches leaves the full search
+    above = biseparable_max(op, restarts=5, seed=3, bound=full.value + 1.0)
+    assert np.array_equal(above.cut_values, full.cut_values)
+    assert (above.value, above.cut, above.restart) == (full.value, full.cut, full.restart)
+    # the first cut at the best value stops it
+    stop = int(np.argmax(full.cut_values >= full.value - SEESAW_TIE_TOL))
+    at = biseparable_max(op, restarts=5, seed=3, bound=full.value)
+    assert len(at.cut_values) == stop + 1
+    assert (at.value, at.cut, at.restart) == (full.value, full.cut, full.restart)
+
+
+def test_seesaw_above_its_bound_raises():
+    with pytest.raises(ArithmeticError, match="exceeds the certified maximum"):
+        biseparable_max(build_C_phi(), restarts=5, bound=6.5)
+    for bound in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            biseparable_max(build_C_phi(), restarts=5, bound=bound)
+
+
+def test_table1_exits_3_on_a_failed_certificate(monkeypatch, capsys):
+    from qcorr import cli
+
+    monkeypatch.setattr(cli, "GHZ4_CERTIFICATE", replace(GHZ4_CERTIFICATE, shift=2))
+    assert cli.main(["table1", "--restarts", "2"]) == 3
+    assert "not positive semidefinite" in capsys.readouterr().err
+
+
+def test_table1_exits_3_when_the_seesaw_beats_the_certificate(monkeypatch, capsys):
+    from qcorr import cli
+
+    monkeypatch.setattr(cli, "certified_max", lambda op, cert: Fraction(13, 2))
+    assert cli.main(["table1", "--restarts", "2"]) == 3
+    assert "exceeds the certified maximum" in capsys.readouterr().err
