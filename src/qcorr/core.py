@@ -63,13 +63,10 @@ class PartyStructure:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of a read-only array that owns its data (`arr`, or a
-    copy when `arr` is itself a view), so no caller can turn writing back
-    on: numpy refuses that on a view whose owner is read-only."""
-    if arr.base is not None:
-        arr = arr.copy()
-    arr.setflags(write=False)
-    return arr.view()
+    """A read-only copy of `arr` backed by an immutable `bytes` buffer, so no
+    caller can turn writing back on at any level: numpy refuses the flag on
+    the array and on every base up to the buffer."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,14 @@ Gaussian-integer matrices.
 Each pair carries the bipartition it certifies (`cut`): for a state that is
 product across that cut, the product of the two expectation values is <= 0
 (sign test), while a four-member family of a product state can never be
-positive throughout.
+positive throughout.  Prop 1 takes pairs only; Prop 2 takes any record.  A
+sign suite checks this on random product states in real arithmetic: each
+side's rows of normals [x | y] go through one real matmul with the real form
+[[Re U, Im U], [Im U, -Re U]] of the setting's basis power U
+(`_real_form`), and the outcome probabilities are the squared moduli
+divided by the rows' |x|^2 + |y|^2.  The norm comes from the normals, not
+from U, so the check that each distribution sums to 1 tests that U is
+unitary.
 """
 
 from __future__ import annotations
@@ -192,9 +199,12 @@ def _power(vectors: np.ndarray, parties: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _unitary(basis: LocalBasis, parties: int) -> np.ndarray:
-    """`basis` on each of `parties` parties, as one read-only matrix (`_power`)."""
-    return _frozen(_power(basis._vectors, parties))
+def _real_form(basis: LocalBasis, parties: int) -> np.ndarray:
+    """[[Re U, Im U], [Im U, -Re U]] for U = `basis` on each of `parties`
+    parties (`_power`), as one read-only real matrix: a row [x | y] times it
+    is [Re | Im] of (x - iy) U."""
+    unitary = _power(basis._vectors, parties)
+    return _frozen(np.block([[unitary.real, unitary.imag], [unitary.imag, -unitary.real]]))
 
 
 @lru_cache(maxsize=None)
@@ -459,8 +469,15 @@ def family_positive(values) -> bool:
     return bool(np.all(margin_sign(values) > 0))
 
 
+def _require_pair(record) -> None:
+    """Refuse a record that is not a `CorrelatorPair`: Prop 1 reads two members."""
+    if not isinstance(record, CorrelatorPair):
+        raise ValueError(f"Prop 1 tests a CorrelatorPair, not {getattr(record, 'label', record)!r}")
+
+
 def prop1_test(pair: CorrelatorPair, state) -> bool:
     """True iff the two expectation values share a sign beyond SIGN_MARGIN."""
+    _require_pair(pair)
     return pair_positive(member_expectations([pair], state)[0])
 
 
@@ -508,8 +525,12 @@ def _suite_signs(record, trials: int, seed: int):
     states a (x) b across its cut, the states `random_product_states` draws.
 
     Table t gives sum t[s_a, s_b] P_a(s_a) P_b(s_b), with P_a and P_b the
-    outcome distributions of the two sides in the setting, each checked to
-    sum to 1; no state vector or dense member is formed.  Yields one
+    outcome distributions of the two sides in the setting, read from the
+    rows of normals [x | y] that `_side_vectors` would normalise: one real
+    matmul per side with its `_real_form`, divided by the row's
+    |x|^2 + |y|^2 (`_side_probabilities`).  No state vector, complex row or
+    dense member is formed.  The norm comes from the normals, not from U, so
+    the check that each P sums to 1 tests that U is unitary.  Yields one
     (members, rows) array per chunk of at most CHUNK_ROWS states; successive
     chunks continue one generator, so the states do not depend on the
     chunking.
@@ -521,19 +542,32 @@ def _suite_signs(record, trials: int, seed: int):
     stack = record.tables.transpose([0, *(k + 1 for k in order)])
     stack = stack.reshape(len(record.tables), dim_a, -1).astype(float)
     n_a = len(record.cut)
-    unitaries = [_unitary(record.setting, n_a), _unitary(record.setting, len(dims) - n_a)]
+    forms = [_real_form(record.setting, n_a), _real_form(record.setting, len(dims) - n_a)]
     rng = np.random.default_rng(seed)
     for start in range(0, trials, CHUNK_ROWS):
-        sides = _side_vectors(dim_a, stack.shape[2], min(CHUNK_ROWS, trials - start), rng)
-        probs_a, probs_b = (np.abs(v.conj() @ u) ** 2 for v, u in zip(sides, unitaries))
+        normals = rng.standard_normal((min(CHUNK_ROWS, trials - start), 2 * (dim_a + stack.shape[2])))
+        probs_a = _side_probabilities(normals[:, :2 * dim_a], forms[0])
+        probs_b = _side_probabilities(normals[:, 2 * dim_a:], forms[1])
         dev = np.abs(np.concatenate([probs_a.sum(axis=1), probs_b.sum(axis=1)]) - 1.0)
-        if not np.all(dev <= core.STRUCTURAL_TOL):
+        if not (dev <= core.STRUCTURAL_TOL).all():
             raise ValueError(f"outcome probabilities sum to 1 +- {np.max(dev)!r}, beyond tolerance")
         yield margin_sign(np.sum((probs_a @ stack) * probs_b, axis=2))
 
 
+def _side_probabilities(normals: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """|(x - iy) U|^2 / (|x|^2 + |y|^2) per row [x | y] of `normals`, with
+    `form` the `_real_form` of U."""
+    squares = normals @ form
+    squares *= squares
+    dim = form.shape[1] // 2
+    probs = squares[:, :dim] + squares[:, dim:]
+    probs /= np.einsum("ij,ij->i", normals, normals)[:, None]
+    return probs
+
+
 def count_prop1_violations(pair: CorrelatorPair, trials: int, seed: int) -> int:
     """Sign-test failures of `pair` over random states product across its cut."""
+    _require_pair(pair)
     return sum(
         int(np.count_nonzero(signs[0] * signs[1] > 0)) for signs in _suite_signs(pair, trials, seed)
     )

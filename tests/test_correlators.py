@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -517,6 +518,19 @@ def test_prop1_examples():
     assert not prop1_test(pair, _basis_state(QUBIT4, 0))
 
 
+def test_prop1_refuses_a_non_pair():
+    # Prop 1 reads two members; a family's first two of four say nothing
+    family = all_ghz4x3_families()[0]
+    with pytest.raises(ValueError, match=re.escape(family.label)):
+        prop1_test(family, ghz_4x3())
+    with pytest.raises(ValueError, match=re.escape(family.label)):
+        count_prop1_violations(family, trials=10, seed=1)
+    # Prop 2 stays open to pairs, whose two tables also sum to zero
+    pair = _ghz("ghz4.z.n1")
+    assert not prop2_test(pair, _basis_state(QUBIT4, 0))
+    assert count_prop2_violations(pair, trials=50, seed=1) == 0
+
+
 def test_prop2_examples():
     state = ghz_4x3()
     family = ghz4x3_correlators("z", 1, 1)
@@ -729,6 +743,32 @@ def test_batched_counts_match_scalar_loop():
     assert nonzero > 100
 
 
+def test_suite_values_equal_member_expectations(monkeypatch):
+    # With `margin_sign` the identity a suite yields its per-member values,
+    # which must be those of `member_expectations` on the same product states.
+    monkeypatch.setattr(correlators, "margin_sign", np.asarray)
+    pairs, families = _suites()
+    for record in pairs + families:
+        structure = PartyStructure(record.tables.shape[1:])
+        for seed in (0, 1, 2):
+            (values,) = correlators._suite_signs(record, 10, seed)
+            rows = random_product_states(structure, record.cut, 10, np.random.default_rng(seed))
+            expected = [correlators.member_expectations([record], PureState(row, structure))[0] for row in rows]
+            assert values.shape == (len(record.tables), 10), record.label
+            assert np.max(np.abs(values - np.transpose(expected))) <= 1e-12, (record.label, seed)
+
+
+def test_sum_check_catches_a_non_unitary_rotation(monkeypatch):
+    # The suite's probabilities take their norm from the drawn normals, so they
+    # sum to 1 only if the rotation is unitary: a form off by 1e-9 fails.
+    real_form = correlators._real_form
+    monkeypatch.setattr(correlators, "_real_form", lambda basis, parties: real_form(basis, parties) * (1 + 1e-9))
+    with pytest.raises(ValueError, match="probabilities sum"):
+        count_prop1_violations(_ghz("ghz4.x.n1"), trials=3, seed=1)
+    with pytest.raises(ValueError, match="probabilities sum"):
+        count_prop2_violations(ghz4x3_correlators("f", 1, 2), trials=3, seed=1)
+
+
 def test_chunked_counts_do_not_depend_on_chunk_size(monkeypatch):
     pairs, families = _suites()
     pair, family = pairs[-1], families[-1]
@@ -937,9 +977,19 @@ def test_support_tables_equal_the_string_definition(case):
 )
 @pytest.mark.parametrize("parties", [1, 2, 3, 4])
 def test_unitary_equals_kron_chain(basis, parties):
-    unitary = correlators._unitary.__wrapped__(basis, parties)
-    assert np.array_equal(unitary, functools.reduce(np.kron, [basis._vectors] * parties))
-    assert not unitary.flags.writeable
+    # the sign suites hold U only as the blocks [[Re U, Im U], [Im U, -Re U]]
+    form = correlators._real_form.__wrapped__(basis, parties)
+    unitary = functools.reduce(np.kron, [basis._vectors] * parties)
+    dim = unitary.shape[0]
+    assert form.shape == (2 * dim, 2 * dim) and form.dtype == np.float64
+    for block, part in (
+        (form[:dim, :dim], unitary.real),
+        (form[:dim, dim:], unitary.imag),
+        (form[dim:, :dim], unitary.imag),
+        (form[dim:, dim:], -unitary.real),
+    ):
+        assert np.array_equal(block, part)
+    assert not form.flags.writeable
 
 
 def _gaussian_integer(mat: np.ndarray) -> bool:
@@ -1062,11 +1112,11 @@ def test_every_record_holds_one_read_only_int64_array():
         members, *dims = tables.shape
         assert members == (2 if type(record) is CorrelatorPair else 4), record.label
         assert set(dims) == {record.setting.dimension}, record.label
-        # a read-only view of a read-only array that owns its data
+        # read-only at every level, down to an immutable buffer
         owner = tables.base
-        assert owner is not None and owner.base is None, record.label
+        assert isinstance(owner.base, bytes), record.label
         assert not tables.flags.writeable and not owner.flags.writeable, record.label
-        for view in (tables, tables[0]):
+        for view in (tables, tables[0], owner):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 view.setflags(write=True)
     # no record's array shares memory with another's
@@ -1134,23 +1184,28 @@ def test_records_refuse_entries_outside_int64():
 
 def test_shared_arrays_cannot_be_made_writable():
     # memoised records, bases and operators are shared by every later call,
-    # so each array is a read-only view of a read-only array that owns its data
+    # so neither an array nor any base under it can be made writable
     pure = ghz4(math.pi / 4, 0.0)
     arrays = {
         "record tables": ghz4_z_pairs()[0].tables,
         "family tables": all_ghz4x3_families()[0].tables,
         "C_phi": build_C_phi().matrix,
+        "HermitianOperator": HermitianOperator(np.eye(4), PartyStructure((2, 2))).matrix,
         "basis vectors": LocalBasis("fourier", 4)._vectors,
-        "_unitary": correlators._unitary(LocalBasis("x", 2), 2),
+        "_real_form": correlators._real_form(LocalBasis("y", 2), 2),
         "_integer_form": correlators._integer_form(LocalBasis("fourier", 4))[0],
         "amplitudes": pure.amplitudes,
         "density matrix": DensityMatrix(pure.projector().matrix, QUBIT4).matrix,
         "white noise": mix_white_noise(pure, 0.25).matrix,
     }
     for name, array in arrays.items():
-        assert array.base is not None and array.base.base is None, name
-        assert not array.flags.writeable and not array.base.flags.writeable, name
-        with pytest.raises(ValueError, match="WRITEABLE"):
-            array.setflags(write=True)
+        assert array.flags.aligned, name
+        level = array
+        while isinstance(level, np.ndarray):
+            assert not level.flags.writeable, name
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                level.setflags(write=True)
+            level = level.base
+        assert isinstance(level, bytes), name
     # the operator built from the memoised records is unchanged
     assert np.array_equal(build_C_phi.__wrapped__().matrix, build_C_phi().matrix)
