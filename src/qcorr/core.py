@@ -52,10 +52,7 @@ class PartyStructure:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     @property
     def n_parties(self) -> int:
@@ -147,19 +144,38 @@ class WhiteNoiseState:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Dense complex matrix asserted Hermitian, with party structure."""
+    """Dense complex matrix asserted Hermitian, with party structure, and
+    optionally its exact form (re, im, den), held read-only: int64 re + i*im
+    exactly Hermitian over a positive int den, of which `matrix` must be
+    `_divided(re, im, den)` bit for bit."""
 
     matrix: np.ndarray
     structure: PartyStructure
+    exact: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=np.complex128)
         _check_square(mat, self.structure)
         _check_hermitian(mat)
         object.__setattr__(self, "matrix", _frozen(mat))
+        if self.exact is not None:
+            re, im, den = self.exact
+            den, hermitian = operator.index(den), np.array_equal(re, re.T) and np.array_equal(im, -im.T)
+            if not (re.dtype == im.dtype == np.int64 and den > 0 and hermitian):
+                raise ValueError("an exact form needs Hermitian int64 numerators over a positive denominator")
+            if not np.array_equal(_divided(re, im, den).view(np.int64), mat.view(np.int64)):
+                raise ValueError("matrix differs from its exact form")
+            object.__setattr__(self, "exact", (_frozen(re), _frozen(im), den))
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def _divided(re: np.ndarray, im: np.ndarray, den: int) -> np.ndarray:
+    """(re + i*im) / den, each integer part converted to float and divided once."""
+    mat = np.empty(re.shape, dtype=np.complex128)
+    mat.real, mat.imag = re / den, im / den
+    return mat
 
 
 def _check_square(mat: np.ndarray, structure: PartyStructure) -> None:

@@ -24,25 +24,19 @@ distribution in the setting; `member_expectations` reads P once per distinct
 setting for a list of records, and no dense member is ever built.  One
 builder (`_combined`) makes C_phi, C_psi and C_ghz4x3 from data: integer
 record weights, each setting's closed-form table, checked exactly against
-the summed record arrays on every build, and each setting's scale.  A
-setting's operator is built from the basis's Gaussian-integer form (vectors
-times sqrt(s), s = 1 for z, 2 for x and y, 4 for the four-level Fourier
-basis) in integer steps and one division by a power of two, so the combined
-operators carry no round-off: C_phi equals 8(P_0000 + P_1111) - 1 + 4
-sigma_x^{(x)4} entry for entry, and 16 C_psi and 64 C_ghz4x3 are
-Gaussian-integer matrices.
+the summed record arrays on every build, and each setting's `Fraction`
+scale.  Each operator carries its exact form (`HermitianOperator.exact`), a
+Gaussian-integer numerator over the least denominator (1, 1 and 2 here),
+and its matrix is that form divided once: C_phi equals 8(P_0000 + P_1111)
+- 1 + 4 sigma_x^{(x)4} entry for entry.
 
-Each pair carries the bipartition it certifies (`cut`): for a state that is
+Each pair carries the bipartition it certifies (`cut`): for a pure state
 product across that cut, the product of the two expectation values is <= 0
-(sign test), while a four-member family of a product state can never be
-positive throughout.  Prop 1 takes pairs only; Prop 2 takes any record.  A
-sign suite checks this on random product states in real arithmetic: each
-side's rows of normals [x | y] go through one real matmul with the real form
-[[Re U, Im U], [Im U, -Re U]] of the setting's basis power U
-(`_real_form`), and the outcome probabilities are the squared moduli
-divided by the rows' |x|^2 + |y|^2.  The norm comes from the normals, not
-from U, so the check that each distribution sums to 1 tests that U is
-unitary.
+(sign test), and a four-member family can never be positive throughout.
+Neither holds for mixed states: a mixture of product basis states can make
+every record positive.  Prop 1 takes pairs only; Prop 2 takes any record.  A
+sign suite (`_suite_signs`) checks this on random pure product states, in
+real arithmetic.
 """
 
 from __future__ import annotations
@@ -50,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -209,13 +204,11 @@ def _real_form(basis: LocalBasis, parties: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _integer_form(basis: LocalBasis) -> tuple[np.ndarray, int]:
-    """(V, s) with V = vectors * sqrt(s) a Gaussian-integer matrix: s = 1 for
-    z and s = d otherwise (2 for x and y, 4 for the four-level Fourier basis).
-
-    A basis whose scaled vectors are not within `core.STRUCTURAL_TOL` of
-    Gaussian integers (Fourier bases of most dimensions) raises
-    `ValueError`.
-    """
+    """(V, s) with V = vectors * sqrt(s) a Gaussian-integer matrix, its
+    entries 0 or units: s = 1 for z and s = d otherwise (2 for x and y, 4
+    for the four-level Fourier basis).  A basis whose scaled vectors are not
+    within `core.STRUCTURAL_TOL` of Gaussian integers (most Fourier bases)
+    raises `ValueError`."""
     vectors = basis._vectors
     d = vectors.shape[0]
     scale = 1 if basis.kind == "z" else d
@@ -227,21 +220,20 @@ def _integer_form(basis: LocalBasis) -> tuple[np.ndarray, int]:
 
 
 def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
-    """U diag(table) U^dagger, where U is `basis` on every party, exactly.
-
-    This is the signed sum of basis-projector products that the integer
-    outcome table counts: entry table[s] weighs the product state of outcome
-    string s.  It is computed as (W diag(table) W^H) / s^n from the basis's
-    Gaussian-integer form (`_integer_form`, W = V on each of the n parties):
-    every intermediate is a small Gaussian integer, held exactly in floats,
-    and the division is by a power of two for every basis used here, so the
-    result carries no round-off and its zero entries are exact zeros.
-    """
+    """U diag(table) U^dagger, U `basis` on every party (the product basis
+    projectors weighted by `table`), with its exact form: the numerator
+    W diag(table) W^H, W the basis's Gaussian-integer form on each of the n
+    parties (`_integer_form`), over s^n.  W's entries are 0 or units, so
+    every product and partial sum of the numerator has parts at most
+    sum |table|, held exactly up to 2^53; a larger table raises
+    `ArithmeticError`."""
     form, scale = _integer_form(basis)
+    if sum(map(abs, table.ravel().tolist())) > 2**53:
+        raise ArithmeticError("the operator's numerator leaves the range floats hold exactly")
     power = _power(form, table.ndim)
-    matrix = (power * table.reshape(-1)) @ power.conj().T
-    matrix /= scale**table.ndim
-    return HermitianOperator(matrix, PartyStructure(table.shape))
+    numerator = (power * table.reshape(-1)) @ power.conj().T
+    exact = numerator.real.astype(np.int64), numerator.imag.astype(np.int64), scale**table.ndim
+    return HermitianOperator(core._divided(*exact), PartyStructure(table.shape), exact)
 
 
 @lru_cache(maxsize=None)
@@ -279,19 +271,29 @@ def _support_tables(support: np.ndarray, split: int, cut, derangements) -> np.nd
 
 def _combined(name: str, records, weights, forms: dict) -> HermitianOperator:
     """Sum over the settings of `forms` ({setting: (scale, closed table)}) of
-    scale times the `_operator` of the setting's table: the member tables of
+    scale times the operator of the setting's table: the member tables of
     its `records`, record i weighted by weights[i % len(weights)], summed
-    exactly and checked against the closed table on every build."""
+    exactly and checked against the closed table on every build.  The exact
+    form adds the `Fraction` scales over one common denominator reduced by
+    the gcd; a numerator past 2^53 raises `ArithmeticError`."""
     sums = dict.fromkeys(forms, 0)
     for weight, record in zip(itertools.cycle(weights), records):
         sums[record.setting] = sums[record.setting] + weight * record.tables.sum(axis=0)
-    matrices = []
+    parts = []
     for setting, (scale, closed) in forms.items():
         if not np.array_equal(sums[setting], closed):
             miss = np.max(np.abs(sums[setting] - closed))
             raise ArithmeticError(f"{name} {setting.kind} table misses its closed form by {miss}")
-        matrices.append(scale * _operator(setting, sums[setting]).matrix)
-    return HermitianOperator(reduce(np.add, matrices), PartyStructure(closed.shape))
+        re, im, den = _operator(setting, sums[setting]).exact
+        parts.append((Fraction(scale) / den, np.stack([re, im])))
+    den = math.lcm(*(scale.denominator for scale, _ in parts))
+    parts = [(int(scale * den), num) for scale, num in parts]
+    if max(den, sum(abs(factor) * int(np.abs(num).max()) for factor, num in parts)) > 2**53:
+        raise ArithmeticError(f"{name}'s numerator leaves the range floats hold exactly")
+    num = sum(factor * num for factor, num in parts)
+    common = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+    re, im, den = num[0] // common, num[1] // common, den // common
+    return HermitianOperator(core._divided(re, im, den), PartyStructure(closed.shape), (re, im, den))
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +381,13 @@ def build_C_phi() -> HermitianOperator:
 
 @lru_cache(maxsize=1)
 def build_C_ghz4x3() -> HermitianOperator:
-    """1.5 times the z members of the four-level GHZ families plus their
+    """3/2 times the z members of the four-level GHZ families plus their
     Fourier members.  The tables sum to 27 where all three levels agree, -3
     where exactly two do and 0 otherwise in z, and to 36 [s1+s2+s3 = 0 mod 4]
     - 9 in Fourier."""
     levels = _grid(QUDIT4X3.dims)
     agreeing = sum(levels[a] == levels[b] for a, b in ((0, 1), (0, 2), (1, 2)))
-    forms = {_Z4: (1.5, np.where(agreeing == 3, 27, -3 * (agreeing == 1)))}
+    forms = {_Z4: (Fraction(3, 2), np.where(agreeing == 3, 27, -3 * (agreeing == 1)))}
     forms[_F4] = (1, 36 * (sum(levels) % 4 == 0) - 9)
     return _combined("C_ghz4x3", _ghz_records(3, 4), (1,), forms)
 
@@ -476,13 +478,15 @@ def _require_pair(record) -> None:
 
 
 def prop1_test(pair: CorrelatorPair, state) -> bool:
-    """True iff the two expectation values share a sign beyond SIGN_MARGIN."""
+    """True iff the two expectation values share a sign beyond SIGN_MARGIN,
+    which no pure state product across the pair's cut does (Prop 1)."""
     _require_pair(pair)
     return pair_positive(member_expectations([pair], state)[0])
 
 
 def prop2_test(family: CorrelatorFamily, state) -> bool:
-    """True iff every member expectation exceeds SIGN_MARGIN."""
+    """True iff every member expectation exceeds SIGN_MARGIN, which no pure
+    state product across the family's cut does (Prop 2)."""
     return family_positive(member_expectations([family], state)[0])
 
 

@@ -186,8 +186,8 @@ def certified_max(op: HermitianOperator, cert: MaxCertificate) -> Fraction:
     """The upper bound shift + factor*overlap that `cert` proves on <op>
     over biseparable states, after checking both of its conditions exactly:
 
-    - shift*1 - C + factor*|t><t|/<t|t> >= 0, with C = op.matrix read as
-      Gaussian integers R over a power of two s (`_gaussian_integers`);
+    - shift*1 - C + factor*|t><t|/<t|t> >= 0, with C = R/s the exact form
+      of `op` (`HermitianOperator.exact`);
     - overlap*<t|t>*1 - M M^T >= 0 on every cut, with M the target t
       reshaped to (smaller side, larger side).
 
@@ -195,14 +195,16 @@ def certified_max(op: HermitianOperator, cert: MaxCertificate) -> Fraction:
     an integer matrix: the first times the denominators of shift and
     factor, s and <t|t>, in int64 (a product outside its range raises
     `ArithmeticError`), the second times the denominator of overlap, in
-    Python ints.  A failed condition, or an operator with no integer form,
+    Python ints.  A failed condition, or an operator known only as floats,
     raises `ArithmeticError`.
     """
     dims = op.structure.dims
     target = cert.target
     if len(target) != op.structure.dim:
         raise ValueError(f"certificate target has length {len(target)}, operator needs {op.structure.dim}")
-    re, im, scale = _gaussian_integers(op.matrix)
+    if op.exact is None:
+        raise ArithmeticError("the operator has no exact form to certify")
+    re, im, scale = op.exact
     norm = sum(a * a for a in target)
     shift_num, shift_den = cert.shift.as_integer_ratio()
     factor_num, factor_den = cert.factor.as_integer_ratio()
@@ -234,26 +236,6 @@ def certified_max(op: HermitianOperator, cert: MaxCertificate) -> Fraction:
                 f"a state product across cut {cut} overlaps the target by more than {cert.overlap}"
             )
     return cert.shift + cert.factor * cert.overlap
-
-
-def _gaussian_integers(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(re, im, scale) with matrix = (re + i*im) / scale, re and im int64
-    arrays and scale the least power of two that makes every entry a
-    Gaussian integer.  Doubling a float is exact, so the form is exact.  A
-    matrix that is not finite or not exactly Hermitian, or whose doublings
-    leave the int64 range before every entry is an integer, raises
-    `ArithmeticError`."""
-    # real and imaginary parts side by side: column 2k + 1 holds column k's imaginary part
-    parts = np.ascontiguousarray(matrix, dtype=np.complex128).view(np.float64)
-    if not (np.isfinite(parts).all() and (matrix == matrix.conj().T).all()):
-        raise ArithmeticError("matrix is not finite and exactly Hermitian")
-    top, scale = np.abs(parts).max(), 1
-    while top < 2.0**63:
-        if (parts == np.rint(parts)).all():
-            ints = parts.astype(np.int64)
-            return ints[:, 0::2], ints[:, 1::2], scale
-        parts, top, scale = parts * 2.0, top * 2.0, scale * 2
-    raise ArithmeticError("matrix has no int64 Gaussian-integer form over a power of two")
 
 
 def _exact_psd(re: np.ndarray, im: np.ndarray) -> bool:
@@ -479,10 +461,8 @@ def biseparable_max(
     """Lower bound on max <a x b|op|a x b> over all bipartitions, by alternating
     top-eigenvector updates of the operator contracted against the other side.
 
-    Each cut runs all its restarts as one stack (see `_seesaw_cut`), and each
-    side's eigensolves run block by block where the exact zeros of `op`
-    make that side's matrices block diagonal; 2 x 2 blocks are solved in
-    closed form, so C_phi's search calls no eigensolver at all.  A restart
+    Each cut runs all its restarts as one stack, and its eigensolves block
+    by block over the exact zeros of `op` (see `_seesaw_cut`).  A restart
     stops in the alternation whose side-a solve moves its value by less than
     `SEESAW_STOP_TOL`, keeping the value and state of the alternation
     before, or after `iters` alternations.  Among the restarts within

@@ -21,7 +21,7 @@ from qcorr import (
     schmidt_max_sq,
     spectral_norm,
 )
-from qcorr.core import cut_axes
+from qcorr.core import _divided, cut_axes
 
 Q1 = PartyStructure((2,))
 
@@ -96,6 +96,28 @@ def test_non_finite_entries_are_refused_before_any_arithmetic(make, entries):
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), Q1)
+
+
+def test_hermitian_operator_keeps_an_exact_form_that_its_matrix_equals_bit_for_bit():
+    re, im = np.array([[2, 1], [1, -5]]), np.array([[0, -1], [1, 0]])
+    op = HermitianOperator(_divided(re, im, 3), Q1, (re, im, 3))
+    assert op.exact[2] == 3 and np.array_equal(op.exact[0], re) and np.array_equal(op.exact[1], im)
+    assert not op.exact[0].flags.writeable and not op.exact[1].flags.writeable
+    assert HermitianOperator(np.eye(2), Q1).exact is None
+    # a matrix one bit off, or of another form, is refused
+    close = np.array(op.matrix)
+    close[0, 0] = np.nextafter(close[0, 0].real, 1.0)
+    for matrix in (close, _divided(re + np.eye(2, dtype=np.int64), im, 3)):
+        with pytest.raises(ValueError, match="differs from its exact form"):
+            HermitianOperator(matrix, Q1, (re, im, 3))
+    for exact, message in (
+        ((re.astype(float), im, 3), "int64"),
+        ((re, im, 0), "positive denominator"),
+        ((re, np.array([[1, -1], [1, 0]]), 3), "Hermitian"),
+        ((np.array([[2, 1], [0, -5]]), im, 3), "Hermitian"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            HermitianOperator(op.matrix, Q1, exact)
 
 
 def test_expectation_of_identity():

@@ -548,6 +548,40 @@ def test_prop2_single_family_long_run():
     assert count_prop2_violations(family, trials=500, seed=77) == 0
 
 
+def _dephased_mixture(state, bases):
+    """The average over `bases` of `state` dephased in the product basis of
+    each: a mixture of product basis states, so fully separable."""
+    rho = 0
+    for basis in bases:
+        unitary = functools.reduce(np.kron, [basis._vectors] * len(state.structure.dims))
+        probs = np.abs(unitary.conj().T @ state.amplitudes) ** 2
+        rho = rho + (unitary * probs) @ unitary.conj().T
+    return DensityMatrix(rho / len(bases), state.structure)
+
+
+@pytest.mark.parametrize(
+    "state, kinds, records, least, build, value",
+    [
+        (lambda: ghz4(math.pi / 4, 0.0), ("z2", "x2"), lambda: correlators._ghz_records(4, 2), 1 / 4, build_C_phi, 11 / 2),
+        (ghz_4x3, ("z4", "fourier4"), lambda: correlators._ghz_records(3, 4), 1 / 8, build_C_ghz4x3, 135 / 4),
+        (singlet4, ("z2", "x2", "y2"), correlators._singlet_records, 1 / 18, build_C_psi, 44 / 3),
+    ],
+    ids=["ghz4", "ghz4x3", "singlet"],
+)
+def test_sign_propositions_do_not_hold_for_separable_mixtures(state, kinds, records, least, build, value):
+    # Props 1 and 2 are about pure states product across the cut: each of
+    # these fully separable mixtures reads positive on every member of every
+    # record, yet no witness fires on it
+    bases = [LocalBasis(kind[:-1], int(kind[-1])) for kind in kinds]
+    rho = _dephased_mixture(state(), bases)
+    values = correlators.member_expectations(records(), rho)
+    assert all(prop2_test(record, rho) for record in records())
+    assert all(prop1_test(record, rho) for record in records() if type(record) is CorrelatorPair)
+    assert abs(min(float(v.min()) for v in values) - least) <= 1e-12
+    assert abs(expectation(build(), rho) - value) <= 1e-12
+    assert value < {build_C_phi: 7, build_C_psi: 36, build_C_ghz4x3: 81 / 2}[build]
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_sign_suites_reject_empty_runs(trials):
     with pytest.raises(ValueError, match="at least one trial"):
@@ -1033,6 +1067,33 @@ def test_operator_is_exact_and_equals_the_float_product(basis, scale, parties):
 
 
 @pytest.mark.parametrize(
+    "build, den", [(build_C_phi, 1), (build_C_psi, 1), (build_C_ghz4x3, 2)], ids=["phi", "psi", "ghz4x3"]
+)
+def test_combined_operators_carry_their_least_exact_forms(build, den):
+    re, im, form_den = build().exact
+    assert form_den == den and re.dtype == im.dtype == np.int64
+    # least: no common factor is left between the denominator and the numerators
+    assert math.gcd(den, *re.ravel().tolist(), *im.ravel().tolist()) == 1
+    assert np.array_equal(build().matrix.view(np.int64), core._divided(re, im, den).view(np.int64))
+
+
+def test_operator_refuses_a_numerator_past_the_float_range():
+    table = np.zeros((2, 2), dtype=np.int64)
+    table[0, 0], table[1, 1] = 2**52, 2**52 + 1
+    with pytest.raises(ArithmeticError, match="floats hold exactly"):
+        correlators._operator(LocalBasis("x", 2), table)
+    table[1, 1] -= 1
+    assert correlators._operator(LocalBasis("x", 2), table).exact[0][0, 0] == 2**53
+
+
+def test_combined_operator_refuses_a_numerator_past_the_float_range():
+    weight = sum(correlators._grid(QUBIT4.dims))
+    forms = {correlators._Z2: (2**50, 8 * ((weight == 0) | (weight == 4)) - 1), correlators._X2: (1, 4 * (-1) ** weight)}
+    with pytest.raises(ArithmeticError, match="floats hold exactly"):
+        correlators._combined("C", correlators._ghz_records(4, 2), (1,), forms)
+
+
+@pytest.mark.parametrize(
     "basis",
     [LocalBasis("fourier", 3), LocalBasis("fourier", 5)],
     ids=["fourier3", "fourier5"],
@@ -1190,6 +1251,9 @@ def test_shared_arrays_cannot_be_made_writable():
         "record tables": ghz4_z_pairs()[0].tables,
         "family tables": all_ghz4x3_families()[0].tables,
         "C_phi": build_C_phi().matrix,
+        "C_phi numerator": build_C_phi().exact[0],
+        "C_ghz4x3 numerator": build_C_ghz4x3().exact[1],
+        "_operator numerator": correlators._operator(LocalBasis("y", 2), np.eye(2, dtype=np.int64)).exact[1],
         "HermitianOperator": HermitianOperator(np.eye(4), PartyStructure((2, 2))).matrix,
         "basis vectors": LocalBasis("fourier", 4)._vectors,
         "_real_form": correlators._real_form(LocalBasis("y", 2), 2),

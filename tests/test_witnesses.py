@@ -32,7 +32,7 @@ from qcorr import (
     spectral_norm,
     verify_dominance,
 )
-from qcorr import witnesses
+from qcorr import core, correlators, witnesses
 from qcorr.states import QUBIT4
 from qcorr.witnesses import (
     GHZ4_CASES,
@@ -762,29 +762,38 @@ def test_phi_certificate_fails_when_tightened(changes):
         certified_max(build_C_phi(), replace(GHZ4_CERTIFICATE, **changes))
 
 
+def _exact_operator(re, im, den, structure):
+    return HermitianOperator(core._divided(re, im, den), structure, (re, im, den))
+
+
 @pytest.mark.parametrize("index", [0, 5, 15])
 def test_phi_certificate_fails_on_an_entry_changed_by_one(index):
-    matrix = np.array(build_C_phi().matrix)
-    matrix[index, index] += 1
+    # the numerator changes by the denominator, so the entry changes by 1
+    re, im, den = build_C_phi().exact
+    re = re.copy()
+    re[index, index] += den
     with pytest.raises(ArithmeticError, match="not positive semidefinite"):
-        certified_max(HermitianOperator(matrix, QUBIT4), GHZ4_CERTIFICATE)
+        certified_max(_exact_operator(re, im, den, QUBIT4), GHZ4_CERTIFICATE)
 
 
 def test_certificate_refuses_operators_without_an_integer_form():
-    # one entry needs a scale of 2^80, the other is past int64 already
+    # float-only operators: one entry needs a scale of 2^80, one is past
+    # int64, one is Hermitian to the operator's tolerance only, and one is
+    # C_phi's own matrix without its exact form
+    matrices = []
     for entry in (math.ldexp(1.0, -80), 2.0**63):
-        matrix = np.array(build_C_phi().matrix)
-        matrix[3, 3] = entry
-        with pytest.raises(ArithmeticError, match="int64"):
+        matrices.append(np.array(build_C_phi().matrix))
+        matrices[-1][3, 3] = entry
+    matrices.append(np.array(build_C_phi().matrix))
+    matrices[-1][1, 14] += 1e-13
+    matrices.append(build_C_phi().matrix)
+    for matrix in matrices:
+        with pytest.raises(ArithmeticError, match="no exact form"):
             certified_max(HermitianOperator(matrix, QUBIT4), GHZ4_CERTIFICATE)
     # the scaled difference would leave int64
     huge = replace(GHZ4_CERTIFICATE, target=(2**40,) + (0,) * 14 + (2**40,))
     with pytest.raises(ArithmeticError, match="int64"):
         certified_max(build_C_phi(), huge)
-    matrix = np.array(build_C_phi().matrix)
-    matrix[1, 14] += 1e-13  # Hermitian to the operator's tolerance, not exactly
-    with pytest.raises(ArithmeticError, match="exactly Hermitian"):
-        certified_max(HermitianOperator(matrix, QUBIT4), GHZ4_CERTIFICATE)
 
 
 def test_certificate_refuses_bad_data():
@@ -819,6 +828,91 @@ def test_ghz4x3_certificate_is_exactly_forty_and_a_half(monkeypatch):
             certified_max(build_C_ghz4x3(), replace(cert, **changes))
     with pytest.raises(ArithmeticError, match="overlaps"):
         certified_max(build_C_ghz4x3(), replace(cert, overlap=Fraction(1, 4) - Fraction(1, 1000)))
+
+
+def _third_of_c_phi():
+    # C_phi's own records and closed tables, each setting scaled by 1/3
+    weight = sum(correlators._grid(QUBIT4.dims))
+    third = Fraction(1, 3)
+    forms = {
+        correlators._Z2: (third, 8 * ((weight == 0) | (weight == 4)) - 1),
+        correlators._X2: (third, 4 * (-1) ** weight),
+    }
+    return correlators._combined("C_phi/3", correlators._ghz_records(4, 2), (1,), forms)
+
+
+def test_a_third_of_c_phi_certifies_exactly_at_seven_thirds():
+    op = _third_of_c_phi()
+    re, im, den = op.exact
+    assert den == 3 and np.array_equal(re, build_C_phi().exact[0]) and not im.any()
+    # each part is divided once: a complex division by 3 may round differently
+    assert np.array_equal(op.matrix.real, build_C_phi().matrix.real / 3) and not op.matrix.imag.any()
+    cert = MaxCertificate(1, Fraction(8, 3), GHZ4_CERTIFICATE.target, Fraction(1, 2))
+    bound = certified_max(op, cert)
+    assert type(bound) is Fraction and bound == Fraction(7, 3)
+    for changes in ({"shift": 1 - Fraction(1, 1000)}, {"factor": Fraction(8, 3) - Fraction(1, 1000)}):
+        with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+            certified_max(op, replace(cert, **changes))
+    # the rounded float matrix alone is not the operator, and is refused
+    with pytest.raises(ArithmeticError, match="no exact form"):
+        certified_max(HermitianOperator(op.matrix, QUBIT4), cert)
+
+
+def _exact_expectation(op, u):
+    """<u|C|u>/<u|u> for an integer vector u, in Fractions from the exact
+    form; u is real and the form's imaginary part antisymmetric, so only the
+    real part counts."""
+    re, im, den = op.exact
+    assert np.array_equal(im, -im.T)
+    rows = re.tolist()
+    value = sum(a * rows[i][j] * b for i, a in enumerate(u) if a for j, b in enumerate(u) if b)
+    return Fraction(value, den * sum(a * a for a in u))
+
+
+def test_product_states_attain_the_certified_maxima():
+    assert _exact_expectation(build_C_phi(), [1] + [0] * 15) == 7
+    assert _exact_expectation(build_C_ghz4x3(), [1] + [0] * 63) == Fraction(81, 2)
+    # psi- on parties (1, 3) times psi- on (2, 4): |0011> + |1100> - |0110> - |1001>
+    psi_minus = np.array([[0, 1], [-1, 0]])
+    u = np.einsum("ac,bd->abcd", psi_minus, psi_minus).reshape(-1).tolist()
+    assert u == [int(k in (0b0011, 0b1100)) - int(k in (0b0110, 0b1001)) for k in range(16)]
+    assert _exact_expectation(build_C_psi(), u) == 36
+
+
+def _dominance_holds(op, alpha, gamma, alpha_p, t):
+    """alpha*1 - C - gamma*(alpha_p*1 - |t><t|/<t|t>) >= 0, exactly: times the
+    least common denominator D of its three terms it is the integer matrix
+    D*shift*1 - (D/den)*(re + i*im) + D*per_t*t t^T, tested by `_exact_psd`."""
+    re, im, den = op.exact
+    shift, per_t = alpha - gamma * alpha_p, Fraction(gamma) / sum(a * a for a in t)
+    scale = math.lcm(shift.denominator, den, per_t.denominator)
+    vec = np.array(t, dtype=np.int64)
+    diff = int(scale * per_t) * np.outer(vec, vec) - (scale // den) * re
+    diff[np.diag_indices(len(vec))] += int(scale * shift)
+    return witnesses._exact_psd(diff, -(scale // den) * im)
+
+
+_SINGLET_T = [2 * int(k in (0b0011, 0b1100)) - int(k in (0b0101, 0b0110, 0b1001, 0b1010)) for k in range(16)]
+_GHZ4X3_T = [int(k in (0, 21, 42, 63)) for k in range(64)]
+
+
+@pytest.mark.parametrize(
+    "build, alpha, gamma, alpha_p, t, target",
+    [
+        (build_C_psi, Fraction(73, 2), SINGLET_GAMMA, Fraction(3, 4), _SINGLET_T, singlet4),
+        (build_C_ghz4x3, Fraction(81, 2), GHZ4X3_GAMMA, Fraction(1, 4), _GHZ4X3_T, ghz_4x3),
+    ],
+    ids=["singlet", "ghz4x3"],
+)
+def test_tight_dominance_checks_hold_exactly(build, alpha, gamma, alpha_p, t, target):
+    # the reports' float checks of these read -1.63e-14 and -1.51e-14
+    assert alpha == Fraction(SINGLET_ALPHA if build is build_C_psi else GHZ4X3_ALPHA)
+    gamma = Fraction(gamma)
+    state = target()
+    assert np.max(np.abs(state.amplitudes - np.array(t) / math.sqrt(sum(a * a for a in t)))) <= 1e-15
+    assert abs(projector_witness(state).alpha_p - alpha_p) <= 1e-12
+    assert _dominance_holds(build(), alpha, gamma, alpha_p, t)
+    assert not _dominance_holds(build(), alpha, gamma + Fraction(1, 1000), alpha_p, t)
 
 
 def _exact(rows):
