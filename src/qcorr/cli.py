@@ -245,30 +245,22 @@ def run_proptest(args) -> Report:
     return report
 
 
-def _tolerance(text: str) -> float:
-    """A finite, non-negative float; anything else is a usage error naming the flag."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
+def _checked(convert, ok, expected: str):
+    """An option type: `convert(text)` where `ok` holds of it; anything else
+    is a usage error naming the flag, "expected <expected>, got <text>"."""
+
+    def check(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
         import argparse
 
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
-
-def _seed(text: str) -> int:
-    """A non-negative integer; anything else is a usage error naming the flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        import argparse
-
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    return check
 
 
 def _option(*flags, **kwargs) -> tuple:
@@ -277,10 +269,13 @@ def _option(*flags, **kwargs) -> tuple:
 
 
 _FORMAT = _option("--format", choices=("text", "json", "csv"), default="text")
-_SEED = _option("--seed", type=_seed, default=1234, help="seed for randomized procedures")
+_SEED = _option(
+    "--seed", type=_checked(int, lambda v: v >= 0, "a non-negative integer"), default=1234,
+    help="seed for randomized procedures",
+)
 _TOL = _option(
     "--tol",
-    type=_tolerance,
+    type=_checked(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite non-negative number"),
     default=None,
     help="absolute tolerance of the dominance eigenvalue check "
     "(default: 1e-8 times the witness's spectral norm)",

@@ -219,21 +219,20 @@ def _integer_form(basis: LocalBasis) -> tuple[np.ndarray, int]:
     return _frozen(form), scale
 
 
-def _operator(basis: LocalBasis, table: np.ndarray) -> HermitianOperator:
+def _operator(basis: LocalBasis, table: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """U diag(table) U^dagger, U `basis` on every party (the product basis
-    projectors weighted by `table`), with its exact form: the numerator
-    W diag(table) W^H, W the basis's Gaussian-integer form on each of the n
-    parties (`_integer_form`), over s^n.  W's entries are 0 or units, so
-    every product and partial sum of the numerator has parts at most
-    sum |table|, held exactly up to 2^53; a larger table raises
-    `ArithmeticError`."""
+    projectors weighted by `table`), as its exact form (re, im, den): the
+    int64 numerator W diag(table) W^H, W the basis's Gaussian-integer form
+    on each of the n parties (`_integer_form`), over den = s^n.  W's entries
+    are 0 or units, so every product and partial sum of the numerator has
+    parts at most sum |table|, held exactly up to 2^53; a larger table
+    raises `ArithmeticError`."""
     form, scale = _integer_form(basis)
     if sum(map(abs, table.ravel().tolist())) > 2**53:
         raise ArithmeticError("the operator's numerator leaves the range floats hold exactly")
     power = _power(form, table.ndim)
     numerator = (power * table.reshape(-1)) @ power.conj().T
-    exact = numerator.real.astype(np.int64), numerator.imag.astype(np.int64), scale**table.ndim
-    return HermitianOperator(core._divided(*exact), PartyStructure(table.shape), exact)
+    return numerator.real.astype(np.int64), numerator.imag.astype(np.int64), scale**table.ndim
 
 
 @lru_cache(maxsize=None)
@@ -273,9 +272,10 @@ def _combined(name: str, records, weights, forms: dict) -> HermitianOperator:
     """Sum over the settings of `forms` ({setting: (scale, closed table)}) of
     scale times the operator of the setting's table: the member tables of
     its `records`, record i weighted by weights[i % len(weights)], summed
-    exactly and checked against the closed table on every build.  The exact
-    form adds the `Fraction` scales over one common denominator reduced by
-    the gcd; a numerator past 2^53 raises `ArithmeticError`."""
+    exactly and checked against the closed table on every build.  The
+    settings' exact forms (`_operator`) add with their `Fraction` scales over
+    one common denominator reduced by the gcd, into the build's one
+    `HermitianOperator`; a numerator past 2^53 raises `ArithmeticError`."""
     sums = dict.fromkeys(forms, 0)
     for weight, record in zip(itertools.cycle(weights), records):
         sums[record.setting] = sums[record.setting] + weight * record.tables.sum(axis=0)
@@ -284,7 +284,7 @@ def _combined(name: str, records, weights, forms: dict) -> HermitianOperator:
         if not np.array_equal(sums[setting], closed):
             miss = np.max(np.abs(sums[setting] - closed))
             raise ArithmeticError(f"{name} {setting.kind} table misses its closed form by {miss}")
-        re, im, den = _operator(setting, sums[setting]).exact
+        re, im, den = _operator(setting, sums[setting])
         parts.append((Fraction(scale) / den, np.stack([re, im])))
     den = math.lcm(*(scale.denominator for scale, _ in parts))
     parts = [(int(scale * den), num) for scale, num in parts]

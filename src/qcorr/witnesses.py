@@ -193,10 +193,9 @@ def certified_max(op: HermitianOperator, cert: MaxCertificate) -> Fraction:
 
     Each test runs on that matrix times a positive integer, which makes it
     an integer matrix: the first times the denominators of shift and
-    factor, s and <t|t>, in int64 (a product outside its range raises
-    `ArithmeticError`), the second times the denominator of overlap, in
-    Python ints.  A failed condition, or an operator known only as floats,
-    raises `ArithmeticError`.
+    factor, s and <t|t>, the second times the denominator of overlap.  Both
+    run in Python ints, so no entry is too large.  A failed condition, or an
+    operator known only as floats, raises `ArithmeticError`.
     """
     dims = op.structure.dims
     target = cert.target
@@ -212,13 +211,10 @@ def certified_max(op: HermitianOperator, cert: MaxCertificate) -> Fraction:
     one = scale * factor_den * norm * shift_num
     per_op = shift_den * factor_den * norm
     per_t = shift_den * scale * factor_num
-    peak = max(int(np.abs(re).max()), int(np.abs(im).max()))
-    if abs(one) + per_op * (peak + 1) + per_t * (max(map(abs, target)) ** 2 + 1) >= 2**63:
-        raise ArithmeticError("the certificate's integer matrix leaves the int64 range")
-    vec = np.array(target, dtype=np.int64)
-    diff = per_t * np.outer(vec, vec) - per_op * re
+    vec = np.array(target, dtype=object)
+    diff = per_t * np.outer(vec, vec) - per_op * re.astype(object)
     diff[np.diag_indices(len(diff))] += one
-    if not _exact_psd(diff, -per_op * im):
+    if not _exact_psd(diff, -per_op * im.astype(object)):
         raise ArithmeticError(
             f"{cert.shift}*1 - C + {cert.factor}*|t><t|/<t|t> is not positive semidefinite"
         )

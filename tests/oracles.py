@@ -11,6 +11,8 @@ needs as whole tables and sums; `lhv_value` scores one deterministic
 assignment term by term, apart from the library's `RESIDUES`.
 `principal_minors_psd` decides semidefiniteness by the definition the
 library's fraction-free LDL^T avoids: every principal minor non-negative.
+`exact_operator` and `dense_members` build checked operators from exact
+forms, which the library builds only for its combined witnesses.
 """
 
 import itertools
@@ -19,8 +21,24 @@ from fractions import Fraction
 
 import numpy as np
 
+from qcorr import core, correlators
 from qcorr.bell import RESIDUES, LhvAssignment, MeasurementSetting, joint_prob, setting_basis
+from qcorr.core import HermitianOperator, PartyStructure
 from qcorr.correlators import DERANGEMENTS_4
+
+
+def exact_operator(re, im, den, structure) -> HermitianOperator:
+    """The checked operator (re + i*im) / den, carrying that exact form."""
+    return HermitianOperator(core._divided(re, im, den), structure, (re, im, den))
+
+
+def dense_members(record) -> tuple[HermitianOperator, ...]:
+    """Each member of `record` as its dense operator U diag(t) U^dagger, from
+    the exact form `correlators._operator` returns."""
+    return tuple(
+        exact_operator(*correlators._operator(record.setting, table), PartyStructure(table.shape))
+        for table in record.tables
+    )
 
 
 def basis_vector(basis, level: int) -> np.ndarray:

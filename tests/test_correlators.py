@@ -54,16 +54,12 @@ from oracles import (
     basis_exchange,
     basis_projector,
     basis_vector,
+    dense_members,
     ghz_record_oracle,
     singlet_record_oracle,
 )
 
 GHZ_ANGLES = ((math.pi / 4, math.pi / 6), (math.pi / 4.9, 0.0), (math.pi / 3.7, math.pi / 9))
-
-
-def _dense(record):
-    """Each member of `record` as its dense operator U diag(t) U^dagger."""
-    return tuple(correlators._operator(record.setting, table) for table in record.tables)
 
 
 def _ghz(label):
@@ -148,7 +144,7 @@ def test_ghz_records_match_the_paper_member_definitions():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ghz4_party_z_expectations(n):
-    c0, c1 = _dense(_ghz(f"ghz4.z.n{n}"))
+    c0, c1 = dense_members(_ghz(f"ghz4.z.n{n}"))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
         assert abs(expectation(c0, state) - math.cos(theta) ** 2) < 1e-12
@@ -159,16 +155,16 @@ def test_ghz4_party_z_matrix():
     expected = np.zeros((16, 16))
     expected[0, 0] = 1.0
     expected[8, 8] = -1.0
-    assert np.allclose(_dense(_ghz("ghz4.z.n1"))[0].matrix, expected)
+    assert np.allclose(dense_members(_ghz("ghz4.z.n1"))[0].matrix, expected)
 
 
 def test_ghz4_party_z_on_all_ones():
-    assert expectation(_dense(_ghz("ghz4.z.n2"))[0], _basis_state(QUBIT4, 15)) == 0.0
+    assert expectation(dense_members(_ghz("ghz4.z.n2"))[0], _basis_state(QUBIT4, 15)) == 0.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_ghz4_pair_z_expectations(m):
-    c0, c1 = _dense(_ghz(f"ghz4.z.n1m{m}"))
+    c0, c1 = dense_members(_ghz(f"ghz4.z.n1m{m}"))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
         assert abs(expectation(c0, state) - math.cos(theta) ** 2) < 1e-12
@@ -178,7 +174,7 @@ def test_ghz4_pair_z_expectations(m):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ghz4_party_x_expectations(n):
-    c0, c1 = _dense(_ghz(f"ghz4.x.n{n}"))
+    c0, c1 = dense_members(_ghz(f"ghz4.x.n{n}"))
     for theta, phi in GHZ_ANGLES:
         state = ghz4(theta, phi)
         expected = math.sin(2 * theta) * math.cos(phi) / 2
@@ -192,14 +188,14 @@ def test_ghz4_party_x_vanishes_at_quarter_phase():
     amps[0] = math.cos(math.pi / 4)
     amps[15] = 1j * math.sin(math.pi / 4)
     state = PureState(amps, QUBIT4)
-    c0, c1 = _dense(_ghz("ghz4.x.n1"))
+    c0, c1 = dense_members(_ghz("ghz4.x.n1"))
     assert abs(expectation(c0, state)) < 1e-12
     assert abs(expectation(c1, state)) < 1e-12
 
 
 def test_ghz4_party_z_sign_rule_on_products():
     pair = _ghz("ghz4.z.n1")
-    c0, c1 = _dense(pair)
+    c0, c1 = dense_members(pair)
     rng = np.random.default_rng(101)
     for _ in range(500):
         state = random_product_state(QUBIT4, pair.cut, rng)
@@ -214,7 +210,7 @@ def test_ghz4_all_pairs_sign_rule():
 def test_z_sum_closed_form():
     total = np.zeros((16, 16), dtype=complex)
     for pair in ghz4_z_pairs():
-        total += sum(op.matrix for op in _dense(pair))
+        total += sum(op.matrix for op in dense_members(pair))
     closed = -np.eye(16, dtype=complex)
     closed[0, 0] += 8.0
     closed[15, 15] += 8.0
@@ -224,7 +220,7 @@ def test_z_sum_closed_form():
 def test_x_sum_closed_form():
     total = np.zeros((16, 16), dtype=complex)
     for pair in ghz4_x_pairs():
-        total += sum(op.matrix for op in _dense(pair))
+        total += sum(op.matrix for op in dense_members(pair))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     closed = 4.0 * np.kron(np.kron(sx, sx), np.kron(sx, sx))
     assert np.max(np.abs(total - closed)) <= 1e-12
@@ -252,7 +248,7 @@ def _singlet_weighted_members():
         pairs = singlet_correlators(kind)
         for weight, group in ((5.0, pairs[:4]), (1.0, pairs[4:])):
             for pair in group:
-                for op in _dense(pair):
+                for op in dense_members(pair):
                     yield weight, op
 
 
@@ -260,7 +256,7 @@ def _singlet_weighted_members():
 COMBINED = {
     "C_phi": (
         build_C_phi,
-        lambda: ((1.0, op) for p in ghz4_z_pairs() + ghz4_x_pairs() for op in _dense(p)),
+        lambda: ((1.0, op) for p in ghz4_z_pairs() + ghz4_x_pairs() for op in dense_members(p)),
         lambda: _projector_sum("z", QUBIT4, lambda s: 8 * (len(set(s)) == 1) - 1)
         + _projector_sum("x", QUBIT4, lambda s: 4 * (-1) ** sum(s)),
     ),
@@ -272,7 +268,7 @@ COMBINED = {
     "C_ghz4x3": (
         build_C_ghz4x3,
         lambda: (
-            (1.5 if f.setting.kind == "z" else 1.0, op) for f in all_ghz4x3_families() for op in _dense(f)
+            (1.5 if f.setting.kind == "z" else 1.0, op) for f in all_ghz4x3_families() for op in dense_members(f)
         ),
         lambda: 1.5 * _projector_sum("z", QUDIT4X3, lambda s: {1: 27, 2: -3, 3: 0}[len(set(s))])
         + _projector_sum("fourier", QUDIT4X3, lambda s: 36 * (sum(s) % 4 == 0) - 9),
@@ -368,10 +364,10 @@ def test_singlet_correlator_values(kind):
     pairs = singlet_correlators(kind)
     assert len(pairs) == 8
     for pair in pairs[:4]:
-        for op in _dense(pair):
+        for op in dense_members(pair):
             assert abs(expectation(op, state) - 1 / 3) < 1e-10
     for pair in pairs[4:]:
-        for op in _dense(pair):
+        for op in dense_members(pair):
             assert abs(expectation(op, state) - 1 / 6) < 1e-10
 
 
@@ -379,7 +375,7 @@ def test_singlet_flip_pair_matrix():
     expected = np.zeros((16, 16))
     expected[0b0011, 0b0011] = 1.0
     expected[0b1011, 0b1011] = -1.0
-    assert np.allclose(_dense(singlet_correlators("z")[0])[0].matrix, expected)
+    assert np.allclose(dense_members(singlet_correlators("z")[0])[0].matrix, expected)
 
 
 #: The singlet's pair labels of one setting, in the order `cli.run_singlet`
@@ -445,7 +441,7 @@ def test_ghz4x3_family_values(kind, n):
     state = ghz_4x3()
     for j in range(1, 10):
         family = ghz4x3_correlators(kind, n, j)
-        members = _dense(family)
+        members = dense_members(family)
         assert len(members) == 4
         for member in members:
             assert abs(expectation(member, state) - 0.25) < 1e-10
@@ -453,7 +449,7 @@ def test_ghz4x3_family_values(kind, n):
 
 def test_ghz4x3_cyclic_shift_family_explicit():
     # the cyclic shift k -> k+1 mod 4 sits at lexicographic index j=2
-    members = _dense(ghz4x3_correlators("z", 1, 2))
+    members = dense_members(ghz4x3_correlators("z", 1, 2))
     eye = np.eye(4, dtype=complex)
     for k in range(4):
         proj = lambda level: np.outer(eye[level], eye[level])  # noqa: E731
@@ -471,7 +467,7 @@ def test_ghz4x3_cyclic_shift_fourier_family_explicit():
         2: ((0, 2), (1, 1), (2, 0), (3, 3)),
         3: ((0, 1), (1, 0), (2, 3), (3, 2)),
     }
-    members = _dense(ghz4x3_correlators("f", 1, 2))
+    members = dense_members(ghz4x3_correlators("f", 1, 2))
     for k in range(4):
         pair_sum = sum(np.kron(proj(l), proj(r)) for l, r in listed_pairs[k])
         expected = np.kron(proj(k) - proj((k + 1) % 4), pair_sum)
@@ -595,7 +591,7 @@ def test_product_of_members_never_all_positive_manually():
     rng = np.random.default_rng(55)
     for _ in range(50):
         state = random_product_state(QUDIT4X3, family.cut, rng)
-        values = [expectation(m, state) for m in _dense(family)]
+        values = [expectation(m, state) for m in dense_members(family)]
         assert min(values) <= 1e-12
 
 
@@ -766,11 +762,11 @@ def test_batched_counts_match_scalar_loop():
     nonzero = 0
     for seed in range(10):
         for i, pair in enumerate(pairs):
-            expected = _reference_count(_dense(pair), pair.cut, trials, 31 * seed + i, _pair_violated)
+            expected = _reference_count(dense_members(pair), pair.cut, trials, 31 * seed + i, _pair_violated)
             assert count_prop1_violations(pair, trials, 31 * seed + i) == expected, pair.label
             nonzero += expected > 0
         for i, family in enumerate(families):
-            expected = _reference_count(_dense(family), family.cut, trials, 97 * seed + i, _family_violated)
+            expected = _reference_count(dense_members(family), family.cut, trials, 97 * seed + i, _family_violated)
             assert count_prop2_violations(family, trials, 97 * seed + i) == expected, family.label
             nonzero += expected > 0
     # the flipped variants make the comparison more than 0 == 0
@@ -834,7 +830,7 @@ def test_batch_runs_the_scalar_checks(monkeypatch):
     state = random_product_state(QUDIT4X3, family.cut, np.random.default_rng(1))
     monkeypatch.setattr(core, "IMAG_TOL", -1.0)
     with pytest.raises(ValueError, match="imaginary residue"):
-        expectation(_dense(family)[0], state)
+        expectation(dense_members(family)[0], state)
     monkeypatch.setattr(core, "STRUCTURAL_TOL", -1.0)
     with pytest.raises(ValueError, match="norm"):
         random_product_states(QUDIT4X3, (1,), 3, np.random.default_rng(1))
@@ -889,7 +885,7 @@ def test_table_expectations_equal_dense_expectations():
     checked = 0
     for records, states in ((pairs, qubit_states), (families, qudit_states)):
         for record in records:
-            dense = _dense(record)
+            dense = dense_members(record)
             for state in states:
                 values = correlators.member_expectations([record], state)[0]
                 reference = [expectation(op, state) for op in dense]
@@ -1060,7 +1056,7 @@ def test_operator_is_exact_and_equals_the_float_product(basis, scale, parties):
     rng = np.random.default_rng(parties)
     table = rng.integers(-40, 41, size=(basis.dimension,) * parties)
     unitary = functools.reduce(np.kron, [basis._vectors] * parties)
-    dense = correlators._operator(basis, table).matrix
+    dense = core._divided(*correlators._operator(basis, table))
     assert np.max(np.abs(dense - (unitary * table.reshape(-1)) @ unitary.conj().T)) <= 1e-12
     assert _gaussian_integer(scale**parties * dense)
     assert np.array_equal(dense, dense.conj().T)
@@ -1077,13 +1073,33 @@ def test_combined_operators_carry_their_least_exact_forms(build, den):
     assert np.array_equal(build().matrix.view(np.int64), core._divided(re, im, den).view(np.int64))
 
 
+def test_each_combined_build_constructs_one_operator(monkeypatch):
+    built = []
+    init = HermitianOperator.__init__
+
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HermitianOperator, "__init__", spy_init)
+    for build in (build_C_phi, build_C_psi, build_C_ghz4x3):
+        built.clear()
+        op = build.__wrapped__()
+        assert len(built) == 1 and built[0] is op, build.__name__
+    # a setting's operator is its exact form only: no operator is built
+    built.clear()
+    re, im, den = correlators._operator(LocalBasis("y", 2), np.eye(2, dtype=np.int64))
+    assert built == []
+    assert type(re) is type(im) is np.ndarray and re.dtype == im.dtype == np.int64 and type(den) is int
+
+
 def test_operator_refuses_a_numerator_past_the_float_range():
     table = np.zeros((2, 2), dtype=np.int64)
     table[0, 0], table[1, 1] = 2**52, 2**52 + 1
     with pytest.raises(ArithmeticError, match="floats hold exactly"):
         correlators._operator(LocalBasis("x", 2), table)
     table[1, 1] -= 1
-    assert correlators._operator(LocalBasis("x", 2), table).exact[0][0, 0] == 2**53
+    assert correlators._operator(LocalBasis("x", 2), table)[0][0, 0] == 2**53
 
 
 def test_combined_operator_refuses_a_numerator_past_the_float_range():
@@ -1253,7 +1269,7 @@ def test_shared_arrays_cannot_be_made_writable():
         "C_phi": build_C_phi().matrix,
         "C_phi numerator": build_C_phi().exact[0],
         "C_ghz4x3 numerator": build_C_ghz4x3().exact[1],
-        "_operator numerator": correlators._operator(LocalBasis("y", 2), np.eye(2, dtype=np.int64)).exact[1],
+        "C_psi numerator": build_C_psi().exact[1],
         "HermitianOperator": HermitianOperator(np.eye(4), PartyStructure((2, 2))).matrix,
         "basis vectors": LocalBasis("fourier", 4)._vectors,
         "_real_form": correlators._real_form(LocalBasis("y", 2), 2),

@@ -32,7 +32,7 @@ from qcorr import (
     spectral_norm,
     verify_dominance,
 )
-from qcorr import core, correlators, witnesses
+from qcorr import correlators, witnesses
 from qcorr.states import QUBIT4
 from qcorr.witnesses import (
     GHZ4_CASES,
@@ -53,7 +53,7 @@ from qcorr.witnesses import (
     certified_max,
 )
 
-from oracles import principal_minors_psd
+from oracles import exact_operator, principal_minors_psd
 
 
 def test_projector_witness_ghz4_branches():
@@ -762,10 +762,6 @@ def test_phi_certificate_fails_when_tightened(changes):
         certified_max(build_C_phi(), replace(GHZ4_CERTIFICATE, **changes))
 
 
-def _exact_operator(re, im, den, structure):
-    return HermitianOperator(core._divided(re, im, den), structure, (re, im, den))
-
-
 @pytest.mark.parametrize("index", [0, 5, 15])
 def test_phi_certificate_fails_on_an_entry_changed_by_one(index):
     # the numerator changes by the denominator, so the entry changes by 1
@@ -773,7 +769,7 @@ def test_phi_certificate_fails_on_an_entry_changed_by_one(index):
     re = re.copy()
     re[index, index] += den
     with pytest.raises(ArithmeticError, match="not positive semidefinite"):
-        certified_max(_exact_operator(re, im, den, QUBIT4), GHZ4_CERTIFICATE)
+        certified_max(exact_operator(re, im, den, QUBIT4), GHZ4_CERTIFICATE)
 
 
 def test_certificate_refuses_operators_without_an_integer_form():
@@ -790,10 +786,10 @@ def test_certificate_refuses_operators_without_an_integer_form():
     for matrix in matrices:
         with pytest.raises(ArithmeticError, match="no exact form"):
             certified_max(HermitianOperator(matrix, QUBIT4), GHZ4_CERTIFICATE)
-    # the scaled difference would leave int64
-    huge = replace(GHZ4_CERTIFICATE, target=(2**40,) + (0,) * 14 + (2**40,))
-    with pytest.raises(ArithmeticError, match="int64"):
-        certified_max(build_C_phi(), huge)
+    # a scaled target is the same certificate: Python ints hold any entry
+    for power in (40, 70):
+        huge = replace(GHZ4_CERTIFICATE, target=(2**power,) + (0,) * 14 + (2**power,))
+        assert certified_max(build_C_phi(), huge) == 7
 
 
 def test_certificate_refuses_bad_data():
@@ -879,19 +875,6 @@ def test_product_states_attain_the_certified_maxima():
     assert _exact_expectation(build_C_psi(), u) == 36
 
 
-def _dominance_holds(op, alpha, gamma, alpha_p, t):
-    """alpha*1 - C - gamma*(alpha_p*1 - |t><t|/<t|t>) >= 0, exactly: times the
-    least common denominator D of its three terms it is the integer matrix
-    D*shift*1 - (D/den)*(re + i*im) + D*per_t*t t^T, tested by `_exact_psd`."""
-    re, im, den = op.exact
-    shift, per_t = alpha - gamma * alpha_p, Fraction(gamma) / sum(a * a for a in t)
-    scale = math.lcm(shift.denominator, den, per_t.denominator)
-    vec = np.array(t, dtype=np.int64)
-    diff = int(scale * per_t) * np.outer(vec, vec) - (scale // den) * re
-    diff[np.diag_indices(len(vec))] += int(scale * shift)
-    return witnesses._exact_psd(diff, -(scale // den) * im)
-
-
 _SINGLET_T = [2 * int(k in (0b0011, 0b1100)) - int(k in (0b0101, 0b0110, 0b1001, 0b1010)) for k in range(16)]
 _GHZ4X3_T = [int(k in (0, 21, 42, 63)) for k in range(64)]
 
@@ -911,8 +894,12 @@ def test_tight_dominance_checks_hold_exactly(build, alpha, gamma, alpha_p, t, ta
     state = target()
     assert np.max(np.abs(state.amplitudes - np.array(t) / math.sqrt(sum(a * a for a in t)))) <= 1e-15
     assert abs(projector_witness(state).alpha_p - alpha_p) <= 1e-12
-    assert _dominance_holds(build(), alpha, gamma, alpha_p, t)
-    assert not _dominance_holds(build(), alpha, gamma + Fraction(1, 1000), alpha_p, t)
+    # alpha*1 - C - gamma*(alpha_p*1 - |t><t|/<t|t>) >= 0, and the target
+    # overlaps a biseparable state by at most alpha_p, both exactly
+    assert certified_max(build(), MaxCertificate(alpha - gamma * alpha_p, gamma, t, alpha_p)) == alpha
+    gamma += Fraction(1, 1000)
+    with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+        certified_max(build(), MaxCertificate(alpha - gamma * alpha_p, gamma, t, alpha_p))
 
 
 def _exact(rows):
